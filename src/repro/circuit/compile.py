@@ -13,10 +13,15 @@ batch lane with a few vectorised calls:
   nodes — so gathering element terminal voltages is integer indexing;
 * dense linear stamp matrices for resistors and capacitors (residual
   contribution is one matmul; their Jacobian block is constant);
-* transistors grouped by shared device model, each group carrying
-  per-terminal full-vector indices plus residual-row / Jacobian-column
-  maps (fixed nodes dump into a discard row/column), so one
-  ``device.ids`` call evaluates a whole group across all lanes.
+* one :class:`TransistorTable` row per transistor: full-vector
+  terminal indices, a ±1 polarity sign and the device's
+  :class:`~repro.device.iv.IVParams` as parameter columns, so one
+  :func:`~repro.device.iv.ids_with_partials` call evaluates every
+  transistor of every lane;
+* two sparse incidence matrices that stamp those per-transistor
+  currents into the KCL residual and their conductances into the
+  flattened Jacobian, one sparse product each.  Fixed nodes map to
+  the discard row/column ``n_unknown`` and drop out of the Jacobian.
 
 Compilation is **canonical**: elements are processed in name-sorted
 order, so two circuits with the same elements added in different
@@ -31,47 +36,60 @@ column ~1 GB.  Columns beyond ~100 rows should shrink the lane count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 import numpy.typing as npt
+import scipy.sparse as sp
 
-from ..device.mosfet import MOSFET, Polarity
-from .netlist import GROUND, Circuit
+from ..device.iv import IVParams
+from ..device.mosfet import Polarity
+from .netlist import GROUND, Circuit, Transistor
 
-__all__ = ["CompiledCircuit", "TransistorGroup", "compile_circuit"]
+__all__ = ["CompiledCircuit", "TransistorTable", "compile_circuit"]
 
 FloatArray = npt.NDArray[np.float64]
 IntArray = npt.NDArray[np.intp]
 
 
 @dataclass(frozen=True)
-class TransistorGroup:
-    """All transistors sharing one device model, as index arrays.
+class TransistorTable:
+    """Every transistor of a circuit, one row each, name-sorted.
 
-    ``*_full`` index the full voltage vector (terminal gathers, and
-    residual rows — the residual is kept full-length so fixed-node
-    rows read back as source currents); ``*_jrow`` / ``*_col`` index
-    Jacobian rows/columns, with fixed-node terminals mapped to the
-    discard row/column ``n_unknown``.
+    Attributes
+    ----------
+    names:
+        Instance names in canonical (sorted) order.
+    terminals:
+        ``(3, T)`` full-vector indices of drain, gate and source.
+    jacobian_index:
+        ``(3, T)`` Jacobian row/column of the same terminals, with
+        fixed-node terminals mapped to the discard index
+        ``n_unknown``.
+    sign:
+        ``(T, 1)`` polarity sign, +1 for NFETs and -1 for PFETs; a
+        PFET is the NFET model evaluated on negated node voltages,
+        with its drain current negated.
+    params:
+        The devices' :class:`~repro.device.iv.IVParams` as ``(T, 1)``
+        parameter columns.
     """
 
-    device: MOSFET
-    polarity: Polarity
     names: tuple[str, ...]
-    drain_full: IntArray
-    gate_full: IntArray
-    source_full: IntArray
-    drain_jrow: IntArray
-    source_jrow: IntArray
-    drain_col: IntArray
-    gate_col: IntArray
-    source_col: IntArray
+    terminals: IntArray
+    jacobian_index: IntArray
+    sign: FloatArray
+    params: IVParams
 
     @property
     def size(self) -> int:
-        """Number of transistor instances in the group."""
+        """Number of transistor instances."""
         return len(self.names)
+
+    @property
+    def is_nfet(self) -> npt.NDArray[np.bool_]:
+        """``(T, 1)`` mask of the NFET rows."""
+        return self.sign > 0.0
 
 
 @dataclass(frozen=True)
@@ -91,9 +109,17 @@ class CompiledCircuit:
     c_linear:
         ``(n_total, n_total)`` capacitance stamps [F] (backward-Euler
         companion currents are ``c_linear @ (v - v_prev) / dt``).
-    groups:
-        Transistor groups in canonical (name-sorted, first-occurrence)
-        order.
+    transistors:
+        The :class:`TransistorTable`, in canonical (name-sorted) order.
+    residual_incidence:
+        Sparse ``(n_total, T)`` KCL incidence: +1 at each drain row, -1
+        at each source row, so ``residual_incidence @ i_drain`` adds
+        the currents flowing into the drains to the residual.
+    jacobian_incidence:
+        Sparse ``(n_unknown**2, 3T)`` map from the drain, gate and
+        source conductances (stacked in that order) to the cells of
+        the row-major flattened unknown-block Jacobian; fixed rows and
+        columns are dropped.
     waveforms:
         Per-fixed-node source waveform, aligned with ``fixed``
         (``None`` for ground).
@@ -108,7 +134,9 @@ class CompiledCircuit:
     fixed: tuple[str, ...]
     g_linear: FloatArray
     c_linear: FloatArray
-    groups: tuple[TransistorGroup, ...]
+    transistors: TransistorTable
+    residual_incidence: sp.csr_matrix
+    jacobian_incidence: sp.csr_matrix
     waveforms: tuple[Callable[[float], float] | None, ...]
     source_names: tuple[str | None, ...]
     source_position: Mapping[str, int]
@@ -140,6 +168,48 @@ def _full_index(unknowns: list[str], fixed: list[str]) -> dict[str, int]:
     for j, name in enumerate(fixed):
         index[name] = len(unknowns) + j
     return index
+
+
+def _transistor_table(members: Sequence[Transistor], index: Mapping[str, int],
+                      n: int) -> TransistorTable:
+    terminals = np.array([[index[t.drain] for t in members],
+                          [index[t.gate] for t in members],
+                          [index[t.source] for t in members]],
+                         dtype=np.intp).reshape(3, len(members))
+    return TransistorTable(
+        names=tuple(t.name for t in members),
+        terminals=terminals,
+        jacobian_index=np.minimum(terminals, n),
+        sign=np.array([1.0 if t.device.polarity is Polarity.NFET else -1.0
+                       for t in members]).reshape(-1, 1),
+        params=IVParams.stack([t.device.iv.params for t in members]),
+    )
+
+
+def _incidences(table: TransistorTable, n: int, n_total: int
+                ) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """The KCL and flat-Jacobian incidence matrices of ``table``."""
+    size = table.size
+    cols = np.arange(size)
+    drain, _gate, source = table.terminals
+    kcl = sp.csr_matrix(
+        (np.concatenate([np.ones(size), -np.ones(size)]),
+         (np.concatenate([drain, source]), np.concatenate([cols, cols]))),
+        shape=(n_total, size))
+    rows_out, cols_out, vals_out = [], [], []
+    jac_index = table.jacobian_index
+    for row_terminal, sign in ((0, 1.0), (2, -1.0)):
+        row = jac_index[row_terminal]
+        for k, col in enumerate(jac_index):
+            keep = (row < n) & (col < n)
+            rows_out.append(row[keep] * n + col[keep])
+            cols_out.append(k * size + cols[keep])
+            vals_out.append(np.full(int(keep.sum()), sign))
+    jac = sp.csr_matrix(
+        (np.concatenate(vals_out),
+         (np.concatenate(rows_out), np.concatenate(cols_out))),
+        shape=(n * n, 3 * size))
+    return kcl, jac
 
 
 def compile_circuit(circuit: Circuit) -> CompiledCircuit:
@@ -174,48 +244,10 @@ def compile_circuit(circuit: Circuit) -> CompiledCircuit:
         c_linear[b, a] -= c.farads
         c_linear[b, b] += c.farads
 
-    # Group transistors by shared device model object.  Devices are
-    # immutable and memoised, so array builders naturally share one
-    # model across hundreds of instances; grouping in name-sorted
-    # first-occurrence order keeps the lowering canonical.
-    grouped: dict[int, list] = {}
-    order: list[int] = []
-    for t in sorted(circuit.transistors, key=lambda e: e.name):
-        key = id(t.device)
-        if key not in grouped:
-            grouped[key] = []
-            order.append(key)
-        grouped[key].append(t)
-
-    def jcol(node: str) -> int:
-        i = index[node]
-        return i if i < n else n
-
-    groups = []
-    for key in order:
-        members = grouped[key]
-        device = members[0].device
-        groups.append(TransistorGroup(
-            device=device,
-            polarity=device.polarity,
-            names=tuple(t.name for t in members),
-            drain_full=np.array([index[t.drain] for t in members],
-                                dtype=np.intp),
-            gate_full=np.array([index[t.gate] for t in members],
-                               dtype=np.intp),
-            source_full=np.array([index[t.source] for t in members],
-                                 dtype=np.intp),
-            drain_jrow=np.array([jcol(t.drain) for t in members],
-                                dtype=np.intp),
-            source_jrow=np.array([jcol(t.source) for t in members],
-                                 dtype=np.intp),
-            drain_col=np.array([jcol(t.drain) for t in members],
-                               dtype=np.intp),
-            gate_col=np.array([jcol(t.gate) for t in members],
-                              dtype=np.intp),
-            source_col=np.array([jcol(t.source) for t in members],
-                                dtype=np.intp),
-        ))
+    transistors = _transistor_table(
+        sorted(circuit.transistors, key=lambda e: e.name), index, n)
+    residual_incidence, jacobian_incidence = _incidences(transistors, n,
+                                                         n_total)
 
     waveforms: list[Callable[[float], float] | None] = [None] * len(fixed)
     names: list[str | None] = [None] * len(fixed)
@@ -232,7 +264,9 @@ def compile_circuit(circuit: Circuit) -> CompiledCircuit:
         fixed=tuple(fixed),
         g_linear=g_linear,
         c_linear=c_linear,
-        groups=tuple(groups),
+        transistors=transistors,
+        residual_incidence=residual_incidence,
+        jacobian_incidence=jacobian_incidence,
         waveforms=tuple(waveforms),
         source_names=tuple(names),
         source_position=position,

@@ -8,18 +8,23 @@ fails exactly when the sub-V_th input can no longer overpower the
 high-rail PFET — making the *minimum convertible input supply* a
 figure of merit of the low-voltage device's drive.
 
-The circuit is solved with the library's own netlist/MNA engine; the
-search for the minimum working input supply is a bisection over DC
-solves from both input states.
+The circuit is solved with the library's compiled batched MNA engine:
+both input states settle as two lanes of one backward-Euler transient,
+each started from the opposite output state, and the search for the
+minimum working input supply bisects over those settled transients.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
+import numpy.typing as npt
 
 from ..device.mosfet import MOSFET, Polarity
 from ..errors import ParameterError
-from .mna import NodalSolver
+from .mna_batch import solve_transient_batch
 from .netlist import Circuit
 
 
@@ -60,11 +65,12 @@ class LevelShifter:
 
     # -- circuit assembly ---------------------------------------------------
 
-    def _build(self, vin: float) -> Circuit:
+    def _build(self) -> Circuit:
         c = Circuit()
         c.add_vsource("vddh", "vddh", self.vdd_high)
         c.add_vsource("vddl", "vddl", self.vdd_low)
-        c.add_vsource("vin", "in", vin)
+        # The input level is a per-lane stimulus of the batched solve.
+        c.add_vsource("vin", "in", 0.0)
         # Low-domain inverter generates the complement.
         c.add_inverter("lowinv", "in", "inb", "vddl", self.nfet, self.pfet)
         # Output stage: upsized pull-downs, cross-coupled PFETs.
@@ -80,23 +86,22 @@ class LevelShifter:
 
     # -- analysis ----------------------------------------------------------------
 
-    def output_levels(self, vin: float) -> tuple[float, float]:
-        """Settled (out, outb) after an input edge to ``vin`` [V].
+    def _settle(self, vins: Sequence[float]
+                ) -> tuple[npt.NDArray[np.float64], npt.NDArray[np.float64]]:
+        """Settled (out, outb) [V] after an input edge to each of
+        ``vins`` [V], one lane per input level.
 
-        The transient starts from the *opposite* output state — the
+        Each lane starts from the *opposite* output state — the
         situation right after an input transition — so a correct final
         state demonstrates the pull-downs genuinely win the contention
         (a cross-coupled stage has a stable wrong state whenever the
         input device is too weak; static DC seeding would just pick a
         basin).
         """
-        if not 0.0 <= vin <= self.vdd_low:
-            raise ParameterError("vin outside the low domain")
-        circuit = self._build(vin)
-        solver = NodalSolver(circuit)
+        vin = np.asarray(vins, dtype=float)
         high_input = vin > self.vdd_low / 2.0
-        start = {"out": 0.0 if high_input else self.vdd_high,
-                 "outb": self.vdd_high if high_input else 0.0,
+        start = {"out": np.where(high_input, 0.0, self.vdd_high),
+                 "outb": np.where(high_input, self.vdd_high, 0.0),
                  "inb": self.vdd_low - vin}
         # Timescale: the pull-down discharging a node cap through the
         # low-domain gate drive (use half-rail drain bias).
@@ -104,26 +109,33 @@ class LevelShifter:
         drive = max(float(pd.ids(self.vdd_low, self.vdd_high / 2.0)), 1e-15)
         tau = self.NODE_CAP_F * self.vdd_high / drive
         horizon = 60.0 * tau
-        result = solver.solve_transient(
-            horizon, horizon / 400.0, initial=start,
-            use_initial_conditions=True,
-        )
-        return (float(result.voltages["out"][-1]),
-                float(result.voltages["outb"][-1]))
+        result = solve_transient_batch(
+            self._build(), horizon, horizon / 400.0,
+            stimulus={"vin": vin}, initial=start,
+            use_initial_conditions=True)
+        return result.voltages["out"][-1], result.voltages["outb"][-1]
+
+    def output_levels(self, vin: float) -> tuple[float, float]:
+        """Settled (out, outb) [V] after an input edge to ``vin`` [V],
+        started from the opposite output state."""
+        if not 0.0 <= vin <= self.vdd_low:
+            raise ParameterError("vin outside the low domain")
+        out, outb = self._settle([vin])
+        return float(out[0]), float(outb[0])
 
     def converts_correctly(self, margin: float = 0.10) -> bool:
         """True when both input states produce full-swing outputs.
 
+        Both states settle together, as two lanes of one transient.
         ``margin`` is the allowed deviation from the rails as a
         fraction of V_dd,high.
         """
-        out_hi, outb_hi = self.output_levels(self.vdd_low)
-        out_lo, outb_lo = self.output_levels(0.0)
+        out, outb = self._settle([self.vdd_low, 0.0])
         rail = self.vdd_high
-        return (out_hi > (1.0 - margin) * rail
-                and outb_hi < margin * rail
-                and out_lo < margin * rail
-                and outb_lo > (1.0 - margin) * rail)
+        return bool(out[0] > (1.0 - margin) * rail
+                    and outb[0] < margin * rail
+                    and out[1] < margin * rail
+                    and outb[1] > (1.0 - margin) * rail)
 
     def with_vdd_low(self, vdd_low: float) -> "LevelShifter":
         """Copy at a different input supply."""

@@ -7,13 +7,16 @@ time — fine for one inverter, hopeless for a stimulus sweep times a
 the same equations over a trailing **lane** axis:
 
 * the netlist is lowered once by :func:`repro.circuit.compile.compile_circuit`
-  into index arrays and constant linear stamps;
-* device currents evaluate per *group* (all transistors sharing one
-  model) through the array-native ``MOSFET.ids(vth_shift_v=...)``
-  hook, so a variation corner is data, not a rebuilt circuit;
-* residuals and Jacobian partials scatter-add into dense per-lane
-  systems (``np.add.at``), solved with one stacked
-  ``xp.linalg.solve``;
+  into index arrays, constant linear stamps, a per-transistor
+  parameter table and two sparse incidence matrices;
+* each Newton sweep makes **one** device call: the array-native
+  :func:`repro.device.iv.ids_with_partials` returns every
+  transistor's current and closed-form ``dI/dV_gs``, ``dI/dV_ds`` for
+  every lane, with the V_th variation shifts as data, so a variation
+  corner is not a rebuilt circuit;
+* the compiled incidences stamp the currents into the residual and the
+  conductances into dense per-lane Jacobians with one sparse product
+  each, solved with one stacked ``numpy.linalg.solve``;
 * Newton runs with active-lane compression in the
   :mod:`repro.numerics` style: an index array of unconverged lanes, a
   bounded ``for`` sweep loop, and ``circuit.mna.*`` perf counters.
@@ -23,30 +26,32 @@ seeds broadcast to a common batch shape; results carry that shape per
 node.  ``solver="sequential"`` routes every lane through the scalar
 :class:`NodalSolver` on a per-lane rebuilt circuit (shifted devices
 via ``with_vth_offset``) — the correctness oracle the equivalence
-tests compare against.
+tests compare against.  Its finite-difference Jacobian shares nothing
+with the closed-form one here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 import numpy.typing as npt
 
 from .. import perf
+from ..device.iv import ids_with_partials
 from ..device.mosfet import Polarity
 from ..errors import ConvergenceError, ParameterError
-from ..numerics.backend import array_namespace, flatnonzero
 from .batch import validate_solver
-from .compile import CompiledCircuit, TransistorGroup, compile_circuit
-from .mna import NodalSolver, _FD_STEP, _GMIN_START
+from .compile import CompiledCircuit, compile_circuit
+from .mna import NodalSolver, _GMIN_START
 from .netlist import Circuit
 
 __all__ = ["BatchDCResult", "BatchTransientResult", "solve_dc_batch",
            "solve_transient_batch"]
 
 FloatArray = npt.NDArray[np.float64]
+IntArray = npt.NDArray[np.intp]
 
 #: A stimulus entry: a constant (scalar or batch-shaped array) or a
 #: waveform callable mapping time [s] to a constant of either kind.
@@ -246,51 +251,61 @@ class _FixedPlan:
 # assembly
 
 
-def _group_currents(group: TransistorGroup, vd: FloatArray, vg: FloatArray,
-                    vs: FloatArray, shift: object) -> FloatArray:
-    """Drain-terminal currents [A] of a device group, vectorised.
+def _linear_part(compiled: CompiledCircuit, x: FloatArray, fixed: FloatArray,
+                 prev_full: FloatArray | None, inv_dt: float | None
+                 ) -> tuple[FloatArray, FloatArray]:
+    """Full voltage vector and the resistor/capacitor residual."""
+    v = np.concatenate([x, fixed], axis=0)
+    f = compiled.g_linear @ v
+    if inv_dt is not None and prev_full is not None:
+        f = f + (compiled.c_linear @ (v - prev_full)) * inv_dt
+    return v, f
 
-    Mirrors :meth:`repro.circuit.netlist.Transistor.current_into_drain`
-    exactly: the symmetric model always sees the source-referenced
-    magnitudes of the conducting orientation, and the sign flips when
-    drain and source swap roles.
+
+def _device_stamps(compiled: CompiledCircuit, v: FloatArray,
+                   shift_n: object, shift_p: object
+                   ) -> tuple[FloatArray, FloatArray]:
+    """Drain currents [A] and stacked terminal conductances [S].
+
+    One :func:`~repro.device.iv.ids_with_partials` call over the whole
+    transistor table.  Mirrors
+    :meth:`repro.circuit.netlist.Transistor.current_into_drain`: a
+    PFET is the NFET model on negated node voltages, and the symmetric
+    model always sees the source-referenced magnitudes of the
+    conducting orientation, the sign flipping when drain and source
+    swap roles.  Returns ``(i_drain, g)`` with ``i_drain`` shaped
+    ``(T, lanes)`` and ``g`` the ``(3T, lanes)`` partials of
+    ``i_drain`` with respect to the drain, gate and source voltages.
     """
+    table = compiled.transistors
+    sign = table.sign
+    vd, vg, vs = sign * v[table.terminals]
+    forward = vd >= vs
     lo = np.minimum(vd, vs)
-    hi = np.maximum(vd, vs)
-    if group.polarity is Polarity.NFET:
-        mag = group.device.ids(vg - lo, hi - lo, shift)
-        return np.where(vd >= vs, mag, -mag)
-    mag = group.device.ids(hi - vg, hi - lo, shift)
-    return np.where(vd <= vs, -mag, mag)
-
-
-def _group_shift(group: TransistorGroup, shift_n: object, shift_p: object
-                 ) -> object:
-    return shift_n if group.polarity is Polarity.NFET else shift_p
+    mag, g_gs, g_ds = ids_with_partials(
+        table.params, vg - lo, np.maximum(vd, vs) - lo,
+        np.where(table.is_nfet, np.asarray(shift_n), np.asarray(shift_p)))
+    direction = np.where(forward, 1.0, -1.0)
+    g_gate = direction * g_gs
+    g_drain = np.where(forward, g_ds, g_gs + g_ds)
+    g = np.concatenate([g_drain, g_gate, -(g_drain + g_gate)], axis=0)
+    perf.bump("circuit.mna.device_evals", mag.size)
+    return sign * direction * mag, g
 
 
 def _residual_full(compiled: CompiledCircuit, x: FloatArray,
                    fixed: FloatArray, shift_n: object, shift_p: object,
                    gmin: float, prev_full: FloatArray | None,
-                   inv_dt: float | None, xp: Any) -> FloatArray:
+                   inv_dt: float | None) -> FloatArray:
     """KCL residual at every node, shape ``(n_total, lanes)``.
 
     Rows ``:n_unknown`` must vanish at a solution; fixed-node rows
     read back as the current each source injects.
     """
     n = compiled.n_unknown
-    v = xp.concatenate([x, fixed], axis=0)
-    f = compiled.g_linear @ v
-    if inv_dt is not None and prev_full is not None:
-        f = f + (compiled.c_linear @ (v - prev_full)) * inv_dt
-    lanes = x.shape[1]
-    for grp in compiled.groups:
-        i0 = _group_currents(grp, v[grp.drain_full], v[grp.gate_full],
-                             v[grp.source_full],
-                             _group_shift(grp, shift_n, shift_p))
-        np.add.at(f, grp.drain_full, i0)
-        np.add.at(f, grp.source_full, -i0)
-        perf.bump("circuit.mna.device_evals", grp.size * lanes)
+    v, f = _linear_part(compiled, x, fixed, prev_full, inv_dt)
+    i_drain, _ = _device_stamps(compiled, v, shift_n, shift_p)
+    f = f + compiled.residual_incidence @ i_drain
     if gmin > 0.0:
         f[:n] += gmin * x
     return f
@@ -298,51 +313,28 @@ def _residual_full(compiled: CompiledCircuit, x: FloatArray,
 
 def _assemble(compiled: CompiledCircuit, x: FloatArray, fixed: FloatArray,
               shift_n: object, shift_p: object, gmin: float,
-              prev_full: FloatArray | None, inv_dt: float | None,
-              xp: Any) -> tuple[FloatArray, FloatArray]:
+              prev_full: FloatArray | None, inv_dt: float | None
+              ) -> tuple[FloatArray, FloatArray]:
     """Residual rows and stacked Jacobian for the unknown block.
 
     Returns ``(f, jac)`` with ``f`` shaped ``(n_total, lanes)`` and
-    ``jac`` shaped ``(lanes, n, n)``.  Device partials are per-terminal
-    finite differences (step :data:`repro.circuit.mna._FD_STEP`), three
-    extra group evaluations per sweep instead of one residual sweep
-    per node.
+    ``jac`` shaped ``(lanes, n, n)``.  Device currents and their
+    closed-form partials come from one kernel call over the transistor
+    table; the compiled incidence matrices stamp them with one sparse
+    product each.
     """
     n = compiled.n_unknown
-    lanes = x.shape[1]
-    v = xp.concatenate([x, fixed], axis=0)
-    f = compiled.g_linear @ v
-    if inv_dt is not None and prev_full is not None:
-        f = f + (compiled.c_linear @ (v - prev_full)) * inv_dt
-    jac = xp.zeros((n + 1, n + 1, lanes))
-    for grp in compiled.groups:
-        shift = _group_shift(grp, shift_n, shift_p)
-        vd = v[grp.drain_full]
-        vg = v[grp.gate_full]
-        vs = v[grp.source_full]
-        i0 = _group_currents(grp, vd, vg, vs, shift)
-        gd = (_group_currents(grp, vd + _FD_STEP, vg, vs, shift)
-              - i0) / _FD_STEP
-        gg = (_group_currents(grp, vd, vg + _FD_STEP, vs, shift)
-              - i0) / _FD_STEP
-        gs = (_group_currents(grp, vd, vg, vs + _FD_STEP, shift)
-              - i0) / _FD_STEP
-        np.add.at(f, grp.drain_full, i0)
-        np.add.at(f, grp.source_full, -i0)
-        np.add.at(jac, (grp.drain_jrow, grp.drain_col), gd)
-        np.add.at(jac, (grp.drain_jrow, grp.gate_col), gg)
-        np.add.at(jac, (grp.drain_jrow, grp.source_col), gs)
-        np.add.at(jac, (grp.source_jrow, grp.drain_col), -gd)
-        np.add.at(jac, (grp.source_jrow, grp.gate_col), -gg)
-        np.add.at(jac, (grp.source_jrow, grp.source_col), -gs)
-        perf.bump("circuit.mna.device_evals", 4 * grp.size * lanes)
-    stacked = jac[:n, :n].transpose(2, 0, 1)
+    v, f = _linear_part(compiled, x, fixed, prev_full, inv_dt)
+    i_drain, g = _device_stamps(compiled, v, shift_n, shift_p)
+    f = f + compiled.residual_incidence @ i_drain
+    flat = compiled.jacobian_incidence @ g
+    stacked = flat.reshape(n, n, x.shape[1]).transpose(2, 0, 1)
     stacked += compiled.g_linear[:n, :n]
     if inv_dt is not None:
         stacked += compiled.c_linear[:n, :n] * inv_dt
     if gmin > 0.0:
         f[:n] += gmin * x
-        diag = xp.arange(n)
+        diag = np.arange(n)
         stacked[:, diag, diag] += gmin
     return f, stacked
 
@@ -351,7 +343,7 @@ def _assemble(compiled: CompiledCircuit, x: FloatArray, fixed: FloatArray,
 # batched Newton
 
 
-def _gather_shift(shift: object, idx: Any) -> object:
+def _gather_shift(shift: object, idx: IntArray) -> object:
     if isinstance(shift, np.ndarray):
         return shift[idx]
     return shift
@@ -361,8 +353,7 @@ def _newton_batch(compiled: CompiledCircuit, x: FloatArray,
                   fixed: FloatArray, shift_n: object, shift_p: object,
                   gmin: float, prev_full: FloatArray | None,
                   inv_dt: float | None, rail: FloatArray, tol_v: float,
-                  max_iter: int, xp: Any
-                  ) -> tuple[FloatArray, FloatArray, int]:
+                  max_iter: int) -> tuple[FloatArray, FloatArray, int]:
     """Damped Newton over lanes with active-set compression.
 
     Same damping, clipping and step-size convergence test as the
@@ -374,7 +365,7 @@ def _newton_batch(compiled: CompiledCircuit, x: FloatArray,
     n = compiled.n_unknown
     lanes = x.shape[1]
     converged = np.zeros(lanes, dtype=bool)
-    idx = xp.arange(lanes)
+    idx = np.arange(lanes)
     sweeps = 0
     for _ in range(max_iter):
         live = int(idx.shape[0])
@@ -388,28 +379,27 @@ def _newton_batch(compiled: CompiledCircuit, x: FloatArray,
         f, jac = _assemble(compiled, x[:, idx], fixed[:, idx],
                            _gather_shift(shift_n, idx),
                            _gather_shift(shift_p, idx),
-                           gmin, prev_live, inv_dt, xp)
+                           gmin, prev_live, inv_dt)
         try:
-            update = xp.linalg.solve(jac, -f[:n].T[:, :, None])[:, :, 0].T
+            update = np.linalg.solve(jac, -f[:n].T[:, :, None])[:, :, 0].T
         except np.linalg.LinAlgError:
             break
-        biggest = xp.max(xp.abs(update), axis=0)
+        biggest = np.max(np.abs(update), axis=0)
         rail_live = rail[idx]
-        scale = xp.minimum(
-            1.0, 0.25 * xp.maximum(rail_live, 0.1)
-            / xp.maximum(biggest, 1e-30))
+        scale = np.minimum(
+            1.0, 0.25 * np.maximum(rail_live, 0.1)
+            / np.maximum(biggest, 1e-30))
         moved = x[:, idx] + scale * update
-        x[:, idx] = xp.clip(moved, -0.5, rail_live + 0.5)
+        x[:, idx] = np.clip(moved, -0.5, rail_live + 0.5)
         done = biggest * scale < tol_v
-        converged[idx[flatnonzero(xp, done)]] = True
-        idx = idx[flatnonzero(xp, ~done)]
+        converged[idx[done]] = True
+        idx = idx[~done]
     return x, converged, sweeps
 
 
 def _dc_core(compiled: CompiledCircuit, fixed: FloatArray,
              shift_n: object, shift_p: object, x0: FloatArray,
-             tol_v: float, max_iter: int, xp: Any
-             ) -> tuple[FloatArray, int]:
+             tol_v: float, max_iter: int) -> tuple[FloatArray, int]:
     """The scalar solver's two-phase DC strategy, batched.
 
     Phase 1 is direct Newton at ``gmin = 0`` from the seed (so
@@ -420,16 +410,16 @@ def _dc_core(compiled: CompiledCircuit, fixed: FloatArray,
     x = x0.copy()
     x, converged, sweeps = _newton_batch(
         compiled, x, fixed, shift_n, shift_p, 0.0, None, None, rail,
-        tol_v, max_iter, xp)
+        tol_v, max_iter)
     total = sweeps
-    bad = flatnonzero(xp, ~converged)
+    bad = np.flatnonzero(~converged)
     if int(bad.shape[0]):
         xb = x0[:, bad].copy()
         for gmin in _GMIN_LADDER:
             xb, conv_b, sweeps = _newton_batch(
                 compiled, xb, fixed[:, bad],
                 _gather_shift(shift_n, bad), _gather_shift(shift_p, bad),
-                gmin, None, None, rail[bad], tol_v, max_iter, xp)
+                gmin, None, None, rail[bad], tol_v, max_iter)
             total += sweeps
             if not bool(np.all(conv_b)):
                 raise ConvergenceError(
@@ -449,8 +439,8 @@ def solve_dc_batch(circuit: Circuit, *, stimulus: Stimulus | None = None,
                    initial: Mapping[str, object] | None = None,
                    time_s: float = 0.0, tol_v: float = 1e-9,
                    max_iter: int = 80, solver: str = "batch",
-                   compiled: CompiledCircuit | None = None,
-                   xp: Any = None) -> BatchDCResult:
+                   compiled: CompiledCircuit | None = None
+                   ) -> BatchDCResult:
     """Batched DC operating points of ``circuit``.
 
     Parameters
@@ -476,8 +466,6 @@ def solve_dc_batch(circuit: Circuit, *, stimulus: Stimulus | None = None,
     compiled:
         Optional pre-lowered netlist (skips recompilation in sweeps
         that reuse one topology).
-    xp:
-        Optional array namespace (numpy if omitted).
     """
     validate_solver(solver)
     compiled = compiled or compile_circuit(circuit)
@@ -488,7 +476,6 @@ def solve_dc_batch(circuit: Circuit, *, stimulus: Stimulus | None = None,
     if solver == "sequential":
         return _solve_dc_sequential(circuit, compiled, plan, dvth_n_v,
                                     dvth_p_v, initial, time_s, batch_shape)
-    xp = array_namespace(xp=xp)
     perf.bump("circuit.mna.batch_solves")
     perf.bump("circuit.mna.batch_lanes", lanes)
     fixed = plan.at(time_s)
@@ -501,9 +488,9 @@ def solve_dc_batch(circuit: Circuit, *, stimulus: Stimulus | None = None,
             x0[compiled.unknowns.index(node)] = _as_lanes(value,
                                                           batch_shape)
     x, iterations = _dc_core(compiled, fixed, shift_n, shift_p, x0,
-                             tol_v, max_iter, xp)
+                             tol_v, max_iter)
     f = _residual_full(compiled, x, fixed, shift_n, shift_p, 0.0, None,
-                       None, xp)
+                       None)
     return _pack_dc(compiled, x, fixed, f, batch_shape, iterations)
 
 
@@ -516,8 +503,8 @@ def solve_transient_batch(circuit: Circuit, t_stop_s: float, dt_s: float,
                           max_change_v: float | None = None,
                           tol_v: float = 1e-9, max_iter: int = 80,
                           solver: str = "batch",
-                          compiled: CompiledCircuit | None = None,
-                          xp: Any = None) -> BatchTransientResult:
+                          compiled: CompiledCircuit | None = None
+                          ) -> BatchTransientResult:
     """Batched backward-Euler transient of ``circuit``.
 
     Same companion model and step policy as the scalar
@@ -545,7 +532,6 @@ def solve_transient_batch(circuit: Circuit, t_stop_s: float, dt_s: float,
             circuit, compiled, plan, dvth_n_v, dvth_p_v, initial,
             use_initial_conditions, t_stop_s, dt_s, dt_min_factor,
             max_change_v, batch_shape)
-    xp = array_namespace(xp=xp)
     perf.bump("circuit.mna.batch_solves")
     perf.bump("circuit.mna.batch_lanes", lanes)
     shift_n = _maybe_lanes(dvth_n_v, batch_shape)
@@ -566,7 +552,7 @@ def solve_transient_batch(circuit: Circuit, t_stop_s: float, dt_s: float,
                 x0[compiled.unknowns.index(node)] = _as_lanes(value,
                                                               batch_shape)
         x, _ = _dc_core(compiled, fixed0, shift_n, shift_p, x0, tol_v,
-                        max_iter, xp)
+                        max_iter)
     prev_full = np.concatenate([x, plan.at(0.0)], axis=0)
     times = [0.0]
     snapshots = [prev_full.copy()]
@@ -579,7 +565,7 @@ def solve_transient_batch(circuit: Circuit, t_stop_s: float, dt_s: float,
         rail = np.max(np.abs(fixed), axis=0)
         x_try, conv, _ = _newton_batch(
             compiled, x.copy(), fixed, shift_n, shift_p, 0.0, prev_full,
-            1.0 / step, rail, tol_v, max_iter, xp)
+            1.0 / step, rail, tol_v, max_iter)
         if not bool(np.all(conv)):
             if step <= min_step:
                 raise ConvergenceError(

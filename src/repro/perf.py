@@ -96,8 +96,9 @@ Counter names in use
     Lanes the batched MNA Newton actually assembled vs lanes carried,
     summed per sweep (active-set compression of the nodal engine).
 ``circuit.mna.device_evals``
-    Vectorised device-current evaluations (transistor instances x
-    lanes, residual and finite-difference sweeps alike).
+    Vectorised device evaluations (transistor instances x lanes); one
+    evaluation yields the current and its closed-form partials
+    together.
 ``circuit.mna.transient_steps``
     Accepted backward-Euler steps of the batched transient engine.
 ``circuit.mna.sequential_solves``

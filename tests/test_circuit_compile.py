@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.circuit.compile import compile_circuit
+from repro.circuit.mna_batch import solve_dc_batch
 from repro.circuit.netlist import Circuit
 from repro.errors import ParameterError
 
@@ -71,34 +72,72 @@ class TestLinearStamps:
         assert compiled.c_linear[b, b] == pytest.approx(3e-15)
 
 
-class TestTransistorGroups:
-    def test_shared_device_forms_one_group(self, nfet90, pfet90):
-        compiled = compile_circuit(latch(nfet90, pfet90))
-        # Three nfet90 instances share one model; two pfet90 likewise.
-        sizes = sorted(g.size for g in compiled.groups)
-        assert sizes == [2, 3]
-        for group in compiled.groups:
-            assert group.size == len(group.names)
-            assert group.drain_full.shape == (group.size,)
+class TestTransistorTable:
+    def test_one_row_per_transistor(self, nfet90, pfet90):
+        circuit = latch(nfet90, pfet90)
+        devices = {t.name: t.device for t in circuit.transistors}
+        table = compile_circuit(circuit).transistors
+        assert table.size == 5
+        assert table.terminals.shape == (3, 5)
+        assert table.sign.shape == (5, 1)
+        assert table.params.vth_v.shape == (5, 1)
+        # Polarity is a sign; the parameter columns are the devices'.
+        for row, name in enumerate(table.names):
+            device = devices[name]
+            assert table.sign[row, 0] == (1.0 if device is nfet90 else -1.0)
+            assert table.params.vth_v[row, 0] == device.iv.params.vth_v
+            assert table.params.i_spec_a[row, 0] == (
+                device.iv.params.i_spec_a)
 
-    def test_fixed_terminals_map_to_discard_column(self, nfet90, pfet90):
+    def test_fixed_terminals_map_to_discard_row_and_column(self, nfet90,
+                                                            pfet90):
         compiled = compile_circuit(latch(nfet90, pfet90))
         n = compiled.n_unknown
-        for group in compiled.groups:
-            for idx, cols in ((group.drain_full, group.drain_col),
-                              (group.source_full, group.source_col),
-                              (group.gate_full, group.gate_col)):
-                fixed_terminal = idx >= n
-                assert np.all(cols[fixed_terminal] == n)
-                assert np.all(cols[~fixed_terminal] == idx[~fixed_terminal])
+        table = compiled.transistors
+        fixed_terminal = table.terminals >= n
+        assert fixed_terminal.any()
+        assert np.all(table.jacobian_index[fixed_terminal] == n)
+        assert np.array_equal(table.jacobian_index[~fixed_terminal],
+                              table.terminals[~fixed_terminal])
+        # The flat-Jacobian incidence never touches a discard cell: a
+        # conductance column for a fixed terminal stamps nothing.
+        jac = compiled.jacobian_incidence.tocsc()
+        for k in range(3):
+            for row in np.flatnonzero(fixed_terminal[k]):
+                column = jac[:, k * table.size + row]
+                assert column.nnz == 0
 
-    def test_groups_in_name_sorted_first_occurrence_order(self, nfet90,
-                                                          pfet90):
+    def test_residual_incidence_is_kcl(self, nfet90, pfet90):
         compiled = compile_circuit(latch(nfet90, pfet90))
-        firsts = [g.names[0] for g in compiled.groups]
-        assert firsts == sorted(firsts)
-        for group in compiled.groups:
-            assert list(group.names) == sorted(group.names)
+        table = compiled.transistors
+        dense = compiled.residual_incidence.toarray()
+        assert dense.shape == (compiled.n_total, table.size)
+        for row in range(table.size):
+            drain, _gate, source = table.terminals[:, row]
+            assert dense[drain, row] == 1.0
+            assert dense[source, row] == -1.0
+            assert dense[:, row].sum() == 0.0
+
+    def test_transistors_in_name_sorted_order(self, nfet90, pfet90):
+        compiled = compile_circuit(latch(nfet90, pfet90))
+        names = list(compiled.transistors.names)
+        assert names == sorted(names)
+
+    def test_rc_only_circuit_compiles_and_solves(self):
+        c = Circuit()
+        c.add_vsource("vs", "a", 1.0)
+        c.add_resistor("r1", "a", "b", 1e3)
+        c.add_resistor("r2", "b", "0", 3e3)
+        c.add_capacitor("c1", "b", "0", 1e-15)
+        compiled = compile_circuit(c)
+        assert compiled.transistors.size == 0
+        assert compiled.residual_incidence.shape == (compiled.n_total, 0)
+        assert compiled.jacobian_incidence.shape == (1, 0)
+        result = solve_dc_batch(c, stimulus={"vs": np.array([1.0, 2.0])},
+                                compiled=compiled)
+        assert result["b"] == pytest.approx([0.75, 1.5], rel=1e-12)
+        assert result.source_currents_a["vs"] == pytest.approx(
+            [2.5e-4, 5e-4], rel=1e-12)
 
 
 class TestValidation:

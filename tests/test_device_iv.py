@@ -5,6 +5,7 @@ import pytest
 
 from repro.constants import thermal_voltage
 from repro.device import nfet
+from repro.device.iv import IVParams, ids_with_partials
 from repro.errors import ParameterError
 
 
@@ -106,3 +107,74 @@ class TestVthOffset:
     def test_negative_offset_increases_leakage(self, dev):
         shifted = dev.with_vth_offset(-0.05)
         assert shifted.i_off(1.0) > dev.i_off(1.0)
+
+
+class TestIdsWithPartials:
+    """The closed-form kernel the batched MNA engine stamps from.
+
+    Its current must reproduce :meth:`IVModel.ids`, and its partials
+    must match central differences of ``ids`` away from the model's
+    kinks (V_p = 2 v_T, V_gs = -V_th0, V_ds = 0).
+    """
+
+    STEP_V = 1e-6
+
+    @pytest.fixture(scope="class", params=[
+        ("sub", "90nm"), ("sub", "32nm"), ("super", "90nm"),
+        ("super", "32nm")], ids=lambda p: "-".join(p))
+    def design(self, request, sub_family, super_family):
+        family = sub_family if request.param[0] == "sub" else super_family
+        return family.design(request.param[1])
+
+    @pytest.mark.parametrize("polarity", ["nfet", "pfet"])
+    def test_current_and_partials_match_ids(self, design, polarity):
+        iv = getattr(design, polarity).iv
+        params = iv.params
+        rng = np.random.default_rng(2007)
+        vgs = rng.uniform(-0.3, 1.3, 3000)
+        vds = rng.uniform(0.0, 1.3, 3000)
+        shift = rng.uniform(-0.05, 0.05, 3000)
+        vp = (vgs - (iv.vth(vds) + shift)) / params.slope_factor
+        h = self.STEP_V
+        away = ((vds > h) & (np.abs(vgs + params.vth0_v) > h)
+                & (np.abs(vp - 2.0 * params.vt_v) > h))
+        vgs, vds, shift = vgs[away], vds[away], shift[away]
+        current, d_gs, d_ds = ids_with_partials(params, vgs, vds, shift)
+        reference = iv.ids(vgs, vds, shift)
+        assert np.all(np.abs(current - reference)
+                      <= 1e-12 * np.abs(reference))
+        fd_gs = (iv.ids(vgs + h, vds, shift)
+                 - iv.ids(vgs - h, vds, shift)) / (2.0 * h)
+        fd_ds = (iv.ids(vgs, vds + h, shift)
+                 - iv.ids(vgs, vds - h, shift)) / (2.0 * h)
+        # Absolute floor: 1e-8 of the current per volt, far above the
+        # difference quotient's rounding noise (~2e-10 |I| / V).
+        floor = 1e-8 * np.abs(reference)
+        assert np.all(np.abs(d_gs - fd_gs) <= 1e-5 * np.abs(fd_gs) + floor)
+        assert np.all(np.abs(d_ds - fd_ds) <= 1e-5 * np.abs(fd_ds) + floor)
+
+    def test_stacked_columns_match_single_records(self, dev, nfet90,
+                                                  pfet90):
+        devices = [dev.with_vth_offset(0.02), pfet90.with_width_um(1.0),
+                   nfet90]
+        stacked = IVParams.stack([d.iv.params for d in devices])
+        vgs = np.array([[0.1, 0.3], [0.2, 0.25], [0.0, 1.0]])
+        vds = np.array([[0.25, 0.05], [0.3, 0.1], [0.6, 0.2]])
+        together = ids_with_partials(stacked, vgs, vds, 0.01)
+        for row, d in enumerate(devices):
+            alone = ids_with_partials(d.iv.params, vgs[row], vds[row], 0.01)
+            for got, want in zip(together, alone):
+                assert got[row] == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    def test_offset_enters_through_vth_only(self, dev):
+        shifted = dev.with_vth_offset(0.03)
+        vgs = np.linspace(0.0, 1.0, 7)
+        vds = np.full_like(vgs, 0.4)
+        via_record = ids_with_partials(shifted.iv.params, vgs, vds)
+        via_shift = ids_with_partials(dev.iv.params, vgs, vds, 0.03)
+        for got, want in zip(via_record, via_shift):
+            assert got == pytest.approx(want, rel=1e-12)
+
+    def test_rejects_negative_vds(self, dev):
+        with pytest.raises(ParameterError):
+            ids_with_partials(dev.iv.params, 0.5, -0.1)

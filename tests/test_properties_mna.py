@@ -97,12 +97,15 @@ class TestInsertionOrderInvariance:
         assert permuted.fixed == reference.fixed
         assert np.array_equal(permuted.g_linear, reference.g_linear)
         assert np.array_equal(permuted.c_linear, reference.c_linear)
-        assert len(permuted.groups) == len(reference.groups)
-        for got, want in zip(permuted.groups, reference.groups):
-            assert got.names == want.names
-            assert np.array_equal(got.drain_full, want.drain_full)
-            assert np.array_equal(got.gate_full, want.gate_full)
-            assert np.array_equal(got.source_full, want.source_full)
+        got, want = permuted.transistors, reference.transistors
+        assert got.names == want.names
+        assert np.array_equal(got.terminals, want.terminals)
+        assert np.array_equal(got.sign, want.sign)
+        for stamp in ("residual_incidence", "jacobian_incidence"):
+            a, b = getattr(permuted, stamp), getattr(reference, stamp)
+            assert np.array_equal(a.indptr, b.indptr)
+            assert np.array_equal(a.indices, b.indices)
+            assert np.array_equal(a.data, b.data)
         seeds = {"q": 0.0, "qb": vdd}
         base = solve_dc_batch(self._build(elements),
                               stimulus={"vwl": np.array([0.0, vdd])},

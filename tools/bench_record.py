@@ -177,9 +177,14 @@ def compare(summary: dict, committed_path: pathlib.Path) -> int:
 
 
 def git_sha() -> str | None:
-    """Current commit SHA, or None outside a git checkout."""
+    """Current commit SHA, or None outside a git checkout.
+
+    A ``-dirty`` suffix marks a run on uncommitted changes: the
+    numbers then belong to that commit plus the working-tree edits.
+    """
     try:
-        out = subprocess.run(["git", "rev-parse", "--short", "HEAD"],
+        out = subprocess.run(["git", "describe", "--always", "--dirty",
+                              "--abbrev=7"],
                              cwd=REPO_ROOT, check=True,
                              capture_output=True, text=True)
     except (OSError, subprocess.CalledProcessError):
