@@ -6,29 +6,28 @@ per SNM extraction and one full extraction per Monte Carlo trial.
 This module applies the same stacked-system trick as the batched
 Poisson kernel one layer up: *all* points of a grid — every input
 voltage of every Monte Carlo trial — are solved simultaneously by a
-masked vectorised bisection on the inverter current balance
+safeguarded Newton iteration on the inverter current balance
 
 ``I_N(V_in, V_out; dV_th,n) = I_P(V_in, V_out; dV_th,p)``
 
 The balance is strictly increasing in ``V_out``, so each point's
 bracket ``[0, V_dd]`` contains exactly one root; rail points (balance
-already signed at a rail) retire from the active mask immediately and
-every other point bisects until its bracket falls below ``xtol``,
-mirroring the Poisson batch kernel's convergence mask.
+already signed at a rail) retire from the active set immediately and
+every other point iterates until its Newton step or its bracket falls
+below ``xtol`` (:func:`repro.numerics.newton_safeguarded`).
 
-Both devices of every point are evaluated in one fused array pass:
-the NFET and PFET legs share the same EKV expression tree, so their
-per-point parameters (V_th0 + offset, slope factor, DIBL
-coefficients, I_spec, velocity-saturation factors) are stacked into
-length-2n arrays and a balance evaluation costs a fixed ~50 numpy ops
-regardless of batch size.
+Both devices of every point are evaluated by one call of the
+closed-form device kernel :func:`repro.device.iv.ids_with_partials`
+over the stacked NFET/PFET parameters, which returns the currents and
+the output conductances ``g_ds`` that make up the balance's slope.
 
 The gain = -1 crossings of :func:`noise_margins_batch` are located by
-the same 101-point scan as the scalar path, then refined by staged
-sub-grid bisection: each stage solves one batched VTC system for all
-trials' candidate points at once, shrinking every bracket 64x, so a
-whole Monte Carlo population costs a handful of batched solves instead
-of thousands of scalar root-finds.
+the same scan as the scalar path, then each crossing is solved inside
+its scan bracket by one Illinois root-solve on ``gain + 1``
+(:func:`repro.numerics.bisect_illinois`) — the batched counterpart of
+the scalar oracle's brentq — so a whole Monte Carlo population costs
+a handful of batched VTC solves instead of thousands of scalar
+root-finds.
 
 The scalar implementations remain available as correctness oracles
 behind each consumer's ``solver=`` switch (the same convention as
@@ -38,26 +37,20 @@ locked down by ``tests/test_circuit_batch_equivalence.py``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .. import perf
-from ..constants import thermal_voltage
-from ..device.iv import _ekv_f
+from ..device.iv import IVParams, ids_with_partials
 from ..errors import LostRegenerationError, ParameterError
-from ..numerics import bisect_masked
+from ..numerics import bisect_illinois, bisect_masked, newton_safeguarded
 
 #: Solver switch values shared by every batched/scalar consumer pair.
 SOLVER_MODES = ("batch", "sequential")
 
-#: Default bracket tolerance of the batched bisection [V].
+#: Default step/bracket tolerance of the batched root-solves [V].
 XTOL_DEFAULT = 1e-10
-
-#: Sub-intervals per crossing-refinement stage (each stage shrinks the
-#: gain = -1 bracket by this factor with a single batched VTC solve).
-_REFINE_INTERVALS = 64
 
 #: Canonical lost-regeneration messages, indexed by ``lost_code - 1``.
 #: The scalar SNM extraction raises them wrapped in the structured
@@ -113,74 +106,37 @@ def solve_balance_batch(balance, lo, hi, xtol: float = XTOL_DEFAULT
 
 
 class _VtcSystem:
-    """Fused NFET+PFET balance evaluator for one batch of VTC points.
+    """NFET+PFET current balance of one batch of VTC points.
 
-    Per-point device parameters are stacked into length-2n arrays
-    (NFET leg first) so a balance evaluation is one pass of elementwise
-    numpy ops; the arithmetic reproduces :meth:`IVModel.ids` term for
-    term, so batch and scalar paths agree to root-finder tolerance.
+    Row 0 of each ``(2, n)`` array is the NFET, row 1 the PFET, whose
+    source sits at V_dd: its gate-source and drain-source magnitudes
+    are ``V_dd - V_in`` and ``V_dd - V_out``.  One
+    :func:`ids_with_partials` call over the stacked parameters
+    evaluates both devices of every gathered point.
     """
 
     def __init__(self, inverter, vin: np.ndarray,
                  dvth_n: np.ndarray, dvth_p: np.ndarray) -> None:
-        vdd = inverter.vdd
-        n = vin.size
-        self.vdd = vdd
-        self.n = n
-        pieces: dict[str, list[np.ndarray]] = {}
-        for iv, vgs, dvth in ((inverter.nfet.iv, vin, dvth_n),
-                              (inverter.pfet.iv, vdd - vin, dvth_p)):
-            vt = thermal_voltage(iv.temperature_k)
-            leg = {
-                "vgs": vgs,
-                "ispec": np.asarray(iv.i_spec(vgs), dtype=float),
-                "vth0": (iv._vth0 + iv.vth_offset_v) + dvth,
-                "m": iv._m,
-                "b": iv._sce_barrier,
-                "twob": 2.0 * iv._sce_barrier,
-                "e1": iv._sce_e1,
-                "e2": iv._sce_e2,
-                "vt": vt,
-                "twovt": 2.0 * vt,
-                "mu": iv.mobility.low_field(iv._n_eff),
-                "vsat_leff": iv.mobility.vsat() * iv.geometry.l_eff_cm,
-            }
-            for key, value in leg.items():
-                arr = np.broadcast_to(np.asarray(value, dtype=float), (n,))
-                pieces.setdefault(key, []).append(arr)
-        for key, (n_arr, p_arr) in pieces.items():
-            setattr(self, key, np.concatenate([n_arr, p_arr]))
+        self.vdd = inverter.vdd
+        self.params = IVParams.stack([inverter.nfet.iv.params,
+                                      inverter.pfet.iv.params])
+        self.vgs = np.stack([vin, self.vdd - vin])
+        self.vth_shift = np.stack([dvth_n, dvth_p])
 
-    def balance(self, vout: np.ndarray, idx=None) -> np.ndarray:
-        """``I_N - I_P`` at each point's candidate output voltage.
+    def balance(self, vout: np.ndarray, idx: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+        """``(I_N - I_P, g_ds,N + g_ds,P)`` at candidate outputs [A, S].
 
-        With ``idx`` (the root-solve core's gathered-lane indices) only
-        those points' stacked NFET/PFET legs are evaluated; the
-        arithmetic is elementwise, so the gathered result matches the
-        corresponding lanes of a full evaluation bitwise.
+        The second entry is the balance's slope in ``V_out``.  ``idx``
+        holds the points (the root-solve core's gathered-lane indices)
+        that ``vout`` belongs to; the kernel is elementwise, so a
+        gathered evaluation matches the same lanes of a full one
+        bitwise.
         """
-        if idx is None:
-            sel: slice | np.ndarray = slice(None)
-            k = self.n
-        else:
-            sel = np.concatenate([idx, idx + self.n])
-            k = idx.shape[0]
-        vds = np.concatenate([np.maximum(vout, 0.0),
-                              np.maximum(self.vdd - vout, 0.0)])
-        b = self.b[sel]
-        dv = ((self.twob[sel] + vds) * self.e1[sel]
-              + 2.0 * np.sqrt(b * (b + vds)) * self.e2[sel])
-        vth = self.vth0[sel] - dv
-        vp = (self.vgs[sel] - vth) / self.m[sel]
-        i_f = _ekv_f(vp / self.vt[sel])
-        i_r = _ekv_f((vp - vds) / self.vt[sel])
-        current = self.ispec[sel] * (i_f - i_r)
-        severity = i_f / (1.0 + i_f)
-        v_drive = np.maximum(vp, self.twovt[sel])
-        v_dsat = vds * v_drive / (vds + v_drive + 1e-12)
-        vsat_term = (self.mu[sel] * v_dsat) / self.vsat_leff[sel]
-        current = current / (1.0 + severity * vsat_term)
-        return current[:k] - current[k:]
+        current, _, g_ds = ids_with_partials(
+            self.params, self.vgs[:, idx], np.stack([vout, self.vdd - vout]),
+            self.vth_shift[:, idx])
+        return current[0] - current[1], g_ds[0] + g_ds[1]
 
 
 def _broadcast_inputs(vin, dvth_n, dvth_p):
@@ -202,6 +158,8 @@ def solve_vtc_batch(inverter, vin, dvth_n=0.0, dvth_p=0.0,
     ``Inverter.vtc_point`` on a V_th-offset copy of the devices.
     Scalar inputs return a float.
     """
+    if xtol <= 0.0:
+        raise ParameterError("xtol must be positive")
     vin_arr, dn_arr, dp_arr = _broadcast_inputs(vin, dvth_n, dvth_p)
     shape = vin_arr.shape
     vdd = inverter.vdd
@@ -212,17 +170,19 @@ def solve_vtc_batch(inverter, vin, dvth_n=0.0, dvth_p=0.0,
         )
     system = _VtcSystem(inverter, flat, dn_arr.ravel(), dp_arr.ravel())
     n = flat.size
-    f_lo = system.balance(np.zeros(n))
-    f_hi = system.balance(np.full(n, vdd))
-    at_lo = f_lo >= 0.0
-    at_hi = (f_hi <= 0.0) & ~at_lo
+    # Both rails of every point in one kernel call.
+    f_rails, _ = system.balance(np.repeat([0.0, vdd], n),
+                                np.tile(np.arange(n), 2))
+    at_lo = f_rails[:n] >= 0.0
+    at_hi = (f_rails[n:] <= 0.0) & ~at_lo
     # Rail points are pinned by collapsing their bracket, which keeps
-    # them out of the bisection's active mask from sweep zero.
+    # them out of the Newton iteration's active set from sweep zero.
     lo = np.where(at_hi, vdd, 0.0)
     hi = np.where(at_lo, 0.0, vdd)
     perf.bump("circuit.vtc_batch_solves")
     perf.bump("circuit.vtc_batch_points", n)
-    vout = solve_balance_batch(system.balance, lo, hi, xtol=xtol)
+    vout = newton_safeguarded(system.balance, lo, hi, xtol=xtol,
+                              sweep_counter="circuit.vtc_newton_sweeps")
     if shape == ():
         return float(vout[0])
     return vout.reshape(shape)
@@ -306,36 +266,23 @@ class BatchNoiseMargins:
 def _refine_crossings(inverter, a: np.ndarray, b: np.ndarray,
                       sign: np.ndarray, dvth_n: np.ndarray,
                       dvth_p: np.ndarray, xtol: float) -> np.ndarray:
-    """Shrink each gain = -1 bracket ``[a, b]`` below ``xtol``.
+    """Solve each gain = -1 crossing inside its scan bracket ``[a, b]``.
 
     ``sign`` is +1 where ``gain + 1`` crosses downwards inside the
-    bracket (the V_IL side) and -1 where it crosses upwards (V_IH);
-    multiplying by it folds both cases into "first negative grid
-    point".  Every stage evaluates all jobs' sub-grids in a single
-    batched VTC solve and keeps the first sign-change sub-interval.
+    bracket (the V_IL side) and -1 where it crosses upwards (V_IH), so
+    ``-sign * (gain + 1)`` rises through zero in every bracket: one
+    :func:`repro.numerics.bisect_illinois` stack solve, whose every
+    residual pass is one batched gain evaluation, locates all
+    crossings to ``xtol`` (the scalar oracle runs brentq on the same
+    function and brackets).
     """
-    n_jobs = a.size
-    if n_jobs == 0:
-        return a
-    frac = np.linspace(0.0, 1.0, _REFINE_INTERVALS + 1)
-    width = float((b - a).max())
-    n_stages = max(1, int(math.ceil(
-        math.log(max(width, xtol) / xtol) / math.log(_REFINE_INTERVALS))))
-    dn_rep = np.repeat(dvth_n, frac.size)
-    dp_rep = np.repeat(dvth_p, frac.size)
-    for _ in range(n_stages):
-        grid = a[:, None] + frac[None, :] * (b - a)[:, None]
-        gains = _gain_flat(inverter, grid.ravel(), dn_rep, dp_rep,
-                           None, xtol).reshape(n_jobs, frac.size)
-        folded = (gains + 1.0) * sign[:, None]
-        # First negative grid point; the bracket invariant guarantees
-        # folded[:, 0] >= 0 > folded[:, -1], the clip guards the
-        # degenerate bracket-narrower-than-gain-noise case.
-        idx = np.clip(np.argmax(folded < 0.0, axis=1),
-                      1, _REFINE_INTERVALS)
-        a = np.take_along_axis(grid, (idx - 1)[:, None], axis=1).ravel()
-        b = np.take_along_axis(grid, idx[:, None], axis=1).ravel()
-    return 0.5 * (a + b)
+
+    def residual(vin: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        gains = _gain_flat(inverter, vin, dvth_n[idx], dvth_p[idx], None,
+                           xtol)
+        return -sign[idx] * (gains + 1.0)
+
+    return bisect_illinois(residual, a, b, xtol=xtol).root
 
 
 def noise_margins_batch(inverter, dvth_n=0.0, dvth_p=0.0, n_scan: int = 101,
@@ -343,10 +290,10 @@ def noise_margins_batch(inverter, dvth_n=0.0, dvth_p=0.0, n_scan: int = 101,
     """Gain = -1 noise margins for whole arrays of V_th perturbations.
 
     The batched equivalent of running ``noise_margins`` on a
-    V_th-offset copy of the inverter per trial: the same 101-point
-    scan grid locates each trial's two sign-change brackets, staged
-    sub-grid bisection refines them below ``xtol``, and one more
-    batched solve reads off ``V_OL``/``V_OH``.  Trials whose VTC never
+    V_th-offset copy of the inverter per trial: the same ``n_scan``
+    grid locates each trial's two sign-change brackets, one Illinois
+    stack solve refines them below ``xtol``, and one more batched
+    solve reads off ``V_OL``/``V_OH``.  Trials whose VTC never
     reaches gain -1 (or only at the sweep boundary) are flagged in
     ``lost_code`` instead of raising.
     """

@@ -4,7 +4,7 @@ The VTC is obtained exactly as the paper's Eq. 3(a) prescribes — by
 equating the NFET and PFET drain currents at the output node — except
 numerically and with the full weak-to-strong-inversion model, so the
 same code serves both the sub-V_th (250 mV) and nominal-V_dd analyses.
-Whole input grids default to the vectorised bisection kernel of
+Whole input grids default to the vectorised Newton kernel of
 :mod:`repro.circuit.batch`; the per-point Brent solve remains as the
 scalar oracle (``solver="sequential"``).
 """
@@ -96,7 +96,7 @@ class Inverter:
         """Full VTC on a uniform input grid: ``(vin, vout)`` arrays.
 
         ``solver="batch"`` (default) solves every input point in one
-        vectorised bisection; ``solver="sequential"`` keeps the scalar
+        vectorised Newton solve; ``solver="sequential"`` keeps the scalar
         per-point Brent solve as the correctness oracle.
         """
         if n_points < 5:

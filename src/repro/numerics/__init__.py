@@ -5,12 +5,14 @@ bisection/Newton idiom (the batched Poisson outer loop, the circuit
 current-balance bisection, the doping bisection+Illinois).  This
 package is the single implementation all batched engines now call:
 
-* :func:`bisect_masked` — pure masked bisection (the circuit balance
-  and constant-current V_th solves),
+* :func:`bisect_masked` — pure masked bisection (the SRAM read
+  balance and constant-current V_th solves),
 * :func:`bisect_illinois` — bisection warm-up plus safeguarded
-  Illinois polish with warm-start brackets (the doping solves),
-* :func:`newton_safeguarded` — bracketed Newton with bisection
-  fallback (the seam for derivative-bearing residuals).
+  Illinois polish with warm-start brackets (the doping solves, the
+  DVS supply solve and the SNM gain = -1 crossings),
+* :func:`newton_safeguarded` — safeguarded Newton (``rtsafe``) that
+  stops on step size (the inverter VTC balance, whose slope the
+  closed-form device kernel returns with the currents).
 
 Two properties distinguish it from the loops it replaced:
 

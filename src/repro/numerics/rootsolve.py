@@ -226,46 +226,55 @@ def bisect_illinois(residual, lo, hi, *, xtol: float,
 def newton_safeguarded(residual_jacobian, lo, hi, *, xtol: float,
                        max_sweeps: int = MAX_SWEEPS_DEFAULT,
                        sweep_counter: str | None = None, xp=None):
-    """Bracketed Newton with bisection fallback over a stack of lanes.
+    """Safeguarded Newton (``rtsafe``) over a stack of lanes.
 
     ``residual_jacobian(x, idx)`` returns ``(r, dr)`` for the gathered
-    lanes.  Each sweep proposes a Newton step from the current bracket
-    midpoint and keeps it only when it lands strictly inside the lane's
-    bracket (and the derivative is finite and nonzero); otherwise the
-    lane bisects.  Either way the evaluated point's residual sign
-    shrinks the bracket, so convergence is at worst bisection and the
-    usual quadratic rate near simple roots.  Returns bracket midpoints.
+    lanes.  Each lane starts at its bracket midpoint.  A sweep makes
+    one evaluation at the lane's current iterate, shrinks the bracket
+    by the residual's sign, and keeps the Newton step only when it
+    lands inside the shrunken bracket and is at most half the lane's
+    previous step (the first step is measured against the bracket
+    width); otherwise the lane moves to the bracket midpoint.  The
+    halving rule is what keeps a convex residual — whose bracket
+    closes from one side only — from crawling slower than bisection.
+    A lane retires once its step or its bracket is at most ``xtol``.
+    Returns the final iterates.
 
     This is the derivative-bearing variant of :func:`bisect_masked`
-    for residuals with a cheap analytic Jacobian (the batched Poisson
-    outer loop is the canonical shape); the bisection solvers remain
-    the right tool for the derivative-free leakage residuals.
+    for residuals with a cheap analytic Jacobian (the inverter current
+    balance of :func:`repro.circuit.solve_vtc_batch`); the bisection
+    solvers remain the right tool for derivative-free residuals.
     """
     xp = array_namespace(lo, hi, xp=xp)
     lo = as_float_copy(xp, lo)
     hi = as_float_copy(xp, hi)
     n = _lane_count(lo)
+    x = 0.5 * (lo + hi)
+    step = hi - lo
     idx = flatnonzero(xp, (hi - lo) > xtol)
     for _ in range(max_sweeps):
         live = _lane_count(idx)
         if not live:
             break
-        lo_a, hi_a = lo[idx], hi[idx]
-        mid = 0.5 * (lo_a + hi_a)
-        r, dr = residual_jacobian(mid, idx)
-        step_ok = xp.isfinite(dr) & (dr != 0)
-        newton = mid - r / xp.where(step_ok, dr, 1.0)
-        use = step_ok & xp.isfinite(newton) & (newton > lo_a) & (newton < hi_a)
-        x = xp.where(use, newton, mid)
-        r_x, _ = residual_jacobian(x, idx)
-        move_lo = r_x < 0.0
-        lo_a = xp.where(move_lo, x, lo_a)
-        hi_a = xp.where(~move_lo, x, hi_a)
+        x_a = x[idx]
+        r, dr = residual_jacobian(x_a, idx)
+        move_lo = r < 0.0
+        lo_a = xp.where(move_lo, x_a, lo[idx])
+        hi_a = xp.where(move_lo, hi[idx], x_a)
+        slope_ok = xp.isfinite(dr) & (dr != 0)
+        newton = x_a - r / xp.where(slope_ok, dr, 1.0)
+        use = (slope_ok & (newton >= lo_a) & (newton <= hi_a)
+               & (2.0 * xp.abs(newton - x_a) <= xp.abs(step[idx])))
+        x_new = xp.where(use, newton, 0.5 * (lo_a + hi_a))
+        step_a = x_new - x_a
+        x = scatter(x, idx, x_new)
+        step = scatter(step, idx, step_a)
         lo = scatter(lo, idx, lo_a)
         hi = scatter(hi, idx, hi_a)
-        idx = idx[flatnonzero(xp, (hi_a - lo_a) > xtol)]
+        idx = idx[flatnonzero(xp, (xp.abs(step_a) > xtol)
+                              & ((hi_a - lo_a) > xtol))]
         perf.bump("numerics.total_lanes", n)
         perf.bump("numerics.active_lanes", live)
         if sweep_counter is not None:
             perf.bump(sweep_counter)  # repro: noqa[RPR006] caller passes a registered name
-    return 0.5 * (lo + hi)
+    return x

@@ -23,8 +23,12 @@ Counter names in use
     On-disk optimised-family cache.
 ``circuit.vtc_batch_solves`` / ``circuit.vtc_batch_points``
     Batched VTC kernel invocations and the total points they solved.
+``circuit.vtc_newton_sweeps``
+    Whole-array safeguarded-Newton sweeps inside the batched VTC
+    solver (``solve_vtc_batch``).
 ``circuit.balance_bisection_sweeps``
-    Whole-array bisection sweeps inside the batched balance solver.
+    Whole-array bisection sweeps inside the batched balance solver
+    (``solve_balance_batch``, which the SRAM read VTC uses).
 ``circuit.vtc_scalar_solves``
     Per-point (sequential-oracle) VTC solves.
 ``circuit.snm_batch_extractions``
@@ -129,6 +133,7 @@ KNOWN_COUNTERS: frozenset[str] = frozenset({
     "cache.bracket.misses",
     "circuit.vtc_batch_solves",
     "circuit.vtc_batch_points",
+    "circuit.vtc_newton_sweeps",
     "circuit.balance_bisection_sweeps",
     "circuit.vtc_scalar_solves",
     "circuit.snm_batch_extractions",

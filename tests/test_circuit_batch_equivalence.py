@@ -29,6 +29,7 @@ from repro.circuit.sram import SramCell
 from repro.errors import LostRegenerationError, ParameterError
 from repro.variability import sample_vth_offsets, snm_distribution
 from repro.variability.montecarlo import _perturbed
+from repro.variability.rdf import rdf_sigma_vth
 
 #: Tight solve tolerance for the <= 1e-9 relative equivalence checks.
 TIGHT = 1e-13
@@ -83,6 +84,32 @@ class TestNoiseMarginEquivalence:
                                    rtol=1e-9, atol=1e-9 * vdd), field
             assert np.allclose(batch.snm, seq.snm,
                                rtol=1e-9, atol=1e-9 * vdd)
+
+    def test_default_tolerance_matches_tight_oracle(self, sub_family):
+        """At its default xtol the batch extraction is already converged
+        to the scalar oracle run at TIGHT."""
+        inv = sub_family.design("32nm").inverter(0.25)
+        batch = noise_margins(inv)
+        seq = noise_margins(inv, solver="sequential", xtol=TIGHT)
+        for field in self.FIELDS:
+            assert abs(getattr(batch, field) - getattr(seq, field)) \
+                <= 1e-9 * inv.vdd, field
+
+    def test_scan_count_invariant_once_converged(self, super_family):
+        """Scan density only brackets the crossings: at xtol 1e-10 a
+        21-point and a 101-point scan extract the same margins."""
+        inv = super_family.design("32nm").inverter(0.115)
+        sigma = 2.0 * rdf_sigma_vth(inv.nfet)
+        rng = np.random.default_rng(7)
+        dn, dp = sigma * rng.standard_normal((2, 48))
+        coarse = noise_margins_batch(inv, dn, dp, n_scan=21, xtol=1e-10)
+        fine = noise_margins_batch(inv, dn, dp, n_scan=101, xtol=1e-10)
+        kept = ~coarse.lost & ~fine.lost
+        assert kept.sum() > 40
+        for field in self.FIELDS:
+            assert np.max(np.abs(getattr(coarse, field)[kept]
+                                 - getattr(fine, field)[kept])) <= 1e-9, \
+                field
 
     def test_near_loss_corner_flags_match(self, inverter_sub):
         """Deep perturbations: batch lost flags == scalar raises."""

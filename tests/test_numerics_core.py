@@ -214,6 +214,21 @@ class TestNewtonSafeguarded:
                                     np.full(20, 1.0), xtol=1e-12)
         assert solved == pytest.approx(roots, abs=1e-11)
 
+    def test_convex_residual_beats_bisection(self):
+        """exp(x) - 2 is convex, so the bracket closes from one side
+        only; stopping on the Newton step keeps the sweep count far
+        below bisection's ~35 on [0, 3] at 1e-10."""
+        def residual_jacobian(x, idx):
+            return np.exp(x) - 2.0, np.exp(x)
+
+        before = perf.get("circuit.vtc_newton_sweeps")
+        solved = newton_safeguarded(residual_jacobian, np.array([0.0]),
+                                    np.array([3.0]), xtol=1e-10,
+                                    sweep_counter="circuit.vtc_newton_sweeps")
+        sweeps = perf.get("circuit.vtc_newton_sweeps") - before
+        assert solved[0] == pytest.approx(np.log(2.0), abs=1e-12)
+        assert sweeps <= 8
+
     def test_zero_derivative_falls_back_to_bisection(self):
         roots = _roots(8)
 

@@ -12,7 +12,9 @@ import math
 import numpy as np
 import pytest
 
+from repro.circuit import noise_margins_batch
 from repro.errors import ParameterError
+from repro.experiments.ext_yield import R_MAX_SIGMA, SNM_REPLICATES, SNM_TRIALS
 from repro.variability import (
     FailurePoint,
     PseudoNormalStream,
@@ -26,7 +28,9 @@ from repro.variability import (
     qmc_vth_offsets,
     sigma_level,
 )
+from repro.variability.rdf import rdf_sigma_vth
 from repro.variability.sampler import MC_BLOCK_TRIALS
+from repro.variability.tails import SNM_SCAN_DEFAULT, SNM_XTOL_DEFAULT
 
 
 def half_plane(beta, direction=(1.0, 0.0)):
@@ -261,6 +265,49 @@ class TestPhysicalIndicators:
     def test_cell_failure_rate_rejects_unknown_method(self, inverter_sub):
         with pytest.raises(ParameterError):
             cell_failure_rate(inverter_sub, method="lhs")
+
+
+class TestSnmIndicatorAccuracy:
+    """The SNM-collapse indicator's cheap settings are converged."""
+
+    VDD_GRID = (0.10, 0.115, 0.13, 0.14)
+
+    def test_indicator_matches_tight_extraction(self, sub_family,
+                                                super_family):
+        rng = np.random.default_rng(2007)
+        for family in (sub_family, super_family):
+            design = family.design("32nm")
+            for vdd in self.VDD_GRID:
+                inv = design.inverter(vdd)
+                u = 2.0 * rng.standard_normal((64, 2))
+                dn = rdf_sigma_vth(inv.nfet) * u[:, 0]
+                dp = rdf_sigma_vth(inv.pfet) * u[:, 1]
+                cheap = noise_margins_batch(inv, dn, dp,
+                                            n_scan=SNM_SCAN_DEFAULT,
+                                            xtol=SNM_XTOL_DEFAULT)
+                tight = noise_margins_batch(inv, dn, dp,
+                                            n_scan=SNM_SCAN_DEFAULT,
+                                            xtol=1e-13)
+                np.testing.assert_array_equal(cheap.lost_code,
+                                              tight.lost_code)
+                kept = ~tight.lost
+                assert np.max(np.abs(cheap.snm[kept] - tight.snm[kept])) \
+                    <= SNM_XTOL_DEFAULT, (family.strategy, vdd)
+
+    @pytest.mark.parametrize("strategy, vdd, sigma", [
+        ("super", 0.115, 1.466),
+        ("sub", 0.14, 8.988),
+    ])
+    def test_ext_yield_snm_sigma_pinned(self, sub_family, super_family,
+                                        strategy, vdd, sigma):
+        """ext_yield's SNM-collapse sigma-levels at its own budget equal
+        the tight-tolerance (xtol 1e-10) extraction's values."""
+        family = super_family if strategy == "super" else sub_family
+        est = cell_failure_rate(family.design("32nm").inverter(vdd),
+                                mode="snm", n_trials=SNM_TRIALS,
+                                n_replicates=SNM_REPLICATES,
+                                r_max_sigma=R_MAX_SIGMA, seed=2007)
+        assert est.sigma == pytest.approx(sigma, abs=0.01)
 
 
 class TestFailureRateCurve:
