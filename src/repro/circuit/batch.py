@@ -29,6 +29,14 @@ the scalar oracle's brentq — so a whole Monte Carlo population costs
 a handful of batched VTC solves instead of thousands of scalar
 root-finds.
 
+The supply is lane data, like the V_th offsets: every kernel takes an
+optional ``vdd`` [V] that broadcasts with ``dvth_n``/``dvth_p`` and
+defaults to the inverter's own supply.  The scan grid, the gain
+stencil's step and the rail pins follow each lane's supply, so one
+call over a stack of supplies returns, lane for lane, the same bits as
+one call per supply — which is how the rare-event estimator solves a
+whole failure-rate-vs-V_dd curve in lock-step.
+
 The scalar implementations remain available as correctness oracles
 behind each consumer's ``solver=`` switch (the same convention as
 :class:`repro.tcad.DeviceSimulator`); agreement to <= 1e-9 relative is
@@ -109,18 +117,18 @@ class _VtcSystem:
     """NFET+PFET current balance of one batch of VTC points.
 
     Row 0 of each ``(2, n)`` array is the NFET, row 1 the PFET, whose
-    source sits at V_dd: its gate-source and drain-source magnitudes
-    are ``V_dd - V_in`` and ``V_dd - V_out``.  One
-    :func:`ids_with_partials` call over the stacked parameters
+    source sits at the point's supply ``vdd``: its gate-source and
+    drain-source magnitudes are ``V_dd - V_in`` and ``V_dd - V_out``.
+    One :func:`ids_with_partials` call over the stacked parameters
     evaluates both devices of every gathered point.
     """
 
-    def __init__(self, inverter, vin: np.ndarray,
-                 dvth_n: np.ndarray, dvth_p: np.ndarray) -> None:
-        self.vdd = inverter.vdd
+    def __init__(self, inverter, vin: np.ndarray, dvth_n: np.ndarray,
+                 dvth_p: np.ndarray, vdd: np.ndarray) -> None:
+        self.vdd = vdd
         self.params = IVParams.stack([inverter.nfet.iv.params,
                                       inverter.pfet.iv.params])
-        self.vgs = np.stack([vin, self.vdd - vin])
+        self.vgs = np.stack([vin, vdd - vin])
         self.vth_shift = np.stack([dvth_n, dvth_p])
 
     def balance(self, vout: np.ndarray, idx: np.ndarray
@@ -134,51 +142,57 @@ class _VtcSystem:
         bitwise.
         """
         current, _, g_ds = ids_with_partials(
-            self.params, self.vgs[:, idx], np.stack([vout, self.vdd - vout]),
-            self.vth_shift[:, idx])
+            self.params, self.vgs[:, idx],
+            np.stack([vout, self.vdd[idx] - vout]), self.vth_shift[:, idx])
         return current[0] - current[1], g_ds[0] + g_ds[1]
 
 
-def _broadcast_inputs(vin, dvth_n, dvth_p):
-    vin_arr, dn_arr, dp_arr = np.broadcast_arrays(
-        np.asarray(vin, dtype=float),
-        np.asarray(dvth_n, dtype=float),
-        np.asarray(dvth_p, dtype=float),
-    )
-    return vin_arr, dn_arr, dp_arr
+def _broadcast_inputs(inverter, *inputs) -> list[np.ndarray]:
+    """Broadcast the lane inputs together; the last is the supply.
+
+    ``None`` for the supply means the inverter's own ``vdd`` [V].
+    """
+    *data, vdd = inputs
+    arrays = np.broadcast_arrays(
+        *(np.asarray(x, dtype=float) for x in data),
+        np.asarray(inverter.vdd if vdd is None else vdd, dtype=float))
+    if np.any(arrays[-1] <= 0.0):
+        raise ParameterError("vdd must be positive")
+    return arrays
 
 
 def solve_vtc_batch(inverter, vin, dvth_n=0.0, dvth_p=0.0,
-                    xtol: float = XTOL_DEFAULT):
+                    xtol: float = XTOL_DEFAULT, vdd=None):
     """Static output voltages for whole arrays of VTC points [V].
 
     Solves ``I_N(V_in, V_out) = I_P(V_in, V_out)`` for every
-    (``vin``, ``dvth_n``, ``dvth_p``) triple at once (inputs broadcast
-    together); each element is the batched equivalent of
-    ``Inverter.vtc_point`` on a V_th-offset copy of the devices.
-    Scalar inputs return a float.
+    (``vin``, ``dvth_n``, ``dvth_p``, ``vdd``) point at once (inputs
+    broadcast together; ``vdd`` [V] defaults to the inverter's
+    supply); each element is the batched equivalent of
+    ``Inverter.vtc_point`` on a V_th-offset copy of the devices at
+    that supply.  Scalar inputs return a float.
     """
     if xtol <= 0.0:
         raise ParameterError("xtol must be positive")
-    vin_arr, dn_arr, dp_arr = _broadcast_inputs(vin, dvth_n, dvth_p)
+    vin_arr, dn_arr, dp_arr, vdd_arr = _broadcast_inputs(
+        inverter, vin, dvth_n, dvth_p, vdd)
     shape = vin_arr.shape
-    vdd = inverter.vdd
     flat = vin_arr.ravel()
-    if np.any((flat < 0.0) | (flat > vdd)):
-        raise ParameterError(
-            f"vin outside the supply range [0, {vdd}]"
-        )
-    system = _VtcSystem(inverter, flat, dn_arr.ravel(), dp_arr.ravel())
+    supply = vdd_arr.ravel()
+    if np.any((flat < 0.0) | (flat > supply)):
+        raise ParameterError("vin outside the supply range [0, V_dd]")
+    system = _VtcSystem(inverter, flat, dn_arr.ravel(), dp_arr.ravel(),
+                        supply)
     n = flat.size
     # Both rails of every point in one kernel call.
-    f_rails, _ = system.balance(np.repeat([0.0, vdd], n),
+    f_rails, _ = system.balance(np.concatenate([np.zeros(n), supply]),
                                 np.tile(np.arange(n), 2))
     at_lo = f_rails[:n] >= 0.0
     at_hi = (f_rails[n:] <= 0.0) & ~at_lo
     # Rail points are pinned by collapsing their bracket, which keeps
     # them out of the Newton iteration's active set from sweep zero.
-    lo = np.where(at_hi, vdd, 0.0)
-    hi = np.where(at_lo, 0.0, vdd)
+    lo = np.where(at_hi, supply, 0.0)
+    hi = np.where(at_lo, 0.0, supply)
     perf.bump("circuit.vtc_batch_solves")
     perf.bump("circuit.vtc_batch_points", n)
     vout = newton_safeguarded(system.balance, lo, hi, xtol=xtol,
@@ -197,19 +211,19 @@ def gain_batch(inverter, vin, dvth_n=0.0, dvth_p=0.0,
     ``Inverter.gain``, evaluated from one batched VTC solve over all
     ``2 * n`` stencil endpoints.
     """
-    vin_arr, dn_arr, dp_arr = _broadcast_inputs(vin, dvth_n, dvth_p)
+    vin_arr, dn_arr, dp_arr, vdd_arr = _broadcast_inputs(
+        inverter, vin, dvth_n, dvth_p, None)
     shape = vin_arr.shape
     gains = _gain_flat(inverter, vin_arr.ravel(), dn_arr.ravel(),
-                       dp_arr.ravel(), h_v, xtol)
+                       dp_arr.ravel(), vdd_arr.ravel(), h_v, xtol)
     if shape == ():
         return float(gains[0])
     return gains.reshape(shape)
 
 
 def _gain_flat(inverter, vin: np.ndarray, dvth_n: np.ndarray,
-               dvth_p: np.ndarray, h: float | None,
+               dvth_p: np.ndarray, vdd: np.ndarray, h: float | None,
                xtol: float) -> np.ndarray:
-    vdd = inverter.vdd
     step = (vdd * 1e-4) if h is None else h
     lo = np.maximum(vin - step, 0.0)
     hi = np.minimum(vin + step, vdd)
@@ -221,6 +235,7 @@ def _gain_flat(inverter, vin: np.ndarray, dvth_n: np.ndarray,
         np.concatenate([dvth_n, dvth_n]),
         np.concatenate([dvth_p, dvth_p]),
         xtol=xtol,
+        vdd=np.concatenate([vdd, vdd]),
     )
     m = vin.size
     return (vouts[:m] - vouts[m:]) / (hi - lo)
@@ -265,7 +280,8 @@ class BatchNoiseMargins:
 
 def _refine_crossings(inverter, a: np.ndarray, b: np.ndarray,
                       sign: np.ndarray, dvth_n: np.ndarray,
-                      dvth_p: np.ndarray, xtol: float) -> np.ndarray:
+                      dvth_p: np.ndarray, vdd: np.ndarray,
+                      xtol: float) -> np.ndarray:
     """Solve each gain = -1 crossing inside its scan bracket ``[a, b]``.
 
     ``sign`` is +1 where ``gain + 1`` crosses downwards inside the
@@ -278,15 +294,16 @@ def _refine_crossings(inverter, a: np.ndarray, b: np.ndarray,
     """
 
     def residual(vin: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        gains = _gain_flat(inverter, vin, dvth_n[idx], dvth_p[idx], None,
-                           xtol)
+        gains = _gain_flat(inverter, vin, dvth_n[idx], dvth_p[idx],
+                           vdd[idx], None, xtol)
         return -sign[idx] * (gains + 1.0)
 
     return bisect_illinois(residual, a, b, xtol=xtol).root
 
 
 def noise_margins_batch(inverter, dvth_n=0.0, dvth_p=0.0, n_scan: int = 101,
-                        xtol: float = XTOL_DEFAULT) -> BatchNoiseMargins:
+                        xtol: float = XTOL_DEFAULT,
+                        vdd=None) -> BatchNoiseMargins:
     """Gain = -1 noise margins for whole arrays of V_th perturbations.
 
     The batched equivalent of running ``noise_margins`` on a
@@ -296,23 +313,26 @@ def noise_margins_batch(inverter, dvth_n=0.0, dvth_p=0.0, n_scan: int = 101,
     solve reads off ``V_OL``/``V_OH``.  Trials whose VTC never
     reaches gain -1 (or only at the sweep boundary) are flagged in
     ``lost_code`` instead of raising.
+
+    ``vdd`` [V] broadcasts with the offsets and defaults to the
+    inverter's supply; each trial's scan grid spans its own supply.
     """
     if n_scan < 5:
         raise ParameterError("need at least 5 scan points")
-    dn_arr, dp_arr = np.broadcast_arrays(np.asarray(dvth_n, dtype=float),
-                                         np.asarray(dvth_p, dtype=float))
+    dn_arr, dp_arr, vdd_arr = _broadcast_inputs(inverter, dvth_n, dvth_p,
+                                                vdd)
     shape = dn_arr.shape
     dn = np.atleast_1d(dn_arr.ravel())
     dp = np.atleast_1d(dp_arr.ravel())
+    supply = np.atleast_1d(vdd_arr.ravel())
     trials = dn.size
-    vdd = inverter.vdd
-    margin = vdd * 1e-3
-    vins = np.linspace(margin, vdd - margin, n_scan)
+    margin = supply * 1e-3
+    vins = np.linspace(margin, supply - margin, n_scan, axis=-1)
 
-    vin_grid = np.broadcast_to(vins, (trials, n_scan))
-    gains = _gain_flat(inverter, vin_grid.ravel(),
+    gains = _gain_flat(inverter, vins.ravel(),
                        np.repeat(dn, n_scan), np.repeat(dp, n_scan),
-                       None, xtol).reshape(trials, n_scan)
+                       np.repeat(supply, n_scan), None,
+                       xtol).reshape(trials, n_scan)
     below = (gains + 1.0) < 0.0
     has_crossing = below.any(axis=1)
     first = np.argmax(below, axis=1)
@@ -328,16 +348,19 @@ def noise_margins_batch(inverter, dvth_n=0.0, dvth_p=0.0, n_scan: int = 101,
     v_ol, v_oh = nan.copy(), nan.copy()
     k = int(ok.sum())
     if k:
+        rows = np.flatnonzero(ok)
         first_ok, last_ok = first[ok], last[ok]
-        a = np.concatenate([vins[first_ok - 1], vins[last_ok]])
-        b = np.concatenate([vins[first_ok], vins[last_ok + 1]])
+        a = np.concatenate([vins[rows, first_ok - 1], vins[rows, last_ok]])
+        b = np.concatenate([vins[rows, first_ok], vins[rows, last_ok + 1]])
         sign = np.concatenate([np.ones(k), -np.ones(k)])
         dn2 = np.concatenate([dn[ok], dn[ok]])
         dp2 = np.concatenate([dp[ok], dp[ok]])
-        roots = _refine_crossings(inverter, a, b, sign, dn2, dp2, xtol)
+        vdd2 = np.concatenate([supply[ok], supply[ok]])
+        roots = _refine_crossings(inverter, a, b, sign, dn2, dp2, vdd2, xtol)
         v_il[ok] = roots[:k]
         v_ih[ok] = roots[k:]
-        vouts = solve_vtc_batch(inverter, roots, dn2, dp2, xtol=xtol)
+        vouts = solve_vtc_batch(inverter, roots, dn2, dp2, xtol=xtol,
+                                vdd=vdd2)
         v_oh[ok] = vouts[:k]
         v_ol[ok] = vouts[k:]
     perf.bump("circuit.snm_batch_extractions", trials)

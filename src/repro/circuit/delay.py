@@ -13,6 +13,7 @@ import numpy as np
 
 from .. import perf
 from ..errors import ParameterError
+from .batch import _broadcast_inputs
 from .inverter import Inverter
 from .transient import propagation_delay
 
@@ -70,32 +71,42 @@ def analytic_delay(inverter: Inverter, c_load_f: float | None = None,
 
 
 def analytic_delay_batch(inverter: Inverter, dvth_n=0.0, dvth_p=0.0,
-                         c_load_f: float | None = None,
-                         k_d: float = K_D_DEFAULT) -> np.ndarray:
+                         c_load_f=None, k_d: float = K_D_DEFAULT, vdd=None):
     """Eq. 4 delay for whole arrays of V_th perturbation pairs [s].
 
     The batched equivalent of ``analytic_delay`` on a V_th-offset copy
     of the inverter per element: the offsets enter the on-currents
     through the ``vth_shift_v`` hook of :meth:`MOSFET.ids`, so the
     whole Monte Carlo population is two vectorised I-V evaluations.
-    The load is the *unperturbed* inverter's FO1 load unless
-    ``c_load_f`` [f] overrides it (matching ``delay_distribution``).
+
+    ``vdd`` [V] broadcasts with the offsets and defaults to the
+    inverter's supply.  The load is the *unperturbed* inverter's FO1
+    load at each element's supply unless ``c_load_f`` [f] (a scalar or
+    an array broadcasting likewise) overrides it (matching
+    ``delay_distribution``).  The supply enters Eq. 4 only through
+    ``V_gs = V_ds = V_dd`` and the load, so each distinct supply is one
+    scalar-supply I-V evaluation over its elements' offsets.  Scalar
+    inputs return a float.
     """
     if k_d <= 0.0:
         raise ParameterError("k_d must be positive")
-    c_load = (inverter.load_capacitance(fanout=1) if c_load_f is None
-              else c_load_f)
-    if c_load <= 0.0:
-        raise ParameterError("load capacitance must be positive")
-    dn, dp = np.broadcast_arrays(np.asarray(dvth_n, dtype=float),
-                                 np.asarray(dvth_p, dtype=float))
-    vdd = inverter.vdd
-    i_on = 0.5 * (inverter.nfet.ids(vdd, vdd, vth_shift_v=dn)
-                  + inverter.pfet.ids(vdd, vdd, vth_shift_v=dp))
-    if np.any(i_on <= 0.0):
-        raise ParameterError("inverter has no on-current")
-    perf.bump("circuit.delay_batch_points", int(np.asarray(i_on).size))
-    return k_d * c_load * vdd / i_on
+    dn, dp, supply = _broadcast_inputs(inverter, dvth_n, dvth_p, vdd)
+    loads = (None if c_load_f is None else
+             np.broadcast_to(np.asarray(c_load_f, dtype=float), supply.shape))
+    delays = np.empty(supply.shape)
+    for v in np.unique(supply):
+        lanes = supply == v
+        c_load = (inverter.with_vdd(float(v)).load_capacitance(fanout=1)
+                  if loads is None else loads[lanes])
+        if np.any(c_load <= 0.0):
+            raise ParameterError("load capacitance must be positive")
+        i_on = 0.5 * (inverter.nfet.ids(v, v, vth_shift_v=dn[lanes])
+                      + inverter.pfet.ids(v, v, vth_shift_v=dp[lanes]))
+        if np.any(i_on <= 0.0):
+            raise ParameterError("inverter has no on-current")
+        delays[lanes] = k_d * c_load * v / i_on
+    perf.bump("circuit.delay_batch_points", supply.size)
+    return delays if delays.ndim else float(delays)
 
 
 def fo1_delay(inverter: Inverter, transient: bool = True,

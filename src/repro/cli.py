@@ -285,9 +285,13 @@ def _cmd_yield(strategy: str, node: str, vdds: list[float], mode: str,
     print(f"{strategy} {node}, {mode}-mode failure, "
           f"{method} estimator, seed {seed}")
     for vdd, est in zip(curve.vdd_v, curve.estimates):
-        if est.p_fail == 0:
+        if est.n_trials == 0:
             print(f"  V_dd = {vdd:.3f} V: no failure within "
                   f"{r_max_sigma:g} sigma (p below resolution)")
+            continue
+        if est.p_fail == 0:
+            print(f"  V_dd = {vdd:.3f} V: no failing trial in "
+                  f"{est.n_trials} trials")
             continue
         shift = (f", shift beta = {est.shift.beta_sigma:.2f} sigma"
                  if est.shift is not None else "")

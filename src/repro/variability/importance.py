@@ -21,6 +21,20 @@ workaround in the standardised offset space ``u = ΔV_th / sigma``:
    scrambled-Sobol' streams (:mod:`repro.variability.sampler`); the
    spread between replicate estimates gives the confidence interval.
 
+**Lock-step problems.**  The core solves a stack of independent
+estimation problems at once — the V_dd points of one failure-rate
+curve.  A stacked indicator ``failure(u, k)`` takes rows ``u`` of
+standardised offsets and the index ``k`` of the problem each row
+belongs to (the ``residual(x, idx)`` convention of
+:mod:`repro.numerics`).  :func:`find_failure_shifts` bisects every
+problem's direction fans in the same indicator calls, and
+:func:`estimate_failure_probabilities` draws each replicate's
+standard-normal chunk once, shifts it per problem and evaluates every
+problem and replicate in one call.  Each problem's rows are computed
+exactly as a one-problem run computes them, so its result is bitwise
+the one :func:`find_failure_shift` / :func:`estimate_failure_probability`
+return — those are the one-problem case of the same code.
+
 Evaluation is chunked so memory stays flat at 10^5+ trials, yet the
 result is byte-deterministic for any chunk size: the streams address
 trials by absolute index and all reductions run over one preallocated
@@ -33,7 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -91,6 +105,18 @@ class FailurePoint:
     n_probes: int
 
 
+#: A stacked failure indicator: ``failure(u, k)`` maps an ``(n, dim)``
+#: array of standardised offsets and the ``(n,)`` problem index of each
+#: row to a boolean failure mask.
+StackedIndicator = Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+
+def _one_problem(failure: Callable[[np.ndarray], np.ndarray]
+                 ) -> StackedIndicator:
+    """A plain ``failure(u)`` indicator as a one-problem stack."""
+    return lambda u, k: failure(u)
+
+
 def find_failure_shift(failure: Callable[[np.ndarray], np.ndarray],
                        dim: int = 2, n_directions: int = 16,
                        r_max_sigma: float = 8.0,
@@ -107,55 +133,90 @@ def find_failure_shift(failure: Callable[[np.ndarray], np.ndarray],
 
     ``failure`` maps an ``(n, dim)`` array of standardised offsets to
     a boolean failure mask; only ``dim == 2`` directions fans are
-    implemented (the inverter's two perturbed devices).
+    implemented (the inverter's two perturbed devices).  This is the
+    one-problem case of :func:`find_failure_shifts`.
     """
+    return find_failure_shifts(_one_problem(failure), 1, dim=dim,
+                               n_directions=n_directions,
+                               r_max_sigma=r_max_sigma,
+                               n_bisections=n_bisections)[0]
+
+
+def find_failure_shifts(failure: StackedIndicator, n_problems: int,
+                        dim: int = 2, n_directions: int = 16,
+                        r_max_sigma: float = 8.0, n_bisections: int = 16
+                        ) -> tuple[FailurePoint | None, ...]:
+    """Lock-step :func:`find_failure_shift` over ``n_problems`` problems.
+
+    ``failure(u, k)`` is a stacked indicator (see the module
+    docstring).  One call probes the coarse fans of all problems, the
+    live rays of all problems are bisected together, and each
+    problem's best ray seeds its own fine fan, bisected together again
+    — so the whole stack costs the indicator calls of one search.
+    Entry ``k`` (``n_probes`` included) equals the one-problem search
+    of problem ``k``.
+    """
+    if n_problems < 1:
+        raise ParameterError("need at least one problem")
     if dim != 2:
         raise ParameterError("direction fans are implemented for dim == 2")
     if n_directions < 4:
         raise ParameterError("need at least 4 search directions")
     if r_max_sigma <= 0.0:
         raise ParameterError("r_max_sigma must be positive")
-    n_probes = 0
+    n_probes = np.zeros(n_problems, dtype=int)
 
-    def fail_at(points: np.ndarray) -> np.ndarray:
-        nonlocal n_probes
-        n_probes += points.shape[0]
+    def fail_at(points: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        n_probes[:] += np.bincount(owner, minlength=n_problems)
         perf.bump("variability.shift_probes", points.shape[0])
-        return np.asarray(failure(points), dtype=bool)
+        return np.asarray(failure(points, owner), dtype=bool)
 
-    def bisect_fan(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        rays = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-        alive = fail_at(r_max_sigma * rays)
-        radii = np.full(angles.shape, np.inf)
-        if not alive.any():
-            return radii, rays
-        rays_live = rays[alive]
-        lo = np.zeros(rays_live.shape[0])
-        hi = np.full(rays_live.shape[0], r_max_sigma)
-        for _ in range(n_bisections):
-            mid = 0.5 * (lo + hi)
-            failed = fail_at(mid[:, None] * rays_live)
-            hi = np.where(failed, mid, hi)
-            lo = np.where(failed, lo, mid)
-        radii[alive] = hi   # first radius verified to fail
-        return radii, rays
+    def bisect_fans(angles: np.ndarray, problems: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray]:
+        """First failing radius of each ray of each problem's fan
+        (``angles`` row ``i`` belongs to ``problems[i]``); ``inf``
+        where the ray does not fail within the horizon."""
+        rays = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+        flat = rays.reshape(-1, 2)
+        owner = np.repeat(problems, n_directions)
+        alive = fail_at(r_max_sigma * flat, owner)
+        radii = np.full(alive.shape, np.inf)
+        if alive.any():
+            rays_live, owner_live = flat[alive], owner[alive]
+            lo = np.zeros(rays_live.shape[0])
+            hi = np.full(rays_live.shape[0], r_max_sigma)
+            for _ in range(n_bisections):
+                mid = 0.5 * (lo + hi)
+                failed = fail_at(mid[:, None] * rays_live, owner_live)
+                hi = np.where(failed, mid, hi)
+                lo = np.where(failed, lo, mid)
+            radii[alive] = hi   # first radius verified to fail
+        return radii.reshape(angles.shape), rays
 
     coarse = np.linspace(0.0, 2.0 * math.pi, n_directions, endpoint=False)
-    radii, rays = bisect_fan(coarse)
-    best = int(np.argmin(radii))
-    if not np.isfinite(radii[best]):
-        return None
+    problems = np.arange(n_problems)
+    radii, rays = bisect_fans(np.tile(coarse, (n_problems, 1)), problems)
+    best = np.argmin(radii, axis=1)
+    found = np.isfinite(radii[problems, best])
+    shifts: list[FailurePoint | None] = [None] * n_problems
+    if not found.any():
+        return tuple(shifts)
     # Refine the direction: a narrow fan spanning the winning ray's
     # neighbours, then keep the overall minimum-norm point.
     span = 2.0 * math.pi / n_directions
-    fine = coarse[best] + np.linspace(-span, span, n_directions)
-    fine_radii, fine_rays = bisect_fan(fine)
-    all_radii = np.concatenate([radii, fine_radii])
-    all_rays = np.concatenate([rays, fine_rays])
-    best = int(np.argmin(all_radii))
-    beta = float(all_radii[best])
-    return FailurePoint(u_star=beta * all_rays[best], beta_sigma=beta,
-                        n_probes=n_probes)
+    live = problems[found]
+    fine = coarse[best[found]][:, None] + np.linspace(-span, span,
+                                                      n_directions)
+    fine_radii, fine_rays = bisect_fans(fine, live)
+    all_radii = np.concatenate([radii[found], fine_radii], axis=1)
+    all_rays = np.concatenate([rays[found], fine_rays], axis=1)
+    for row, k in enumerate(live):
+        best_k = int(np.argmin(all_radii[row]))
+        beta = float(all_radii[row, best_k])
+        shifts[k] = FailurePoint(u_star=beta * all_rays[row, best_k],
+                                 beta_sigma=beta,
+                                 n_probes=int(n_probes[k]))
+    return tuple(shifts)
 
 
 @dataclass(frozen=True)
@@ -271,11 +332,52 @@ def estimate_failure_probability(
     relative standard error falls below the target — the
     effective-sample-size / relative-error stopping rule.  Milestones
     are independent of ``chunk_trials``, so early stopping is as
-    chunk-invariant as the full run.
+    chunk-invariant as the full run.  This is the one-problem case of
+    :func:`estimate_failure_probabilities`.
+    """
+    return estimate_failure_probabilities(
+        _one_problem(failure), 1, method=method, n_trials=n_trials,
+        seed=seed, chunk_trials=chunk_trials, n_replicates=n_replicates,
+        shifts=None if shift is None else (shift,),
+        target_rel_err=target_rel_err, min_trials=min_trials,
+        n_directions=n_directions, r_max_sigma=r_max_sigma)[0]
+
+
+def estimate_failure_probabilities(
+        failure: StackedIndicator,
+        n_problems: int,
+        method: str = "qmc-is",
+        n_trials: int = 4096,
+        seed: int = 2007,
+        chunk_trials: int = 4096,
+        n_replicates: int = 8,
+        shifts: Sequence[FailurePoint] | None = None,
+        target_rel_err: float | None = None,
+        min_trials: int = 1024,
+        n_directions: int = 16,
+        r_max_sigma: float = 8.0) -> tuple[YieldEstimate, ...]:
+    """Lock-step :func:`estimate_failure_probability` of ``n_problems``.
+
+    ``failure(u, k)`` is a stacked indicator (see the module
+    docstring).  Every problem shares the root ``seed``, so each
+    replicate's chunk of standard-normal trials is drawn once and
+    shifted per problem; one indicator call then carries every active
+    problem and replicate, about ``chunk_trials`` rows in all.  The shifted
+    methods search all problems' failure points with
+    :func:`find_failure_shifts` unless ``shifts`` (one per problem)
+    are passed in; a problem without a failure point inside
+    ``r_max_sigma`` gets the no-failure estimate without trials.
+    With ``target_rel_err`` every problem is checked at the same
+    power-of-two milestones and retires at the first one it passes.
+    Entry ``k`` equals the one-problem estimate of problem ``k``.
     """
     if method not in METHODS:
         raise ParameterError(f"unknown method {method!r}; "
                              f"choose one of {METHODS}")
+    if n_problems < 1:
+        raise ParameterError("need at least one problem")
+    if shifts is not None and len(shifts) != n_problems:
+        raise ParameterError("need one shift per problem")
     if n_trials < 2:
         raise ParameterError("need at least 2 trials")
     if chunk_trials < 1:
@@ -290,17 +392,17 @@ def estimate_failure_probability(
     replicates = n_replicates if use_qmc else 1
     n_total = _round_up(n_trials, replicates)
 
-    if use_shift and shift is None:
-        shift = find_failure_shift(failure, n_directions=n_directions,
-                                   r_max_sigma=r_max_sigma)
-        if shift is None:
-            # Nothing fails within the search horizon: report the
-            # no-failure outcome explicitly instead of burning trials.
-            return YieldEstimate(
-                p_fail=0.0, rel_err=math.inf, ci_lo=0.0, ci_hi=0.0,
-                sigma=math.inf, ess=0.0, n_trials=0, method=method,
-                shift=None, n_replicates=replicates, seed=seed)
-    u_star = shift.u_star if use_shift and shift is not None else None
+    found: Sequence[FailurePoint | None] = [None] * n_problems
+    if use_shift:
+        found = (find_failure_shifts(failure, n_problems,
+                                     n_directions=n_directions,
+                                     r_max_sigma=r_max_sigma)
+                 if shifts is None else shifts)
+    # Nothing fails within the search horizon of a problem without a
+    # failure point: it reports the no-failure outcome explicitly
+    # instead of burning trials.
+    active = [k for k in range(n_problems)
+              if not use_shift or found[k] is not None]
 
     if use_qmc:
         streams = [SobolNormalStream(seed=seed, replicate=r)
@@ -308,12 +410,13 @@ def estimate_failure_probability(
     else:
         streams = [PseudoNormalStream(seed=seed)]
 
-    # Per-trial likelihood-ratio terms w * 1[fail]; global trial g is
-    # trial g // R of replicate g % R, so any prefix balances the
-    # replicates and any chunking fills identical values.
-    terms = np.empty(n_total)
+    # Per-problem, per-trial likelihood-ratio terms w * 1[fail]; global
+    # trial g is trial g // R of replicate g % R, so any prefix
+    # balances the replicates and any chunking fills identical values.
+    terms = {k: np.empty(n_total) for k in active}
 
     def fill(a: int, b: int) -> None:
+        rows, owners, slots = [], [], []
         for r, stream in enumerate(streams):
             # Intra-replicate index range of global trials in [a, b)
             # with g % R == r.
@@ -322,48 +425,59 @@ def estimate_failure_probability(
             if j1 <= j0:
                 continue
             z = stream.take(j0, j1 - j0)
-            if u_star is None:
-                w = np.ones(z.shape[0])
-                u = z
-            else:
-                u = z + u_star
-                w = np.exp(-z @ u_star - 0.5 * float(u_star @ u_star))
-            fail = np.asarray(failure(u), dtype=bool)
-            g0 = j0 * replicates + r
-            terms[g0:b:replicates] = np.where(fail, w, 0.0)
-        perf.bump("variability.estimator_trials", b - a)
+            for k in active:
+                if use_shift:
+                    u_star = found[k].u_star
+                    rows.append(z + u_star)
+                    w = np.exp(-z @ u_star - 0.5 * float(u_star @ u_star))
+                else:
+                    rows.append(z)
+                    w = np.ones(z.shape[0])
+                owners.append(np.full(z.shape[0], k))
+                slots.append((k, j0 * replicates + r, w))
+        fail = np.asarray(failure(np.concatenate(rows),
+                                  np.concatenate(owners)), dtype=bool)
+        start = 0
+        for k, g0, w in slots:
+            terms[k][g0:b:replicates] = np.where(
+                fail[start:start + w.size], w, 0.0)
+            start += w.size
+        perf.bump("variability.estimator_trials", (b - a) * len(active))
 
     milestone = _round_up(max(min(min_trials, n_total), 2), replicates)
     filled = 0
-    n_used = n_total
-    while filled < n_total:
+    n_used = dict.fromkeys(active, n_total)
+    while active and filled < n_total:
         target = n_total if target_rel_err is None else min(milestone,
                                                             n_total)
         while filled < target:
-            step = min(chunk_trials, target - filled)
+            step = min(max(chunk_trials // len(active), 1), target - filled)
             fill(filled, filled + step)
             filled += step
         if target_rel_err is not None:
-            p_hat, se, _ess = _stats(terms[:filled], replicates)
-            if p_hat > 0.0 and se / p_hat <= target_rel_err:
-                n_used = filled
-                break
+            for k in list(active):
+                p_hat, se, _ess = _stats(terms[k][:filled], replicates)
+                if p_hat > 0.0 and se / p_hat <= target_rel_err:
+                    n_used[k] = filled
+                    active.remove(k)
             milestone = min(milestone * 2, n_total)
-        if filled >= n_total:
-            n_used = n_total
 
-    p_hat, se, ess = _stats(terms[:n_used], replicates)
-    rel = se / p_hat if p_hat > 0.0 else math.inf
-    return YieldEstimate(
-        p_fail=p_hat,
-        rel_err=rel,
-        ci_lo=max(p_hat - _Z95 * se, 0.0),
-        ci_hi=p_hat + _Z95 * se,
-        sigma=sigma_level(p_hat),
-        ess=ess,
-        n_trials=n_used,
-        method=method,
-        shift=shift if use_shift else None,
-        n_replicates=replicates,
-        seed=seed,
-    )
+    def estimate(k: int) -> YieldEstimate:
+        n = n_used.get(k, 0)
+        p_hat, se, ess = (_stats(terms[k][:n], replicates) if n
+                          else (0.0, 0.0, 0.0))
+        return YieldEstimate(
+            p_fail=p_hat,
+            rel_err=se / p_hat if p_hat > 0.0 else math.inf,
+            ci_lo=max(p_hat - _Z95 * se, 0.0),
+            ci_hi=p_hat + _Z95 * se,
+            sigma=sigma_level(p_hat),
+            ess=ess,
+            n_trials=n,
+            method=method,
+            shift=found[k],
+            n_replicates=replicates,
+            seed=seed,
+        )
+
+    return tuple(estimate(k) for k in range(n_problems))

@@ -12,9 +12,13 @@ import math
 import numpy as np
 import pytest
 
-from repro.circuit import noise_margins_batch
+from repro import perf
+from repro.circuit import (analytic_delay_batch, noise_margins_batch,
+                           solve_vtc_batch)
 from repro.errors import ParameterError
-from repro.experiments.ext_yield import R_MAX_SIGMA, SNM_REPLICATES, SNM_TRIALS
+from repro.experiments.ext_yield import (DELAY_VDD_GRID, R_MAX_SIGMA,
+                                         SNM_REPLICATES, SNM_TRIALS,
+                                         SNM_VDD_GRID)
 from repro.variability import (
     FailurePoint,
     PseudoNormalStream,
@@ -28,6 +32,8 @@ from repro.variability import (
     qmc_vth_offsets,
     sigma_level,
 )
+from repro.variability.importance import (estimate_failure_probabilities,
+                                         find_failure_shifts)
 from repro.variability.rdf import rdf_sigma_vth
 from repro.variability.sampler import MC_BLOCK_TRIALS
 from repro.variability.tails import SNM_SCAN_DEFAULT, SNM_XTOL_DEFAULT
@@ -41,6 +47,48 @@ def half_plane(beta, direction=(1.0, 0.0)):
         return np.asarray(u) @ d > beta
 
     return indicator
+
+
+def plane_stack(*planes):
+    """Stacked indicator over half-planes ``(beta, direction)``: a row
+    ``u`` of problem ``k`` fails when ``u . d_k > beta_k``.  The dot
+    product is written out elementwise, so a row's answer does not
+    depend on which rows share its call."""
+    betas = np.array([beta for beta, _ in planes])
+    dirs = np.array([np.asarray(d, dtype=float) / np.linalg.norm(d)
+                     for _, d in planes])
+
+    def failure(u, k):
+        return u[:, 0] * dirs[k, 0] + u[:, 1] * dirs[k, 1] > betas[k]
+
+    return failure
+
+
+def solo(stacked):
+    """Problem 0 of a stacked indicator as a plain ``failure(u)``."""
+    return lambda u: stacked(u, np.zeros(len(u), dtype=int))
+
+
+def counted(failure):
+    """``failure`` plus a list that grows by one per call."""
+    calls = []
+
+    def wrapped(*args):
+        calls.append(len(args[0]))
+        return failure(*args)
+
+    return wrapped, calls
+
+
+def assert_same_estimate(a, b):
+    """Bit-for-bit equality of two YieldEstimates, shift included."""
+    assert (a.p_fail, a.ci_lo, a.ci_hi, a.ess, a.rel_err, a.sigma,
+            a.n_trials) == (b.p_fail, b.ci_lo, b.ci_hi, b.ess, b.rel_err,
+                            b.sigma, b.n_trials)
+    assert (a.shift is None) == (b.shift is None)
+    if a.shift is not None:
+        np.testing.assert_array_equal(a.shift.u_star, b.shift.u_star)
+        assert a.shift.n_probes == b.shift.n_probes
 
 
 class TestStreams:
@@ -137,6 +185,23 @@ class TestFindFailureShift:
         # two fans of 16 rays, <= 17 batched rounds each
         assert shift.n_probes <= 2 * 16 * 17
 
+    def test_lockstep_search_equals_solo_searches(self):
+        planes = [(3.0, (1.0, 0.0)), (2.5, (1.0, 1.0)), (12.0, (1.0, 0.0))]
+        stacked, calls = counted(plane_stack(*planes))
+        shifts = find_failure_shifts(stacked, 3, r_max_sigma=8.0)
+        assert len(calls) == 34
+        for shift, plane in zip(shifts, planes):
+            one, solo_calls = counted(solo(plane_stack(plane)))
+            ref = find_failure_shift(one, r_max_sigma=8.0)
+            if ref is None:
+                assert shift is None
+                continue
+            np.testing.assert_array_equal(shift.u_star, ref.u_star)
+            assert shift.beta_sigma == ref.beta_sigma
+            assert shift.n_probes == ref.n_probes
+            assert len(solo_calls) == 34
+        assert shifts[2] is None
+
     def test_validates_inputs(self):
         with pytest.raises(ParameterError):
             find_failure_shift(half_plane(3.0), dim=3)
@@ -228,6 +293,16 @@ class TestEstimator:
         with pytest.raises(ParameterError):
             estimate_failure_probability(half_plane(1.0), chunk_trials=0)
 
+    def test_lockstep_core_validates_problem_count(self):
+        stacked = plane_stack((3.0, (1.0, 0.0)), (2.5, (1.0, 1.0)))
+        with pytest.raises(ParameterError):
+            find_failure_shifts(stacked, 0)
+        with pytest.raises(ParameterError):
+            estimate_failure_probabilities(stacked, 0)
+        shift = find_failure_shift(half_plane(3.0))
+        with pytest.raises(ParameterError):
+            estimate_failure_probabilities(stacked, 2, shifts=(shift,))
+
 
 class TestPhysicalIndicators:
     def test_delay_indicator_fails_on_slow_corners(self, inverter_sub):
@@ -294,6 +369,43 @@ class TestSnmIndicatorAccuracy:
                 assert np.max(np.abs(cheap.snm[kept] - tight.snm[kept])) \
                     <= SNM_XTOL_DEFAULT, (family.strategy, vdd)
 
+    @pytest.mark.parametrize("strategy", ["sub", "super"])
+    def test_per_lane_supply_equals_per_supply_calls(self, sub_family,
+                                                     super_family,
+                                                     strategy):
+        """One kernel call over a stack of supplies returns the bits of
+        one call per supply, on ext_yield's SNM and delay grids."""
+        family = sub_family if strategy == "sub" else super_family
+        design = family.design("32nm")
+        rng = np.random.default_rng(2007)
+        for grid in (SNM_VDD_GRID, DELAY_VDD_GRID):
+            base = design.inverter(grid[0])
+            u = 2.0 * rng.standard_normal((8 * len(grid), 2))
+            dn = rdf_sigma_vth(base.nfet) * u[:, 0]
+            dp = rdf_sigma_vth(base.pfet) * u[:, 1]
+            vdd = np.repeat(grid, 8)
+            vin = 0.45 * vdd
+            nm = noise_margins_batch(base, dn, dp, n_scan=21, xtol=1e-5,
+                                     vdd=vdd)
+            vout = solve_vtc_batch(base, vin, dn, dp, vdd=vdd)
+            delay = analytic_delay_batch(base, dn, dp, vdd=vdd)
+            for i, v in enumerate(grid):
+                lanes = slice(8 * i, 8 * i + 8)
+                inv = design.inverter(v)
+                ref = noise_margins_batch(inv, dn[lanes], dp[lanes],
+                                          n_scan=21, xtol=1e-5)
+                for name in ("v_il", "v_ih", "v_ol", "v_oh", "nm_low",
+                             "nm_high", "lost_code"):
+                    assert np.array_equal(getattr(nm, name)[lanes],
+                                          getattr(ref, name),
+                                          equal_nan=True), (v, name)
+                assert np.array_equal(
+                    vout[lanes],
+                    solve_vtc_batch(inv, vin[lanes], dn[lanes], dp[lanes]))
+                assert np.array_equal(
+                    delay[lanes],
+                    analytic_delay_batch(inv, dn[lanes], dp[lanes]))
+
     @pytest.mark.parametrize("strategy, vdd, sigma", [
         ("super", 0.115, 1.466),
         ("sub", 0.14, 8.988),
@@ -334,6 +446,74 @@ class TestFailureRateCurve:
         with pytest.raises(ParameterError):
             failure_rate_curve(lambda v: inverter_sub, [], "x")
 
+    def test_rejects_mixed_device_pairs(self, sub_family, super_family):
+        sub = sub_family.design("32nm")
+        sup = super_family.design("32nm")
+
+        def mixed(vdd):
+            return (sub if vdd < 0.2 else sup).inverter(vdd)
+
+        with pytest.raises(ParameterError, match="device pair"):
+            failure_rate_curve(mixed, [0.15, 0.25], "mixed")
+
+    @staticmethod
+    def assert_curve_is_solo_points(design, grid, **kwargs):
+        curve = failure_rate_curve(design.inverter, grid, "x", **kwargs)
+        for vdd, est in zip(grid, curve.estimates):
+            assert_same_estimate(
+                est, cell_failure_rate(design.inverter(vdd), **kwargs))
+        return curve
+
+    def test_snm_curve_equals_solo_points_at_one_search_cost(
+            self, super_family):
+        design = super_family.design("32nm")
+        grid = (0.115, 0.13)
+        kwargs = dict(mode="snm", n_trials=64, n_replicates=4,
+                      r_max_sigma=R_MAX_SIGMA)
+
+        def solves_of(run):
+            before = perf.get("circuit.vtc_batch_solves")
+            out = run()
+            return out, perf.get("circuit.vtc_batch_solves") - before
+
+        solo_runs = [solves_of(lambda v=v: cell_failure_rate(
+            design.inverter(v), **kwargs)) for v in grid]
+        curve, curve_solves = solves_of(lambda: failure_rate_curve(
+            design.inverter, grid, "x", **kwargs))
+        for est, (ref, _) in zip(curve.estimates, solo_runs):
+            assert_same_estimate(est, ref)
+        # The stack pays about one point's solves, not their sum.
+        assert curve_solves <= 1.25 * max(n for _, n in solo_runs)
+
+    def test_delay_curve_with_point_beyond_horizon(self, sub_family):
+        curve = self.assert_curve_is_solo_points(
+            sub_family.design("32nm"), (0.15, 0.40), mode="delay",
+            slowdown=1.5, n_trials=512, r_max_sigma=6.0)
+        assert curve.estimates[0].n_trials == 512
+        assert curve.estimates[1].n_trials == 0
+
+    def test_early_stopping_points_retire_separately(self, sub_family):
+        curve = self.assert_curve_is_solo_points(
+            sub_family.design("32nm"), (0.25, 0.40), mode="delay",
+            slowdown=1.3, n_trials=4096, target_rel_err=0.1,
+            min_trials=256, r_max_sigma=10.0)
+        assert [e.n_trials for e in curve.estimates] == [256, 512]
+
+    def test_mc_curve_equals_solo_points(self, sub_family):
+        self.assert_curve_is_solo_points(
+            sub_family.design("32nm"), (0.10, 0.115), mode="snm",
+            method="mc", n_trials=128)
+
+    def test_curve_is_chunk_invariant(self, sub_family):
+        design = sub_family.design("32nm")
+        kwargs = dict(mode="delay", slowdown=1.3, n_trials=512)
+        base = self.assert_curve_is_solo_points(design, (0.25, 0.30),
+                                                **kwargs)
+        small = failure_rate_curve(design.inverter, (0.25, 0.30), "x",
+                                   chunk_trials=64, **kwargs)
+        for a, b in zip(base.estimates, small.estimates):
+            assert_same_estimate(a, b)
+
 
 class TestYieldCli:
     def test_yield_smoke(self, capsys):
@@ -342,6 +522,22 @@ class TestYieldCli:
                      "--slowdown", "1.3"]) == 0
         out = capsys.readouterr().out
         assert "p_fail" in out and "sigma" in out
+
+    def test_yield_reports_search_horizon_only_when_searched(self,
+                                                             capsys):
+        from repro.cli import main
+        assert main(["yield", "--vdd", "0.40", "--trials", "256",
+                     "--r-max-sigma", "6"]) == 0
+        out = capsys.readouterr().out
+        assert "no failure within 6 sigma" in out
+
+    def test_yield_reports_no_failing_trial_for_brute_force(self, capsys):
+        from repro.cli import main
+        assert main(["yield", "--method", "mc", "--mode", "snm", "--vdd",
+                     "0.40", "--trials", "256"]) == 0
+        out = capsys.readouterr().out
+        assert "no failing trial in 256 trials" in out
+        assert "sigma" not in out.split("\n", 1)[1]
 
     def test_yield_unknown_node_exits_2(self, capsys):
         from repro.cli import main
