@@ -208,18 +208,41 @@ def store_family(tag: str, family) -> None:
 # Replayed brackets are already below the solver tolerance, which makes
 # replay byte-deterministic: the lane retires before its first sweep
 # with exactly the midpoint a cold solve would return.
+#
+# The spill is an append-only log: each store adds one line, a
+# ``{"schema": 1, "entries": {...}}`` object holding only that store's
+# new brackets, so a spill costs O(new entries) however large the table
+# has grown.  A single-object file written before the log format is a
+# valid one-line log.
 
 _BRACKET_TAG = "brackets"
 _BRACKET_TABLES: dict[pathlib.Path, dict[str, list[float]]] = {}
 _BRACKET_LOCK = threading.Lock()
 
 
+def _bracket_pairs(line: str) -> dict[str, list[float]]:
+    """The brackets of one spill line; empty when it does not parse."""
+    try:
+        payload = json.loads(line)
+        entries = (payload.get("entries", {})
+                   if payload.get("schema") == 1 else {})
+        return {str(key): [float(pair[0]), float(pair[1])]
+                for key, pair in entries.items()
+                if isinstance(pair, (list, tuple)) and len(pair) == 2}
+    except (ValueError, TypeError, AttributeError):
+        return {}
+
+
 def load_brackets() -> dict[str, list[float]] | None:
     """The on-disk bracket table, or None when the cache is disabled.
 
     The table maps the solver's exact string keys to ``[lo, hi]``
-    bracket pairs.  It is read once per process per cache directory and
-    shared with :func:`store_brackets`, which mutates and persists it.
+    bracket pairs, merged from the spill log's lines in order (later
+    entries win).  A line that does not parse — a torn tail from an
+    interrupted append — is skipped: it loses its entries but never
+    changes a result, because a spilled bracket only accelerates a
+    solve.  The table is read once per process per cache directory
+    and shared with :func:`store_brackets`, which extends it.
     """
     directory = cache_dir()
     if directory is None:
@@ -228,47 +251,54 @@ def load_brackets() -> dict[str, list[float]] | None:
     with _BRACKET_LOCK:
         table = _BRACKET_TABLES.get(path)
         if table is None:
+            table = {}
             try:
-                payload = json.loads(path.read_text())
-                entries = (payload.get("entries", {})
-                           if payload.get("schema") == 1 else {})
-            except (OSError, ValueError, AttributeError):
-                entries = {}
-            table = {str(key): [float(pair[0]), float(pair[1])]
-                     for key, pair in entries.items()
-                     if isinstance(pair, (list, tuple)) and len(pair) == 2}
+                lines = path.read_text().splitlines()
+            except (OSError, ValueError):
+                lines = []
+            for line in lines:
+                table.update(_bracket_pairs(line))
             _BRACKET_TABLES[path] = table
     return table
 
 
 def store_brackets(entries: dict[str, tuple[float, float]]) -> None:
-    """Merge solved brackets into the table and persist it atomically.
+    """Merge solved brackets into the table and append them to the log.
 
-    No-op when the cache is disabled or ``entries`` is empty.  JSON
-    serialises floats via ``repr`` (shortest round-trip), so replayed
-    brackets are bitwise the ones that were spilled.
-
-    Safe under concurrent writers: the temp file is per-process, so
-    parallel shard workers (``repro grid build --jobs N``) cannot
-    replace each other's temp out from underneath the rename.  A
-    concurrent writer can still win the final rename — the spill is a
-    warm-start accelerator, and losing entries never changes results
-    (replayed and cold brackets retire to bitwise-identical roots).
+    No-op when the cache is disabled or no entry is new.  The new
+    entries go out as one JSON line in one ``os.write`` on an
+    ``O_APPEND`` descriptor, so the cost is O(new entries), and
+    concurrent writers — parallel shard workers of
+    ``repro grid build --jobs N`` — append whole lines rather than
+    interleaving a buffered write's pieces.  Each line starts with a
+    newline, so neither a torn line nor a file written without a
+    trailing newline can swallow the next one.  JSON serialises
+    floats via ``repr`` (shortest round-trip), so replayed brackets
+    are bitwise the ones that were spilled.
     """
     table = load_brackets()
-    if table is None or not entries:
+    if table is None:
         return
     directory = cache_dir()
     assert directory is not None
     with _BRACKET_LOCK:
+        new = {}
         for key, (lo, hi) in entries.items():
-            table[str(key)] = [float(lo), float(hi)]
+            pair = [float(lo), float(hi)]
+            if table.get(str(key)) != pair:
+                table[str(key)] = pair
+                new[str(key)] = pair
+        if not new:
+            return
+        line = "\n" + json.dumps({"schema": 1, "entries": new},
+                                 sort_keys=True)
         directory.mkdir(parents=True, exist_ok=True)
         path = _entry_path(_BRACKET_TAG, directory)
-        tmp = path.with_suffix(f".json.{os.getpid()}.tmp")
-        tmp.write_text(json.dumps(
-            {"schema": 1, "entries": table}, sort_keys=True))
-        tmp.replace(path)
+        fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
+        try:
+            os.write(fd, line.encode())
+        finally:
+            os.close(fd)
 
 
 # -- design-space grid tensors ------------------------------------------------

@@ -27,7 +27,9 @@ its scan bracket by one Illinois root-solve on ``gain + 1``
 (:func:`repro.numerics.bisect_illinois`) — the batched counterpart of
 the scalar oracle's brentq — so a whole Monte Carlo population costs
 a handful of batched VTC solves instead of thousands of scalar
-root-finds.
+root-finds.  The scan already holds the gain at both ends of every
+bracket, so the solve takes them as its known end residuals instead
+of solving those VTC points again.
 
 The supply is lane data, like the V_th offsets: every kernel takes an
 optional ``vdd`` [V] that broadcasts with ``dvth_n``/``dvth_p`` and
@@ -279,6 +281,7 @@ class BatchNoiseMargins:
 
 
 def _refine_crossings(inverter, a: np.ndarray, b: np.ndarray,
+                      gain_a: np.ndarray, gain_b: np.ndarray,
                       sign: np.ndarray, dvth_n: np.ndarray,
                       dvth_p: np.ndarray, vdd: np.ndarray,
                       xtol: float) -> np.ndarray:
@@ -290,7 +293,10 @@ def _refine_crossings(inverter, a: np.ndarray, b: np.ndarray,
     :func:`repro.numerics.bisect_illinois` stack solve, whose every
     residual pass is one batched gain evaluation, locates all
     crossings to ``xtol`` (the scalar oracle runs brentq on the same
-    function and brackets).
+    function and brackets).  ``gain_a`` / ``gain_b`` are the scan's
+    gains at the bracket ends — the same ``vin`` floats on the same
+    lanes, so bitwise what the residual would recompute — and enter
+    the solve as its known end residuals.
     """
 
     def residual(vin: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -298,7 +304,8 @@ def _refine_crossings(inverter, a: np.ndarray, b: np.ndarray,
                            vdd[idx], None, xtol)
         return -sign[idx] * (gains + 1.0)
 
-    return bisect_illinois(residual, a, b, xtol=xtol).root
+    ends = (-sign * (gain_a + 1.0), -sign * (gain_b + 1.0))
+    return bisect_illinois(residual, a, b, xtol=xtol, ends=ends).root
 
 
 def noise_margins_batch(inverter, dvth_n=0.0, dvth_p=0.0, n_scan: int = 101,
@@ -350,13 +357,17 @@ def noise_margins_batch(inverter, dvth_n=0.0, dvth_p=0.0, n_scan: int = 101,
     if k:
         rows = np.flatnonzero(ok)
         first_ok, last_ok = first[ok], last[ok]
-        a = np.concatenate([vins[rows, first_ok - 1], vins[rows, last_ok]])
-        b = np.concatenate([vins[rows, first_ok], vins[rows, last_ok + 1]])
+        lo_col = np.concatenate([first_ok - 1, last_ok])
+        hi_col = np.concatenate([first_ok, last_ok + 1])
+        rows2 = np.concatenate([rows, rows])
         sign = np.concatenate([np.ones(k), -np.ones(k)])
         dn2 = np.concatenate([dn[ok], dn[ok]])
         dp2 = np.concatenate([dp[ok], dp[ok]])
         vdd2 = np.concatenate([supply[ok], supply[ok]])
-        roots = _refine_crossings(inverter, a, b, sign, dn2, dp2, vdd2, xtol)
+        roots = _refine_crossings(
+            inverter, vins[rows2, lo_col], vins[rows2, hi_col],
+            gains[rows2, lo_col], gains[rows2, hi_col],
+            sign, dn2, dp2, vdd2, xtol)
         v_il[ok] = roots[:k]
         v_ih[ok] = roots[k:]
         vouts = solve_vtc_batch(inverter, roots, dn2, dp2, xtol=xtol,

@@ -33,6 +33,7 @@ import math
 from dataclasses import dataclass
 
 from .. import perf
+from ..errors import ParameterError
 from .backend import array_namespace, as_float_copy, flatnonzero, scatter
 
 __all__ = ["BracketResult", "WarmStarts", "bisect_masked",
@@ -125,6 +126,7 @@ def bisect_masked(residual, lo, hi, *, xtol: float,
 
 def bisect_illinois(residual, lo, hi, *, xtol: float,
                     warm_starts: WarmStarts | None = None,
+                    ends: tuple | None = None,
                     warmup_sweeps: int = 0,
                     max_sweeps: int = MAX_SWEEPS_DEFAULT,
                     sweep_counter: str | None = None, xp=None
@@ -134,7 +136,13 @@ def bisect_illinois(residual, lo, hi, *, xtol: float,
     ``lo`` / ``hi`` are the *full* per-lane bounds; ``warm_starts``
     optionally narrows lanes to cached brackets, which are
     sign-verified here (stale lanes fall back to the full bounds at
-    the cost of one gathered residual pass).  The first
+    the cost of one gathered residual pass).  ``ends = (r_lo, r_hi)``
+    hands in residuals the caller already holds at the full bounds,
+    which saves the two residual passes that open the solve; they
+    must be the values ``residual`` returns there, and the iteration
+    is then bitwise the one without them.  ``ends`` and
+    ``warm_starts`` are exclusive (warm brackets move the bounds the
+    ends belong to).  The first
     ``warmup_sweeps`` sweeps are pure bisection — false position is
     badly skewed while the bracket still spans the residual's
     exponential tails — after which the Illinois (modified false
@@ -142,6 +150,8 @@ def bisect_illinois(residual, lo, hi, *, xtol: float,
     bracket, falling back to the midpoint otherwise, so the bracket
     shrinks every sweep and the result is never worse than bisection.
     """
+    if ends is not None and warm_starts is not None:
+        raise ParameterError("ends and warm_starts are exclusive")
     xp = array_namespace(lo, hi, xp=xp)
     lo_full = as_float_copy(xp, lo)
     hi_full = as_float_copy(xp, hi)
@@ -156,9 +166,13 @@ def bisect_illinois(residual, lo, hi, *, xtol: float,
                       lo_full)
         hi = xp.where(warm, xp.asarray(warm_starts.hi, dtype=xp.float64),
                       hi_full)
-    all_lanes = xp.arange(n)
-    rl = residual(lo, all_lanes)
-    rh = residual(hi, all_lanes)
+    if ends is None:
+        all_lanes = xp.arange(n)
+        rl = residual(lo, all_lanes)
+        rh = residual(hi, all_lanes)
+    else:
+        rl = as_float_copy(xp, ends[0])
+        rh = as_float_copy(xp, ends[1])
     # Stale warm brackets (no longer straddling) fall back to the full
     # bounds: one extra gathered residual pass, never a wrong root.
     stale = warm & ~((rl <= 0.0) & (rh >= 0.0))

@@ -5,7 +5,7 @@ corners — and the oracle the surrogate's recorded error bounds are
 measured against.  Every function here composes the same public flow
 APIs the experiments use (``optimize_doping_groups`` for the doping,
 the scalar :class:`~repro.device.mosfet.MOSFET` metrics,
-``noise_margins`` / ``find_vmin`` for the circuit figures), with
+``noise_margins_batch`` / ``find_vmin`` for the circuit figures), with
 :func:`repro.scaling.batch.reset_warm_starts` called on entry, so an
 exact service answer is *bitwise* the answer a direct library call
 produces — a property the service tests assert.
@@ -15,11 +15,13 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
+from ..circuit.batch import noise_margins_batch
 from ..circuit.energy import chain_energy_per_cycle, find_vmin
-from ..circuit.snm import noise_margins
 from ..device.corners import Corner, at_corner
 from ..device.mosfet import Polarity
-from ..errors import LostRegenerationError, ParameterError
+from ..errors import ParameterError
 from ..scaling.batch import optimize_doping_groups, reset_warm_starts
 from ..scaling.roadmap import NodeSpec
 from ..scaling.strategy import DeviceDesign
@@ -89,14 +91,20 @@ def exact_design(node: NodeSpec, l_poly_nm: float,
                         strategy="service", vdd=node.vdd_nominal)
 
 
-def _snm_mv(design: DeviceDesign, vdd_v: float) -> float:
-    """Inverter SNM ``min(NM_L, NM_H)`` [mV]; NaN once regeneration
-    is lost (served as a null value, not an error)."""
-    try:
-        margins = noise_margins(design.inverter(vdd_v))
-    except LostRegenerationError:
-        return math.nan
-    return 1000.0 * min(margins.nm_low, margins.nm_high)
+def _snm_mv(design: DeviceDesign, vdd_v) -> np.ndarray:
+    """Inverter SNM ``min(NM_L, NM_H)`` [mV] at each supply of
+    ``vdd_v`` [V]; NaN where regeneration is lost (served as a null
+    value, not an error).
+
+    One :func:`repro.circuit.batch.noise_margins_batch` call with the
+    supplies as lanes — lane for lane the bits of one extraction per
+    supply — so the grid fill's V_dd axis and the exact tier's single
+    point (the one-lane case) share one SNM path.
+    """
+    vdd = np.atleast_1d(np.asarray(vdd_v, dtype=float))
+    margins = noise_margins_batch(design.inverter(float(vdd[0])), 0.0,
+                                  0.0, vdd=vdd)
+    return np.where(margins.lost, np.nan, 1000.0 * margins.snm)
 
 
 def _vmin_v(design: DeviceDesign) -> float:
@@ -125,7 +133,7 @@ def design_metrics(design: DeviceDesign, vdd_v: float) -> dict[str, float]:
         "ioff_a_per_um": nfet.i_off_per_um(vdd_v),
         "ion_a_per_um": nfet.i_on_per_um(vdd_v),
         "vth_v": nfet.vth(vdd_v),
-        "snm_mv": _snm_mv(design, vdd_v),
+        "snm_mv": float(_snm_mv(design, vdd_v)[0]),
         "delay_ps": 1e12 * nfet.intrinsic_delay(vdd_v),
         "energy_fj_per_op": 1e15 * energy_j,
         "ss_mv_per_dec": nfet.ss_mv_per_dec,
@@ -172,5 +180,5 @@ def corner_snm_vmin(design: DeviceDesign, vdd_v: float,
     Evaluated at supply ``vdd_v`` [V] on the corner-shifted pair.
     """
     shifted = corner_design(design, corner)
-    return {"snm_mv": _snm_mv(shifted, vdd_v),
+    return {"snm_mv": float(_snm_mv(shifted, vdd_v)[0]),
             "vmin_v": _vmin_v(shifted)}

@@ -9,7 +9,8 @@ root-solve over every leakage target and both polarities
 (:func:`repro.scaling.batch.optimize_doping_groups`), then evaluates
 all served metrics over the V_dd axis — the NFET curves through one
 :meth:`repro.device.batch.ParameterStack.from_devices` stack, the
-circuit figures through the same scalar helpers the exact tier uses.
+circuit figures through the same helpers the exact tier uses (the SNM
+one takes the whole V_dd axis as lanes of one batched extraction).
 
 Because every shard starts from :func:`reset_warm_starts` and shards
 are assembled in spec order, the tensors are byte-identical however
@@ -219,7 +220,10 @@ def fill_shard(spec: GridSpec, node_name: str,
     ``l_ratio * node.l_poly_nm`` [nm], then evaluates every served
     metric over the V_dd axis [V]: leakage/drive/threshold through one
     parameter-axis device stack, energy through the vectorised Eq. 7
-    sweep, SNM/delay/V_min through the exact tier's scalar helpers.
+    sweep, SNM through the exact tier's SNM helper with the whole
+    V_dd axis as lanes (one batched extraction per design, bitwise
+    one per supply), delay/V_min through the exact tier's scalar
+    helpers.
     Starts from :func:`reset_warm_starts`, so the result is a pure
     function of (spec, node, ratio) — the sharding determinism
     contract.
@@ -255,9 +259,9 @@ def fill_shard(spec: GridSpec, node_name: str,
     for i, design in solved:
         out["energy_fj_per_op"][i] = 1e15 * chain_energy_sweep(
             design.inverter(float(vdd[0])), vdd)
+        out["snm_mv"][i] = _snm_mv(design, vdd)
         for j in range(n_vdd):
             v = float(vdd[j])
-            out["snm_mv"][i, j] = _snm_mv(design, v)
             out["delay_ps"][i, j] = 1e12 * design.nfet.intrinsic_delay(v)
         out["ss_mv_per_dec"][i] = design.nfet.ss_mv_per_dec
         out["vmin_v"][i] = _vmin_v(design)

@@ -59,6 +59,10 @@ class DesignSpaceService:
     def __init__(self, surrogate: Surrogate | None = None) -> None:
         self.surrogate = surrogate
         self.schema_hash = model_schema_hash()
+        # The axes digest is fixed for the server's lifetime: hash the
+        # spec once, not once per response.
+        self.grid_id = (None if surrogate is None
+                        else surrogate.grid.spec.grid_id())
 
     # -- envelopes ----------------------------------------------------
 
@@ -75,7 +79,7 @@ class DesignSpaceService:
         grid_id = None
         bound: dict[str, float | None] | None = None
         if source != "exact" and self.surrogate is not None:
-            grid_id = self.surrogate.grid.spec.grid_id()
+            grid_id = self.grid_id
             recorded = self.surrogate.grid.error_bounds_rel or {}
             bound = {m: recorded.get(m) for m in metrics}
         return {
@@ -171,7 +175,7 @@ class DesignSpaceService:
         bounds = None
         if self.surrogate is not None:
             spec = self.surrogate.grid.spec
-            grid = {"grid_id": spec.grid_id(), "axes": spec.to_meta()}
+            grid = {"grid_id": self.grid_id, "axes": spec.to_meta()}
             bounds = self.surrogate.grid.error_bounds_rel
         return {
             "ok": True,
@@ -319,10 +323,19 @@ class DesignSpaceService:
             response["id"] = request["id"]
         return response
 
-    def handle_line(self, line: str) -> dict:
-        """Decode one JSON line and answer it (stdio transport core)."""
+    def handle_line(self, line: str | bytes) -> dict:
+        """Decode one JSON request and answer it (transport core).
+
+        ``line`` is a stdio line or an HTTP body, as text or as UTF-8
+        bytes; bytes that are not valid UTF-8 and text that is not
+        JSON answer ``bad_request``.
+        """
         try:
-            request = json.loads(line)
+            request = json.loads(line.decode() if isinstance(line, bytes)
+                                 else line)
+        except UnicodeDecodeError as err:
+            return self._error("bad_request",
+                               f"request is not valid UTF-8: {err}", None)
         except ValueError as err:
             return self._error("bad_request",
                                f"malformed JSON: {err}", None)
@@ -331,30 +344,64 @@ class DesignSpaceService:
 
 # -- transports --------------------------------------------------------
 
+#: Longest stdio request line [bytes], not counting its newline
+#: (asyncio's default stream limit).
+_STDIO_MAX_LINE = 1 << 16
+
+
+async def _read_request_line(reader: asyncio.StreamReader) -> bytes | None:
+    """The next stdio line; ``b""`` at EOF, None if it was too long.
+
+    A line longer than the reader's limit is discarded through its
+    newline — it is one request and gets one reply, never a second
+    one for its tail.
+    """
+    too_long = False
+    while True:
+        try:
+            line = await reader.readuntil(b"\n")
+        except asyncio.IncompleteReadError as err:
+            line = err.partial              # last line without newline
+        except asyncio.LimitOverrunError as err:
+            # Drop the scanned bytes (up to the newline, when found).
+            too_long = True
+            await reader.readexactly(err.consumed)
+            continue
+        return None if too_long else line
+
+
 async def serve_stdio(service: DesignSpaceService,
                       reader: asyncio.StreamReader | None = None,
                       writer=None) -> None:
     """Serve newline-delimited JSON until EOF.
 
     One request object per input line, one response object per output
-    line.  ``reader``/``writer`` default to this process's stdio
-    (injectable in tests: any object with ``readline``/``write``).
+    line — malformed lines included: a line that is not valid UTF-8
+    or not JSON, or that is longer than :data:`_STDIO_MAX_LINE`,
+    answers ``bad_request`` and serving goes on.  ``reader`` /
+    ``writer`` default to this process's stdio (injectable in tests:
+    an :class:`asyncio.StreamReader` and any object with ``write``).
     Responses are flushed per line, so a driving process can pipeline
     synchronously.
     """
     if reader is None:
         loop = asyncio.get_running_loop()
-        reader = asyncio.StreamReader()
+        reader = asyncio.StreamReader(limit=_STDIO_MAX_LINE)
         await loop.connect_read_pipe(
             lambda: asyncio.StreamReaderProtocol(reader), sys.stdin)
     while True:
-        raw = await reader.readline()
-        if not raw:
+        raw = await _read_request_line(reader)
+        if raw is None:
+            response = service._error(
+                "bad_request", "request line longer than "
+                f"{_STDIO_MAX_LINE} bytes", None)
+        elif not raw:
             break
-        line = raw.decode() if isinstance(raw, bytes) else raw
-        if not line.strip():
+        elif not raw.strip():
             continue
-        payload = json.dumps(service.handle_line(line), sort_keys=True)
+        else:
+            response = service.handle_line(raw)
+        payload = json.dumps(response, sort_keys=True)
         if writer is None:
             sys.stdout.write(payload + "\n")
             sys.stdout.flush()
@@ -393,7 +440,7 @@ async def _handle_http_client(service: DesignSpaceService,
                 response = service.handle({"query": "info"})
                 status = "200 OK"
             elif method == "POST" and target == "/query":
-                response = service.handle_line(body.decode())
+                response = service.handle_line(body)
                 status = "200 OK" if response.get("ok") else "400 Bad Request"
             else:
                 response = {"ok": False, "error": "bad_request",

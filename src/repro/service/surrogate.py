@@ -1,10 +1,10 @@
-"""Surrogate tier: regular-grid interpolants over the metric tensors.
+"""Surrogate tier: multilinear table lookups over the metric tensors.
 
 Per technology node (the categorical axis is never interpolated
 across), the served metrics are stacked into two multi-channel
-interpolants — (L_poly ratio, log10 leakage target, V_dd) for the
-V_dd metrics, (L_poly ratio, log10 leakage target) for the per-design
-ones — so one query costs two interpolator calls, not eight.
+tables — (L_poly ratio, log10 leakage target, V_dd) for the V_dd
+metrics, (L_poly ratio, log10 leakage target) for the per-design
+ones — so one query costs two table lookups, not eight.
 Strictly positive metrics (leakage, drive, delay, energy) interpolate
 in log10 space, where the design-space curves are close to linear;
 sign-changing or near-zero-crossing metrics (V_th, SNM, V_min, S_S)
@@ -15,15 +15,21 @@ node's tensor slice is pchip-eligible (>= 4 points on every axis, no
 NaN cells — PCHIP derivative estimation would smear a NaN beyond its
 own cell), a pchip interpolant is evaluated once, vectorised, on a
 :data:`REFINE`-x refined mesh, and the server interpolates *linearly*
-on that mesh.  Linear calls are ~10x cheaper than pchip calls
-(sub-0.2 ms per query) while the refined spacing keeps the linear
-truncation error below the pchip fit error.  NaN-carrying or
-too-coarse slices serve plain linear interpolation on the original
-axes, where a NaN stays confined to its neighbouring cells.
+on that mesh, while the refined spacing keeps the linear truncation
+error below the pchip fit error.  NaN-carrying or too-coarse slices
+serve plain linear interpolation on the original axes, where a NaN
+stays confined to its neighbouring cells.
+
+The served interpolant is a plain table — knot axes plus the
+(densified) values — read by :func:`_lookup`, a short multilinear
+evaluation of one point that reproduces scipy's linear regular-grid
+interpolator (``bounds_error=False``, ``fill_value=nan``) bit for
+bit, at a fraction of its per-call cost;
+``tests/test_service_surrogate.py`` keeps scipy as the oracle.
 
 Outside the hull — and anywhere a NaN cell contaminates the answer —
-the served interpolant returns NaN, which the server treats as a miss
-and routes to the exact tier.
+the lookup returns NaN, which the server treats as a miss and routes
+to the exact tier.
 
 :func:`validate_surrogate` measures the worst-case relative error of
 the *served* interpolants (densify pass included) against the exact
@@ -34,9 +40,10 @@ per-metric bounds ride along in every query's provenance footer.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator, RegularGridInterpolator
+from scipy.interpolate import PchipInterpolator
 
 from ..scaling.roadmap import node_by_name
 from .contract import ALL_METRICS, DESIGN_METRICS, VDD_METRICS
@@ -74,9 +81,13 @@ def _refine_axis(axis: np.ndarray, factor: int) -> np.ndarray:
     return np.concatenate(pieces)
 
 
-def _fit_slice(axes: tuple[np.ndarray, ...],
-               values: np.ndarray) -> RegularGridInterpolator:
-    """The served interpolant for one node's stacked channel tensor.
+#: One served table: per-axis knots (ascending floats) and the values
+#: on their tensor product, with a trailing channel axis.
+_Table = tuple[tuple[tuple[float, ...], ...], np.ndarray]
+
+
+def _fit_slice(axes: tuple[np.ndarray, ...], values: np.ndarray) -> _Table:
+    """The served table for one node's stacked channel tensor.
 
     pchip-eligible slices are densified (pchip evaluated on the
     refined mesh, linear served over it); the rest serve linear on
@@ -92,13 +103,45 @@ def _fit_slice(axes: tuple[np.ndarray, ...],
         for dim, (axis, fine) in enumerate(zip(axes, fine_axes)):
             values = PchipInterpolator(axis, values, axis=dim)(fine)
         axes = fine_axes
-    return RegularGridInterpolator(
-        axes, values, method="linear",
-        bounds_error=False, fill_value=np.nan)
+    return tuple(tuple(axis.tolist()) for axis in axes), values
+
+
+def _lookup(axes: tuple[tuple[float, ...], ...], values: np.ndarray,
+            point: tuple[float, ...]) -> np.ndarray:
+    """Multilinear interpolation of one point: the row of channels.
+
+    The arithmetic of scipy's linear regular-grid interpolator
+    (``bounds_error=False``, ``fill_value=nan``) on a table with a
+    trailing channel axis, step for step, so the rows agree bitwise:
+
+    * a NaN coordinate, or one outside an axis's knots, gives NaN;
+    * the cell is ``bisect_right(axis, x) - 1``, clamped to the last
+      cell (a point on the upper face uses it), and the cell
+      coordinate is ``y = (x - a_i) / (a_{i+1} - a_i)``;
+    * corners run in ``itertools.product`` order, each weighted by
+      ``1.0`` times, axis by axis, ``1 - y`` (lower knot) or ``y``;
+    * the row is ``0.0`` plus each corner's channels times its
+      weight, added one corner at a time in that order (a running
+      sum; a pairwise one would change bits).  A NaN cell spreads
+      through its zero weights (NaN x 0 is NaN), as in scipy.
+    """
+    cell = []
+    weights = [1.0]
+    for axis, x in zip(axes, point):
+        if not axis[0] <= x <= axis[-1]:
+            return np.full(values.shape[-1], np.nan)
+        i = min(bisect_right(axis, x) - 1, len(axis) - 2)
+        y = (x - axis[i]) / (axis[i + 1] - axis[i])
+        cell.append(slice(i, i + 2))
+        weights = [w * f for w in weights for f in (1 - y, y)]
+    terms = (values[tuple(cell)].reshape(len(weights), -1)
+             * np.array(weights)[:, None])
+    terms[0] += 0.0  # the sum starts at 0.0: a -0.0 first term is +0.0
+    return np.add.accumulate(terms)[-1]
 
 
 class Surrogate:
-    """Fitted interpolants for every (node, metric) of a grid.
+    """Fitted tables for every (node, metric) of a grid.
 
     Query coordinates mirror the grid axes: L_poly ratio
     (dimensionless multiple of the node's etched length), log10 of the
@@ -113,18 +156,18 @@ class Surrogate:
         v_axis = np.asarray(spec.vdd_v, dtype=float)
         self._vdd_channel = {m: i for i, m in enumerate(VDD_METRICS)}
         self._design_channel = {m: i for i, m in enumerate(DESIGN_METRICS)}
-        self._vdd_interp: dict[str, RegularGridInterpolator] = {}
-        self._design_interp: dict[str, RegularGridInterpolator] = {}
+        self._vdd_table: dict[str, _Table] = {}
+        self._design_table: dict[str, _Table] = {}
         for n, name in enumerate(spec.nodes):
             stacked = np.stack(
                 [self._transform(m, grid.tensors[m][n])
                  for m in VDD_METRICS], axis=-1)
-            self._vdd_interp[name] = _fit_slice(
+            self._vdd_table[name] = _fit_slice(
                 (l_axis, t_axis, v_axis), stacked)
             stacked = np.stack(
                 [self._transform(m, grid.tensors[m][n])
                  for m in DESIGN_METRICS], axis=-1)
-            self._design_interp[name] = _fit_slice(
+            self._design_table[name] = _fit_slice(
                 (l_axis, t_axis), stacked)
 
     @staticmethod
@@ -150,12 +193,12 @@ class Surrogate:
         a NaN grid cell contaminates the answer (the server falls back
         to the exact tier on any NaN).
         """
-        if node not in self._vdd_interp:
+        if node not in self._vdd_table:
             return None
         out: dict[str, float] = {}
         if any(m in self._vdd_channel for m in metrics):
-            row = self._vdd_interp[node](
-                np.array([[l_ratio, log10_ioff, vdd_v]]))[0]
+            row = _lookup(*self._vdd_table[node],
+                          (l_ratio, log10_ioff, vdd_v))
             for m in metrics:
                 channel = self._vdd_channel.get(m)
                 if channel is not None:
@@ -163,8 +206,8 @@ class Surrogate:
                     out[m] = 10.0 ** value if m in POSITIVE_METRICS \
                         else value
         if any(m in self._design_channel for m in metrics):
-            row = self._design_interp[node](
-                np.array([[l_ratio, log10_ioff]]))[0]
+            row = _lookup(*self._design_table[node],
+                          (l_ratio, log10_ioff))
             for m in metrics:
                 channel = self._design_channel.get(m)
                 if channel is not None:
@@ -173,7 +216,7 @@ class Surrogate:
 
 
 def fit_surrogate(grid: Grid) -> Surrogate:
-    """Fit (and densify) the interpolant set over a filled grid."""
+    """Fit (and densify) the table set over a filled grid."""
     return Surrogate(grid)
 
 

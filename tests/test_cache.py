@@ -1,5 +1,7 @@
 """Tests for the caching layers (in-process memo + on-disk family cache)."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -184,6 +186,69 @@ class TestBracketSpill:
         assert load_brackets() == {"key": [1.25, 1.25]}
         assert clear_disk_cache() == 1
         assert load_brackets() == {}
+
+    @staticmethod
+    def _reload():
+        """Drop the in-process table so the next load reads the file."""
+        import repro.cache as cache_mod
+        with cache_mod._BRACKET_LOCK:
+            cache_mod._BRACKET_TABLES.clear()
+        return load_brackets()
+
+    @staticmethod
+    def _spill_lines(tmp_path):
+        (path,) = tmp_path.glob("brackets-*.json")
+        return [json.loads(line)
+                for line in path.read_text().splitlines() if line]
+
+    def test_store_appends_one_line_of_new_entries(self, monkeypatch,
+                                                   tmp_path):
+        """A store costs O(new entries): one appended line holding only
+        them, however large the table already is."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        self._reload()
+        big = {f"k{i}": (i * 0.5, i * 0.5 + 1e-13) for i in range(2000)}
+        store_brackets(big)
+        store_brackets({"new-a": (1.0, 1.0), "new-b": (-2.5, -2.5),
+                        "k7": big["k7"]})
+        lines = self._spill_lines(tmp_path)
+        assert len(lines) == 2
+        assert len(lines[0]["entries"]) == 2000
+        assert lines[1] == {"schema": 1, "entries": {
+            "new-a": [1.0, 1.0], "new-b": [-2.5, -2.5]}}
+        table = self._reload()
+        assert len(table) == 2002
+        assert table["k1999"] == [999.5, 999.5 + 1e-13]
+        store_brackets({"k7": big["k7"]})   # nothing new: no line
+        assert len(self._spill_lines(tmp_path)) == 2
+        self._reload()
+
+    def test_torn_last_line_is_skipped(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        self._reload()
+        store_brackets({"kept": (1.0, 1.0)})
+        store_brackets({"later": (2.0, 2.0), "kept": (3.0, 3.0)})
+        (path,) = tmp_path.glob("brackets-*.json")
+        with path.open("ab") as handle:          # a torn third record
+            handle.write(b'\n{"entries": {"kept": [5.0, 5.0], "torn": [6')
+        assert self._reload() == {"kept": [3.0, 3.0],
+                                  "later": [2.0, 2.0]}
+        store_brackets({"after": (4.0, 4.0)})    # not swallowed
+        assert self._reload()["after"] == [4.0, 4.0]
+        self._reload()
+
+    def test_single_object_file_still_loads(self, monkeypatch, tmp_path):
+        """A spill written as one JSON object without a trailing
+        newline is a one-line log: it loads, and appends follow it."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        path = tmp_path / f"brackets-{model_schema_hash()}.json"
+        path.write_text(json.dumps(
+            {"schema": 1, "entries": {"old": [0.5, 0.5]}},
+            sort_keys=True))
+        assert self._reload() == {"old": [0.5, 0.5]}
+        store_brackets({"new": (0.75, 0.75)})
+        assert self._reload() == {"old": [0.5, 0.5], "new": [0.75, 0.75]}
+        self._reload()
 
 
 class TestMemoDefaultOn:

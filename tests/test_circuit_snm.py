@@ -39,6 +39,29 @@ class TestNoiseMargins:
         with pytest.raises(ParameterError):
             noise_margins(Inverter(nfet90, pfet90, 0.02))
 
+    def test_refine_reuses_the_scan_gains_at_bracket_ends(
+            self, inverter_sub, monkeypatch):
+        """The scan already solved the gain at both ends of each
+        crossing's bracket, so the Illinois refine takes them as its
+        end residuals: every residual abscissa lies strictly inside
+        its bracket, none on an end."""
+        import repro.circuit.batch as batch_mod
+        solve = batch_mod.bisect_illinois
+        calls = []
+
+        def spy(residual, lo, hi, **kwargs):
+            def watched(x, idx):
+                calls.append((x.copy(), lo[idx], hi[idx]))
+                return residual(x, idx)
+            return solve(watched, lo, hi, **kwargs)
+
+        monkeypatch.setattr(batch_mod, "bisect_illinois", spy)
+        margins = batch_mod.noise_margins_batch(inverter_sub)
+        assert not margins.lost.any()
+        assert calls
+        for x, lo, hi in calls:
+            assert np.all((lo < x) & (x < hi))
+
 
 class TestButterflySnm:
     def test_steep_vtc_near_half_vdd(self):

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro import perf
+from repro.errors import ParameterError
 from repro.numerics import (
     WarmStarts,
     array_namespace,
@@ -200,6 +201,44 @@ class TestBisectIllinois:
                                  np.full(5, -1.0), np.full(5, 1.0),
                                  xtol=1e-11)
         assert result.root == pytest.approx(roots, abs=1e-10)
+
+    def test_known_end_residuals_change_no_bit(self):
+        """Ends the caller already holds replace the two opening
+        residual passes; everything else is bitwise the solve without
+        them — including an infeasible lane and a collapsed one."""
+        roots = np.concatenate([_roots(30), [5.0, 0.25]])
+        lo = np.full(32, -1.0)
+        hi = np.concatenate([np.full(31, 1.0), [0.25]])
+        lo[31] = 0.25
+
+        def residual(x, idx):
+            return np.expm1(x - roots[idx])
+
+        calls = []
+
+        def counted(x, idx):
+            calls.append(x.copy())
+            return residual(x, idx)
+
+        plain = bisect_illinois(residual, lo, hi, xtol=1e-12,
+                                warmup_sweeps=3)
+        ends = (residual(lo, np.arange(32)), residual(hi, np.arange(32)))
+        known = bisect_illinois(counted, lo, hi, xtol=1e-12,
+                                warmup_sweeps=3, ends=ends)
+        for name in ("root", "lo", "hi", "feasible", "r_lo", "r_hi"):
+            assert np.array_equal(getattr(known, name),
+                                  getattr(plain, name)), name
+        assert known.sweeps == plain.sweeps
+        assert len(calls) == known.sweeps
+        assert not bool(known.feasible[30])
+
+    def test_ends_exclude_warm_starts(self):
+        warm = WarmStarts(lo=np.zeros(2), hi=np.ones(2),
+                          mask=np.ones(2, dtype=bool))
+        with pytest.raises(ParameterError, match="exclusive"):
+            bisect_illinois(lambda x, idx: x, -np.ones(2), np.ones(2),
+                            xtol=1e-9, warm_starts=warm,
+                            ends=(-np.ones(2), np.ones(2)))
 
 
 class TestNewtonSafeguarded:

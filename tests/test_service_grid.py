@@ -15,9 +15,12 @@ import pytest
 from repro import cache as cache_mod
 from repro import perf
 from repro.cache import grid_path
-from repro.errors import ParameterError
+from repro.circuit import noise_margins
+from repro.errors import LostRegenerationError, ParameterError
+from repro.scaling.roadmap import node_by_name
 from repro.service import GridSpec, build_grid, load_grid, store_grid
 from repro.service.contract import ALL_METRICS, DESIGN_METRICS, VDD_METRICS
+from repro.service.exact import _snm_mv, exact_design
 
 #: Smallest legal spec: 2 shards, 2 targets, 2 supplies (one node).
 MICRO = GridSpec(nodes=("65nm",), l_ratios=(1.5, 2.0),
@@ -96,6 +99,25 @@ class TestBuild:
     def test_rejects_bad_jobs(self):
         with pytest.raises(ParameterError, match="jobs"):
             build_grid(MICRO, jobs=0)
+
+    def test_stacked_snm_equals_one_supply_at_a_time(self):
+        """The fill's one SNM call per design, with the V_dd axis as
+        lanes, is bitwise one extraction per supply — including the
+        supplies where regeneration is lost (NaN) — and the one-lane
+        case is the scalar API the exact tier used to call."""
+        node = node_by_name("65nm")
+        design = exact_design(node, 1.75 * node.l_poly_nm, 10.0 ** -10.3)
+        axis = np.array([0.03, 0.04, 0.06, 0.1, 0.24, 0.3])
+        stacked = _snm_mv(design, axis)
+        single = np.array([_snm_mv(design, v)[0] for v in axis])
+        assert np.array_equal(stacked, single, equal_nan=True)
+        assert np.isnan(stacked[:2]).all()
+        assert np.isfinite(stacked[2:]).all()
+        for v, snm in zip(axis[2:], stacked[2:]):
+            margins = noise_margins(design.inverter(float(v)))
+            assert snm == 1000.0 * min(margins.nm_low, margins.nm_high)
+        with pytest.raises(LostRegenerationError):
+            noise_margins(design.inverter(float(axis[0])))
 
 
 class TestSpill:

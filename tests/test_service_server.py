@@ -317,6 +317,56 @@ class TestStdioTransport:
         assert responses[2]["id"] == 1
         assert responses[2]["provenance"]["source"] == "surrogate"
 
+    @staticmethod
+    def _serve(service, feed):
+        """Replies of ``serve_stdio`` to what ``feed(reader)`` sends."""
+        writer = _CollectingWriter()
+
+        async def drive():
+            reader = asyncio.StreamReader()
+            await asyncio.gather(
+                serve_stdio(service, reader=reader, writer=writer),
+                feed(reader))
+
+        asyncio.run(drive())
+        return [json.loads(line) for line in writer.lines()]
+
+    def test_invalid_utf8_line_is_a_bad_request(self, service):
+        async def feed(reader):
+            reader.feed_data(b"\xff\xfe\n")
+            reader.feed_data(json.dumps({"query": "info", "id": 2}).encode()
+                             + b"\n")
+            reader.feed_eof()
+
+        replies = self._serve(service, feed)
+        assert [r["ok"] for r in replies] == [False, True]
+        assert replies[0]["error"] == "bad_request"
+        assert "UTF-8" in replies[0]["message"]
+        assert replies[1]["id"] == 2
+
+    def test_over_long_lines_get_one_reply_each(self, service):
+        """A line over the 64 KiB stream limit answers bad_request once
+        and is discarded through its newline — whether the newline is
+        already buffered or still to come — so its tail is never read
+        as a second request."""
+        def info(n):
+            return json.dumps({"query": "info", "id": n}).encode() + b"\n"
+
+        async def feed(reader):
+            reader.feed_data(json.dumps(
+                {"query": "info", "id": "x" * 100_000}).encode() + b"\n")
+            reader.feed_data(info(3))
+            reader.feed_data(b"y" * 150_000)
+            await asyncio.sleep(0)
+            reader.feed_data(b"y" * 1000 + b"\n" + info(4))
+            reader.feed_eof()
+
+        replies = self._serve(service, feed)
+        assert [r["ok"] for r in replies] == [False, True, False, True]
+        assert {replies[0]["error"], replies[2]["error"]} == {"bad_request"}
+        assert "longer than" in replies[0]["message"]
+        assert [replies[1]["id"], replies[3]["id"]] == [3, 4]
+
 
 class TestHttpTransport:
     @staticmethod
@@ -358,6 +408,34 @@ class TestHttpTransport:
                                     b"GET /info HTTP/1.1\r\n\r\n")
         assert "200 OK" in head
         assert body["ok"] is True and body["grid"] is not None
+
+    def test_invalid_utf8_body_is_http_400_and_keeps_serving(self,
+                                                            service):
+        writer = _CollectingWriter()
+        writer.close = lambda: None
+        bodies = (b"\xff\xfe", json.dumps({"query": "info"}).encode())
+
+        async def drive():
+            reader = asyncio.StreamReader()
+            for body in bodies:
+                reader.feed_data(b"POST /query HTTP/1.1\r\nContent-Length: "
+                                 + str(len(body)).encode() + b"\r\n\r\n"
+                                 + body)
+            reader.feed_eof()
+            await _handle_http_client(service, reader, writer)
+
+        asyncio.run(drive())
+        replies = []
+        rest = b"".join(writer.chunks)
+        while rest:
+            head, _sep, rest = rest.partition(b"\r\n\r\n")
+            length = int(head.split(b"Content-Length: ")[1].split(b"\r\n")[0])
+            replies.append((head.decode(), json.loads(rest[:length])))
+            rest = rest[length:]
+        assert len(replies) == 2
+        assert "400 Bad Request" in replies[0][0]
+        assert replies[0][1]["error"] == "bad_request"
+        assert "200 OK" in replies[1][0] and replies[1][1]["ok"] is True
 
     def test_unknown_target_is_404(self, service):
         head, body = self._exchange(service,

@@ -12,13 +12,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import RegularGridInterpolator
 
 from repro.service import SURROGATE_TOL_REL, fit_surrogate
 from repro.service.contract import (ALL_METRICS, DESIGN_METRICS,
                                     VDD_METRICS)
 from repro.service.grid import Grid, GridSpec
 from repro.service.surrogate import (POSITIVE_METRICS, REFINE,
-                                     _refine_axis)
+                                     _fit_slice, _lookup, _refine_axis)
 
 #: Axes dense enough for the densify pass (>= 4 points everywhere).
 SPEC = GridSpec(nodes=("65nm",),
@@ -121,6 +122,72 @@ class TestMachinery:
         for metric in POSITIVE_METRICS:
             truth = _field(1.3, -10.75, 0.275)
             assert got[metric] == pytest.approx(truth, rel=1e-9)
+
+
+def _probe_points(axes, seed):
+    """Seeded probes of one table: interior points, knots, points on
+    each upper face, points just outside each end of each axis, and a
+    NaN in each coordinate."""
+    rng = np.random.default_rng(seed)
+    lo = np.array([axis[0] for axis in axes])
+    hi = np.array([axis[-1] for axis in axes])
+    points = [tuple(rng.uniform(lo, hi)) for _ in range(120)]
+    points += [tuple(float(rng.choice(axis)) for axis in axes)
+               for _ in range(30)]
+    for dim, axis in enumerate(axes):
+        inside = list(rng.uniform(lo, hi))
+        for x in (axis[-1], np.nextafter(axis[0], -np.inf),
+                  np.nextafter(axis[-1], np.inf), np.nan):
+            points.append(tuple(inside[:dim] + [float(x)]
+                                + inside[dim + 1:]))
+    points.append(tuple(hi))
+    return points
+
+
+class TestLookupOracle:
+    """The served lookup is scipy's linear regular-grid interpolator,
+    bit for bit, on the axes and values ``_fit_slice`` serves."""
+
+    @staticmethod
+    def _slice(case):
+        grid = synthetic_grid(nan_cell=(1, 2, 0) if case == "nan_cell"
+                              else None)
+        axes = (np.array(SPEC.l_ratios), np.array(SPEC.log10_ioff),
+                np.array(SPEC.vdd_v))
+        if case == "coarse":
+            # Three L points: too coarse for pchip, served as is.
+            axes = (axes[0][:3], axes[1])
+            values = np.stack([grid.tensors[m][0][:3]
+                               for m in DESIGN_METRICS], axis=-1)
+        else:
+            values = np.stack([grid.tensors[m][0] for m in VDD_METRICS],
+                              axis=-1)
+        # Sign changes and exact zeros in some channels.
+        values[..., 0] = np.log10(values[..., 0])
+        values[..., 1] -= np.nanmedian(values[..., 1])
+        values[..., -1] = 0.0
+        return axes, values
+
+    @pytest.mark.parametrize("case", ["densified", "nan_cell", "coarse"])
+    def test_rows_equal_scipy(self, case):
+        axes, values = self._slice(case)
+        served_axes, served = _fit_slice(axes, values)
+        densified = case == "densified"
+        assert (len(served_axes[0]) > len(axes[0])) == densified
+        oracle = RegularGridInterpolator(
+            served_axes, served, method="linear", bounds_error=False,
+            fill_value=np.nan)
+        points = _probe_points(served_axes, seed=len(case))
+        expected = oracle(np.array(points))
+        got = np.array([_lookup(served_axes, served, p) for p in points])
+        assert np.array_equal(got, expected, equal_nan=True)
+        finite = ~np.isnan(expected)
+        assert np.array_equal(np.signbit(got[finite]),
+                              np.signbit(expected[finite]))
+        assert np.isnan(got).all(axis=1).sum() >= 3 * len(axes)
+        if case == "nan_cell":
+            assert np.isnan(got).any(axis=1).sum() > np.isnan(
+                got).all(axis=1).sum()
 
 
 class TestAcceptanceBound:

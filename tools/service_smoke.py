@@ -2,8 +2,9 @@
 
 Builds the quick serving grid into a scratch cache, starts
 ``repro serve`` as a real stdio subprocess, drives three canned
-queries through it, and diffs the **normalised** responses against
-the committed goldens in ``tests/data/service_goldens.json``.
+queries and two malformed lines through it, and diffs the
+**normalised** responses against the committed goldens in
+``tests/data/service_goldens.json``.
 
 Normalisation keeps what the contract promises — response structure,
 provenance source, error codes, null-vs-number distinctions — and
@@ -47,6 +48,21 @@ QUERIES = [
      "metrics": ["iddq"], "id": "smoke-3"},
 ]
 
+#: Lines the server must answer with one ``bad_request`` each and keep
+#: serving: bytes that are not UTF-8, and a request longer than the
+#: 64 KiB stdio line limit.  One goes after each of the first two
+#: canned queries.
+MALFORMED = [
+    b"\xff\xfe",
+    json.dumps({"query": "info", "id": "x" * 70_000}).encode(),
+]
+
+
+def conversation() -> list[bytes]:
+    """The input lines, canned queries and malformed lines interleaved."""
+    canned = [json.dumps(q).encode() for q in QUERIES]
+    return [canned[0], MALFORMED[0], canned[1], MALFORMED[1], canned[2]]
+
 
 def normalise(value):
     """Mask run-varying content, keep the contract-visible structure."""
@@ -75,16 +91,16 @@ def run_conversation(jobs: int) -> list[dict]:
             [sys.executable, "-m", "repro", "grid", "build", "--quick",
              "--jobs", str(jobs)],
             cwd=REPO_ROOT, env=env, check=True)
-        lines = "".join(json.dumps(q) + "\n" for q in QUERIES)
+        lines = conversation()
         served = subprocess.run(
             [sys.executable, "-m", "repro", "serve", "--quick"],
-            cwd=REPO_ROOT, env=env, input=lines, text=True,
+            cwd=REPO_ROOT, env=env, input=b"".join(l + b"\n" for l in lines),
             capture_output=True, check=True, timeout=600)
-    responses = [json.loads(line) for line in
-                 served.stdout.strip().splitlines()]
-    if len(responses) != len(QUERIES):
-        raise SystemExit(f"expected {len(QUERIES)} responses, got "
-                         f"{len(responses)}: {served.stdout!r}")
+    stdout = served.stdout.decode()
+    responses = [json.loads(line) for line in stdout.strip().splitlines()]
+    if len(responses) != len(lines):
+        raise SystemExit(f"expected {len(lines)} responses, got "
+                         f"{len(responses)}: {stdout!r}")
     return responses
 
 
@@ -102,10 +118,12 @@ def main(argv=None) -> int:
     # tiers and the error taxonomy, whatever the physics says.
     assert responses[0]["ok"] and \
         responses[0]["provenance"]["source"] == "surrogate", responses[0]
-    assert responses[1]["ok"] and \
-        responses[1]["provenance"]["source"] == "exact", responses[1]
-    assert responses[2] == dict(responses[2], ok=False,
-                                error="unknown_metric"), responses[2]
+    assert responses[2]["ok"] and \
+        responses[2]["provenance"]["source"] == "exact", responses[2]
+    assert responses[4] == dict(responses[4], ok=False,
+                                error="unknown_metric"), responses[4]
+    for bad in (responses[1], responses[3]):
+        assert bad == dict(bad, ok=False, error="bad_request"), bad
 
     normalised = [normalise(r) for r in responses]
     if args.update:
@@ -123,7 +141,7 @@ def main(argv=None) -> int:
         print("regenerate with: python tools/service_smoke.py --update",
               file=sys.stderr)
         return 1
-    print(f"service smoke OK: {len(responses)} canned queries match "
+    print(f"service smoke OK: {len(responses)} canned lines match "
           "the goldens")
     return 0
 
