@@ -16,10 +16,12 @@ import pytest
 from repro import perf
 from repro.cache import device_memo
 from repro.device.mosfet import Polarity
-from repro.scaling.batch import bracket_memo, optimize_doping_stack
+from repro.scaling.batch import (DopingSolveRequest, bracket_memo,
+                                 optimize_doping_groups)
 from repro.scaling.multivth import derive_flavours
 from repro.scaling.roadmap import node_by_name
-from repro.scaling.sensitivity import headline_under_calibration
+from repro.scaling.sensitivity import (headline_under_calibration,
+                                      headlines_under_calibrations)
 from repro.scaling.subvth import (HALO_RATIO_GRID, SS_TIE_TOLERANCE,
                                   build_sub_vth_family,
                                   optimize_doping_for_length)
@@ -96,10 +98,12 @@ def _tail_node():
 
 
 def _tail_sweep_batch():
-    return optimize_doping_stack(
-        _tail_node(), TAIL_LENGTHS_NM, [(Polarity.NFET, 1.0)],
-        HALO_RATIO_GRID, TAIL_IOFF_A_PER_UM, TAIL_VDD_LEAK,
-        SS_TIE_TOLERANCE)
+    groups = [DopingSolveRequest(node=_tail_node(), l_poly_nm=float(l),
+                                 polarity=Polarity.NFET, width_um=1.0,
+                                 ioff_target=TAIL_IOFF_A_PER_UM,
+                                 vdd_leak=TAIL_VDD_LEAK)
+              for l in TAIL_LENGTHS_NM]
+    return optimize_doping_groups(groups, HALO_RATIO_GRID, SS_TIE_TOLERANCE)
 
 
 def _tail_sweep_sequential():
@@ -125,7 +129,7 @@ def test_bench_doping_sweep_tail_sequential(benchmark):
     _cold()
     batch = _tail_sweep_batch()
     seq_n = np.array([d.profile.n_sub_cm3 for d in seq])
-    batch_n = np.array([row[0].profile.n_sub_cm3 for row in batch])
+    batch_n = np.array([dev.profile.n_sub_cm3 for dev in batch])
     rel = float(np.max(np.abs(batch_n / seq_n - 1.0)))
     assert rel <= 1e-9
     benchmark.extra_info["max_rel_diff_vs_batch"] = rel
@@ -135,6 +139,20 @@ def test_bench_sensitivity_rebuild_batch(benchmark):
     result = run_cold(benchmark, headline_under_calibration,
                       sce_prefactor=2.2)
     assert result.snm_advantage > 0.0
+
+
+def _sensitivity_grid():
+    """ext_sensitivity's doping and circuit work: the six-calibration
+    grid, its doping solves in lock-step."""
+    from repro.experiments.ext_sensitivity import CALIBRATION_GRID
+    return headlines_under_calibrations(
+        [kwargs for _label, kwargs in CALIBRATION_GRID])
+
+
+def test_bench_sensitivity_grid_batch(benchmark):
+    results = run_cold(benchmark, _sensitivity_grid)
+    assert len(results) == 6
+    assert all(r.snm_advantage > 0.08 for r in results)
 
 
 @slow

@@ -69,7 +69,8 @@ class LRUMemo:
     ----------
     name:
         Counter namespace: hits/misses appear as ``cache.<name>.hits``
-        and ``cache.<name>.misses``.
+        and ``cache.<name>.misses``, evictions as
+        ``cache.<name>.evictions``.
     maxsize:
         Entry cap; least-recently-used entries are evicted beyond it.
     """
@@ -93,12 +94,17 @@ class LRUMemo:
         return value
 
     def put(self, key: Hashable, value: Any) -> None:
-        """Insert ``key -> value``, evicting the LRU entry if full."""
+        """Insert ``key -> value``, evicting (and counting) the LRU
+        entry if full."""
+        evicted = 0
         with self._lock:
             self._table[key] = value
             self._table.move_to_end(key)
             while len(self._table) > self.maxsize:
                 self._table.popitem(last=False)
+                evicted += 1
+        if evicted:
+            perf.bump(f"cache.{self.name}.evictions", evicted)
 
     def clear(self) -> None:
         """Drop every entry (counters are left alone)."""

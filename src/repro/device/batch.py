@@ -51,6 +51,9 @@ from .doping import (
     HALO_SIGMA_X_FRACTION,
     HALO_SIGMA_Y_FRACTION,
 )
+from . import geometry as geometry_mod
+from . import subthreshold as subthreshold_mod
+from . import threshold as threshold_mod
 from .geometry import JUNCTION_DEPTH_FRACTION
 from .iv import _ekv_f
 from .mosfet import VTH_CC_A, Polarity
@@ -87,28 +90,37 @@ class ParameterStack:
     convention: junction depth, overlap and halo dimensions are
     proportional to the reference length (``None`` -> ``l_poly_nm``).
 
-    The calibration module globals (overlap fraction, ``l_t``
-    multiplier, SCE slope prefactor) are read once at construction,
-    exactly as scalar device construction reads them — stacks built
-    inside a :func:`repro.scaling.sensitivity.calibration` scope bake
-    the overrides in the same way.
+    ``calibration`` gives the three calibrated constants as the last
+    axis of an array — ``(overlap fraction, l_t multiplier, SCE slope
+    prefactor)``, broadcast against the lanes.  By default the module
+    globals are read once at construction, exactly as scalar device
+    construction reads them, so stacks built inside a
+    :func:`repro.scaling.sensitivity.calibration` scope bake the
+    overrides in the same way.  The scaling flows pass one row per
+    doping request instead (:class:`repro.scaling.batch.Calibration`),
+    so lanes made under different calibrations share one stack.
     """
 
     def __init__(self, l_poly_nm, t_ox_nm, *, is_nfet=True, width_um=1.0,
-                 reference_nm=None, temperature_k: float = T_ROOM):
-        from . import geometry as geometry_mod
-        from . import subthreshold as subthreshold_mod
-        from . import threshold as threshold_mod
-
+                 reference_nm=None, temperature_k: float = T_ROOM,
+                 calibration=None):
         if reference_nm is None:
             reference_nm = l_poly_nm
-        (l_poly_nm, t_ox_nm, width_um, reference_nm, is_nfet) = (
+        if calibration is None:
+            calibration = (geometry_mod.OVERLAP_FRACTION,
+                           threshold_mod.LT_CALIBRATION,
+                           subthreshold_mod.SCE_PREFACTOR_DEFAULT)
+        calibration = np.asarray(calibration, dtype=float)
+        (l_poly_nm, t_ox_nm, width_um, reference_nm, is_nfet,
+         overlap_fraction, lt_calibration, sce_prefactor) = (
             np.broadcast_arrays(
                 np.asarray(l_poly_nm, dtype=float),
                 np.asarray(t_ox_nm, dtype=float),
                 np.asarray(width_um, dtype=float),
                 np.asarray(reference_nm, dtype=float),
                 np.asarray(is_nfet, dtype=bool),
+                calibration[..., 0], calibration[..., 1],
+                calibration[..., 2],
             )
         )
         if np.any(l_poly_nm <= 0.0) or np.any(t_ox_nm <= 0.0):
@@ -119,13 +131,12 @@ class ParameterStack:
         self.is_nfet = is_nfet
         self.temperature_k = float(temperature_k)
 
-        self._overlap_fraction = geometry_mod.OVERLAP_FRACTION
-        self._lt_calibration = threshold_mod.LT_CALIBRATION
-        self._sce_prefactor = subthreshold_mod.SCE_PREFACTOR_DEFAULT
+        self._lt_calibration = lt_calibration
+        self._sce_prefactor = sce_prefactor
 
         ref_cm = reference_nm * CM_PER_NM
         l_poly_cm = l_poly_nm * CM_PER_NM
-        self.l_eff_cm = l_poly_cm - 2.0 * (self._overlap_fraction * ref_cm)
+        self.l_eff_cm = l_poly_cm - 2.0 * (overlap_fraction * ref_cm)
         if np.any(self.l_eff_cm <= 0.0):
             raise ParameterError("overlap consumes the whole gate")
         xj_cm = JUNCTION_DEPTH_FRACTION * ref_cm
@@ -168,7 +179,6 @@ class ParameterStack:
         All devices must share a temperature and carry no per-device
         V_th offset (offsets have no stack representation).
         """
-        from . import geometry as geometry_mod
         devices = tuple(devices)
         if not devices:
             raise ParameterError("need at least one device")

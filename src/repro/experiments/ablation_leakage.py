@@ -13,8 +13,8 @@ import numpy as np
 from ..analysis.report import Comparison, ExperimentResult
 from ..analysis.series import Series
 from ..device.mosfet import Polarity
+from ..scaling.batch import optimize_super_vth_stack, super_vth_request
 from ..scaling.roadmap import NodeSpec, roadmap_nodes
-from ..scaling.supervth import SuperVthOptimizer
 from .registry import experiment
 
 #: The fixed-budget alternative [A/µm].
@@ -40,12 +40,15 @@ def run() -> ExperimentResult:
     """Run the super-V_th flow under both leakage policies."""
     nodes = roadmap_nodes()
     node_nm = np.array([n.node_nm for n in nodes])
+    # Both budgets at every node in one lock-step stack (grow, fixed
+    # per node: the per-node loop's order).
+    devices = optimize_super_vth_stack([
+        super_vth_request(budget, Polarity.NFET, 1.0)
+        for node in nodes for budget in (node, _fixed_budget_node(node))])
     vth_grow, vth_fixed = [], []
     drive_grow, drive_fixed = [], []
-    for node in nodes:
-        dev_grow = SuperVthOptimizer(node, Polarity.NFET).optimize()
-        dev_fixed = SuperVthOptimizer(_fixed_budget_node(node),
-                                      Polarity.NFET).optimize()
+    for i, node in enumerate(nodes):
+        dev_grow, dev_fixed = devices[2 * i], devices[2 * i + 1]
         vth_grow.append(1000.0 * dev_grow.vth_sat_cc(node.vdd_nominal))
         vth_fixed.append(1000.0 * dev_fixed.vth_sat_cc(node.vdd_nominal))
         drive_grow.append(dev_grow.i_on_per_um(EVAL_VDD))

@@ -14,8 +14,8 @@ import numpy as np
 from ..analysis.report import Comparison, ExperimentResult
 from ..analysis.series import Series
 from ..device.mosfet import Polarity
+from ..scaling.batch import optimize_super_vth_stack, super_vth_request
 from ..scaling.roadmap import NodeSpec, node_by_name
-from ..scaling.supervth import SuperVthOptimizer
 from .registry import experiment
 
 #: T_ox shrink rates per generation to ablate.
@@ -42,15 +42,13 @@ def _node_32nm_with_tox_rate(rate: float) -> NodeSpec:
 @experiment("ablation_tox", "Ablation: T_ox scaling rate vs S_S at 32nm")
 def run() -> ExperimentResult:
     """Sweep the oxide-thinning rate and optimise the 32nm device."""
-    baseline_ss = SuperVthOptimizer(node_by_name("90nm"),
-                                    Polarity.NFET).optimize().ss_mv_per_dec
+    nodes = [node_by_name("90nm")] + [_node_32nm_with_tox_rate(rate)
+                                      for rate in TOX_RATES]
+    baseline, *devices = optimize_super_vth_stack(
+        [super_vth_request(node, Polarity.NFET, 1.0) for node in nodes])
+    baseline_ss = baseline.ss_mv_per_dec
     rates = np.array(TOX_RATES)
-    ss32 = []
-    for rate in TOX_RATES:
-        node = _node_32nm_with_tox_rate(rate)
-        device = SuperVthOptimizer(node, Polarity.NFET).optimize()
-        ss32.append(device.ss_mv_per_dec)
-    ss32 = np.array(ss32)
+    ss32 = np.array([device.ss_mv_per_dec for device in devices])
 
     series = (
         Series(label="S_S at 32nm vs T_ox rate", x=100.0 * rates, y=ss32,

@@ -22,8 +22,8 @@ from ..analysis.series import Series
 from ..constants import nm_to_cm
 from ..device.mosfet import Polarity
 from ..materials.oxide import hfo2, sio2
+from ..scaling.batch import optimize_super_vth_stack, super_vth_request
 from ..scaling.roadmap import NodeSpec, node_by_name
-from ..scaling.supervth import SuperVthOptimizer
 from .registry import experiment
 
 #: EOT values swept at the 32nm node [nm]; 1.53 is the roadmap value.
@@ -57,12 +57,10 @@ def run() -> ExperimentResult:
     """EOT scaling vs S_S, and SiO2-vs-HfO2 gate leakage."""
     base = node_by_name("32nm")
     eots = np.array(EOT_GRID_NM)
-    ss = []
-    for eot in EOT_GRID_NM:
-        device = SuperVthOptimizer(_node_with_eot(eot),
-                                   Polarity.NFET).optimize()
-        ss.append(device.ss_mv_per_dec)
-    ss = np.array(ss)
+    devices = optimize_super_vth_stack(
+        [super_vth_request(_node_with_eot(eot), Polarity.NFET, 1.0)
+         for eot in EOT_GRID_NM])
+    ss = np.array([device.ss_mv_per_dec for device in devices])
 
     sio2_leak = np.array([
         _gate_leakage_per_um(sio2(nm_to_cm(e)), base.l_poly_nm,

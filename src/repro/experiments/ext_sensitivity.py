@@ -20,7 +20,7 @@ import numpy as np
 
 from ..analysis.report import Comparison, ExperimentResult
 from ..analysis.series import Series
-from ..scaling.sensitivity import headline_under_calibration
+from ..scaling.sensitivity import headlines_under_calibrations
 from .registry import experiment
 
 #: The calibration grid: (label, kwargs) pairs.
@@ -37,20 +37,13 @@ CALIBRATION_GRID: tuple[tuple[str, dict], ...] = (
 @experiment("ext_sensitivity", "Extension: calibration robustness")
 def run() -> ExperimentResult:
     """Sweep the calibration grid and re-measure the headlines."""
-    labels = []
-    snm = []
-    energy = []
-    ss_deg = []
-    for label, kwargs in CALIBRATION_GRID:
-        result = headline_under_calibration(**kwargs)
-        labels.append(label)
-        snm.append(result.snm_advantage)
-        energy.append(result.energy_advantage)
-        ss_deg.append(result.ss_degradation)
+    labels = [label for label, _kwargs in CALIBRATION_GRID]
+    results = headlines_under_calibrations(
+        [kwargs for _label, kwargs in CALIBRATION_GRID])
     index = np.arange(len(labels), dtype=float)
-    snm = np.array(snm)
-    energy = np.array(energy)
-    ss_deg = np.array(ss_deg)
+    snm = np.array([r.snm_advantage for r in results])
+    energy = np.array([r.energy_advantage for r in results])
+    ss_deg = np.array([r.ss_degradation for r in results])
 
     series = (
         Series(label="SNM advantage vs calibration", x=index, y=snm,

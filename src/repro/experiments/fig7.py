@@ -23,7 +23,7 @@ from ..analysis.report import Comparison, ExperimentResult
 from ..analysis.series import Series
 from ..device.mosfet import Polarity, nfet
 from ..scaling.roadmap import node_by_name
-from ..scaling.subvth import SUB_VTH_EVAL_VDD, optimize_doping_for_length
+from ..scaling.subvth import SUB_VTH_EVAL_VDD, optimize_doping_for_lengths
 from .registry import experiment
 
 #: Gate-length sweep for the 45nm node [nm].
@@ -34,27 +34,21 @@ LENGTH_GRID_NM = np.linspace(32.0, 96.0, 9)
 def run() -> ExperimentResult:
     """Reproduce Fig. 7 at the 45nm node."""
     node = node_by_name("45nm")
-    reference = optimize_doping_for_length(
-        node, node.l_poly_nm, polarity=Polarity.NFET,
+    # The reference doping and every optimized length in one stacked
+    # solve (lane for lane the per-length solves).
+    reference, *optimal = optimize_doping_for_lengths(
+        node, [node.l_poly_nm, *LENGTH_GRID_NM], polarity=Polarity.NFET,
         vdd_leak=SUB_VTH_EVAL_VDD,
     )
     n_sub = reference.profile.n_sub_cm3
     n_p_halo = reference.profile.n_p_halo_cm3
 
-    fixed = []
-    optimized = []
-    for l_poly in LENGTH_GRID_NM:
-        # Fixed profile: same dopings, proportional geometry (halo and
-        # junctions stretch with the drawn gate).
-        dev_fixed = nfet(float(l_poly), node.t_ox_nm, n_sub, n_p_halo)
-        fixed.append(dev_fixed.ss_mv_per_dec)
-        dev_opt = optimize_doping_for_length(
-            node, float(l_poly), polarity=Polarity.NFET,
-            vdd_leak=SUB_VTH_EVAL_VDD,
-        )
-        optimized.append(dev_opt.ss_mv_per_dec)
-    fixed = np.array(fixed)
-    optimized = np.array(optimized)
+    # Fixed profile: same dopings, proportional geometry (halo and
+    # junctions stretch with the drawn gate).
+    fixed = np.array([
+        nfet(float(l_poly), node.t_ox_nm, n_sub, n_p_halo).ss_mv_per_dec
+        for l_poly in LENGTH_GRID_NM])
+    optimized = np.array([dev.ss_mv_per_dec for dev in optimal])
 
     fixed_series = Series(label="fixed doping profile", x=LENGTH_GRID_NM,
                           y=fixed, x_label="L_poly [nm]",

@@ -27,14 +27,9 @@ def run() -> ExperimentResult:
     """Reproduce Fig. 8 at the 45nm node."""
     node = node_by_name("45nm")
     optimizer = SubVthOptimizer(node)
-    energy = []
-    delay = []
-    for l_poly in LENGTH_GRID_NM:
-        design = optimizer.design_for_length(float(l_poly))
-        energy.append(optimizer.energy_factor(design))
-        delay.append(optimizer.delay_factor(design))
-    energy = np.array(energy)
-    delay = np.array(delay)
+    designs = optimizer.designs_for_lengths(LENGTH_GRID_NM)
+    energy = np.array([optimizer.energy_factor(d) for d in designs])
+    delay = np.array([optimizer.delay_factor(d) for d in designs])
 
     energy_series = Series(label="energy factor C_L*S_S^2",
                            x=LENGTH_GRID_NM, y=energy / energy[0],

@@ -52,6 +52,11 @@ Counter names in use
     calls, counted per stacked point).
 ``cache.bracket.hits`` / ``cache.bracket.misses``
     Warm-start bracket cache of the batched doping solver.
+``cache.<name>.evictions``
+    Entries an in-process memo (``device``, ``bracket``) dropped at
+    its size cap.  A lock-step doping flow needs every sweep root to
+    survive until its refinement reads it, so ``cache.bracket.evictions``
+    reads 0 on the flows.
 ``cache.family.stores``
     Optimised families persisted to the on-disk cache.
 ``scaling.bracket_warm_hits`` / ``scaling.bracket_cold_misses``
@@ -126,11 +131,13 @@ KNOWN_COUNTERS: frozenset[str] = frozenset({
     "optimizer.brentq_residual_evals",
     "cache.device.hits",
     "cache.device.misses",
+    "cache.device.evictions",
     "cache.family.hits",
     "cache.family.misses",
     "cache.family.stores",
     "cache.bracket.hits",
     "cache.bracket.misses",
+    "cache.bracket.evictions",
     "circuit.vtc_batch_solves",
     "circuit.vtc_batch_points",
     "circuit.vtc_newton_sweeps",

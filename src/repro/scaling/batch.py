@@ -13,6 +13,26 @@ Scalar MOSFETs are constructed only at the converged roots (the designs
 the caller keeps anyway), so the selection rules and returned objects
 are shared with the sequential paths.
 
+Lock-step stacks: the lanes of a cold masked solve are independent, so
+the flows stack *independent problems* on the lane axis — every node of
+a family, every length of a Fig. 7/8 curve, every setting of an
+ablation, every calibration of ``ext_sensitivity`` — and make one
+:func:`solve_log_doping` call per flow phase.  Lane for lane the result
+is bitwise the one-problem solve.  Each stack raises the
+:class:`~repro.errors.OptimizationError` the per-problem loop would
+raise first.
+
+Per-lane calibration: a :class:`DopingSolveRequest` records the three
+calibrated constants in force when it is made
+(:class:`Calibration`), so a request made inside a
+:func:`repro.scaling.sensitivity.calibration` scope carries the
+override.  The residual stack takes them per lane, winning devices are
+built inside their request's calibration scope, and every cache key
+(warm-start memo, disk spill) is read from the request, never from the
+globals at solve time: lanes of different calibrations in one stack
+then never share a bracket.  Default-calibration keys are byte-identical
+to the keys written before calibration was per lane.
+
 Warm starts: converged roots are cached per (flow, node, polarity,
 halo-ratio, length-bucket, target, calibration) in an LRU keyed bracket
 cache.  A cached root shrinks the next solve's bracket to
@@ -41,14 +61,16 @@ Perf counters: ``scaling.doping_batch_solves`` / ``..._points`` count
 batched solves and stacked candidate points (deterministic — grid sizes
 only), ``scaling.doping_bisection_sweeps`` counts bisection passes
 (warm-start dependent), and the bracket cache reports
-``cache.bracket.hits`` / ``cache.bracket.misses``.
+``cache.bracket.hits`` / ``cache.bracket.misses`` /
+``cache.bracket.evictions``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -73,13 +95,15 @@ from .supervth import LONG_CHANNEL_MULTIPLE, N_HALO_BOUNDS, N_SUB_BOUNDS
 __all__ = [
     "SOLVER_MODES",
     "validate_solver",
+    "Calibration",
     "DopingSolveRequest",
     "DopingSolveResult",
     "solve_log_doping",
     "solve_substrate_stack",
-    "optimize_doping_stack",
+    "optimize_doping_groups",
     "super_vth_substrate",
     "super_vth_halo",
+    "super_vth_request",
     "optimize_super_vth_stack",
     "bracket_memo",
     "reset_warm_starts",
@@ -97,7 +121,13 @@ WARM_MARGIN_LOG10: float = 0.3
 #: sub-V_th refinement grid lands in the buckets its sweep populated.
 LENGTH_BUCKET_NM: float = 4.0
 
-#: Warm-start bracket cache (cache.bracket.* hit/miss counters).
+#: Warm-start bracket cache (cache.bracket.* hit/miss/eviction
+#: counters).  A lock-step flow stores every sweep root before its
+#: refinement reads them back, and a root evicted in between makes
+#: that lane solve cold (different bits).  The largest such set is
+#: ext_sensitivity's sub-V_th length sweep: up to 6 calibrations x 4
+#: nodes x 9 lengths x 2 polarities x 6 halo ratios = 2,592 roots, so
+#: the memo must hold at least that many.
 bracket_memo = LRUMemo("bracket", maxsize=4096)  # repro: noqa[RPR008] reset_warm_starts() drops it at every flow entry
 
 
@@ -117,6 +147,41 @@ def reset_warm_starts() -> None:
     bracket_memo.clear()
 
 
+class Calibration(NamedTuple):
+    """The three calibrated device constants (DESIGN.md §2) as one value.
+
+    The physics reads them as module globals: the gate-overlap
+    fraction, the quasi-2-D ``l_t`` multiplier and the Eq. 2(b) SCE
+    slope prefactor.  A value of this type records them, so a doping
+    request or an optimiser carries the calibration it was made under
+    (:meth:`current`), and :meth:`scope` puts it back in force.
+    """
+
+    overlap_fraction: float
+    lt_calibration: float
+    sce_prefactor: float
+
+    @classmethod
+    def current(cls) -> "Calibration":
+        """The constants in force now."""
+        return cls(geometry_mod.OVERLAP_FRACTION,
+                   threshold_mod.LT_CALIBRATION,
+                   subthreshold_mod.SCE_PREFACTOR_DEFAULT)
+
+    @contextlib.contextmanager
+    def scope(self):
+        """Put these constants in force; restore the previous ones on
+        exit, exception or not."""
+        saved = Calibration.current()
+        try:
+            (geometry_mod.OVERLAP_FRACTION, threshold_mod.LT_CALIBRATION,
+             subthreshold_mod.SCE_PREFACTOR_DEFAULT) = self
+            yield
+        finally:
+            (geometry_mod.OVERLAP_FRACTION, threshold_mod.LT_CALIBRATION,
+             subthreshold_mod.SCE_PREFACTOR_DEFAULT) = saved
+
+
 @dataclass(frozen=True)
 class DopingSolveRequest:
     """One point of a batched doping root-solve.
@@ -124,15 +189,18 @@ class DopingSolveRequest:
     For substrate solves the unknown is ``N_sub`` with
     ``N_p,halo = halo_ratio * N_sub``; for halo solves the unknown is
     ``N_p,halo`` at a fixed ``N_sub`` (see :func:`super_vth_halo`).
+    ``calibration`` defaults to the constants in force when the request
+    is made, so a request made inside a calibration scope carries it.
     """
 
     node: NodeSpec
     l_poly_nm: float
-    halo_ratio: float
     polarity: Polarity
     width_um: float
     ioff_target: float
     vdd_leak: float
+    halo_ratio: float = 0.0
+    calibration: Calibration = field(default_factory=Calibration.current)
 
 
 @dataclass(frozen=True)
@@ -158,17 +226,15 @@ def _bracket_key(flow: str, req: DopingSolveRequest,
 
     Lengths are bucketed (:data:`LENGTH_BUCKET_NM`) so nearby lengths —
     the sweep grid vs its refinement grid, Fig. 7/8 curves — share
-    brackets.  The calibration module globals are part of the key for
-    the same reason they are part of the device-construction memo key.
+    brackets.  The request's calibration is part of the key for the
+    same reason it is part of the device-construction memo key.
     """
     return (
         flow, req.node.name, req.node.l_poly_nm, req.node.t_ox_nm,
         req.polarity.value, round(req.halo_ratio, 9),
         int(round(req.l_poly_nm / LENGTH_BUCKET_NM)),
         req.ioff_target, req.vdd_leak, extra,
-        geometry_mod.OVERLAP_FRACTION, threshold_mod.LT_CALIBRATION,
-        subthreshold_mod.SCE_PREFACTOR_DEFAULT,
-    )
+    ) + tuple(req.calibration)
 
 
 def _disk_key(flow: str, req: DopingSolveRequest, extra_exact,
@@ -300,6 +366,7 @@ def _stack_for(reqs: Sequence[DopingSolveRequest]) -> ParameterStack:
         is_nfet=np.array([r.polarity is Polarity.NFET for r in reqs]),
         width_um=np.array([r.width_um for r in reqs]),
         reference_nm=np.array([r.node.l_poly_nm for r in reqs]),
+        calibration=np.array([r.calibration for r in reqs]),
     )
 
 
@@ -324,44 +391,41 @@ def solve_substrate_stack(reqs: Sequence[DopingSolveRequest],
 
 def _build_device(req: DopingSolveRequest, n_sub: float,
                   n_p_halo: float) -> MOSFET:
+    """The scalar device at a converged root, built under the request's
+    calibration (a MOSFET reads the constants once, at construction)."""
     build = build_nfet if req.polarity is Polarity.NFET else build_pfet
-    return build(
-        l_poly_nm=req.l_poly_nm,
-        t_ox_nm=req.node.t_ox_nm,
-        n_sub_cm3=n_sub,
-        n_p_halo_cm3=n_p_halo,
-        width_um=req.width_um,
-        reference_nm=req.node.l_poly_nm,
-    )
+    with req.calibration.scope():
+        return build(
+            l_poly_nm=req.l_poly_nm,
+            t_ox_nm=req.node.t_ox_nm,
+            n_sub_cm3=n_sub,
+            n_p_halo_cm3=n_p_halo,
+            width_um=req.width_um,
+            reference_nm=req.node.l_poly_nm,
+        )
 
 
 # -- sub-V_th: minimum-S_S doping over (length x polarity x ratio) ----------
 
-def optimize_doping_groups(node: NodeSpec,
-                           groups: Sequence[tuple[float, Polarity, float,
-                                                  float, float]],
+def optimize_doping_groups(groups: Sequence[DopingSolveRequest],
                            ratios: Sequence[float],
                            ss_tie_tolerance: float) -> list[MOSFET]:
-    """Minimum-S_S doping for many candidate groups of one node.
+    """Minimum-S_S doping for many candidate groups.
 
-    Each group is ``(l_poly_nm, polarity, width_um, ioff_target,
-    vdd_leak)`` and expands into one candidate per halo ratio.  One
-    masked root-solve covers the whole ``groups x ratios`` stack, one
-    more vectorised metrics pass evaluates S_S at every feasible root,
-    and the scalar selection rule (minimum S_S, near ties broken toward
-    lower N_sub) picks each group's winner — only the winners are
-    materialised as scalar devices.  Raises
-    :class:`~repro.errors.OptimizationError` for the first group with
-    no feasible candidate, in the sequential flow's iteration order.
+    Each group is a :class:`DopingSolveRequest` — it names its node,
+    length, polarity, width, leakage target, bias and calibration — and
+    expands into one candidate per halo ratio of ``ratios`` (the
+    group's own ``halo_ratio`` is replaced).  One masked root-solve
+    covers the whole ``groups x ratios`` stack, one more vectorised
+    metrics pass evaluates S_S at every feasible root, and the scalar
+    selection rule (minimum S_S, near ties broken toward lower N_sub)
+    picks each group's winner — only the winners are materialised as
+    scalar devices.  Raises :class:`~repro.errors.OptimizationError`
+    for the first group with no feasible candidate, in the sequential
+    flow's iteration order.
     """
-    reqs = [
-        DopingSolveRequest(node=node, l_poly_nm=float(l_poly),
-                           halo_ratio=float(ratio), polarity=pol,
-                           width_um=width, ioff_target=target,
-                           vdd_leak=vdd)
-        for l_poly, pol, width, target, vdd in groups
-        for ratio in ratios
-    ]
+    reqs = [replace(group, halo_ratio=float(ratio))
+            for group in groups for ratio in ratios]
     result = solve_substrate_stack(reqs)
     n_sub = 10.0 ** result.root_log10
     # S_S for every candidate in one vectorised pass (infeasible points
@@ -371,13 +435,14 @@ def optimize_doping_groups(node: NodeSpec,
     ss_all = stack.metrics(n_sub, halo).ss_v_per_dec
 
     winners: list[MOSFET] = []
-    for g, (l_poly, _pol, _width, target, _vdd) in enumerate(groups):
+    for g, group in enumerate(groups):
         span = range(g * len(ratios), (g + 1) * len(ratios))
         feasible = [i for i in span if result.feasible[i]]
         if not feasible:
             raise OptimizationError(
-                f"{node.name}: no doping meets I_off = "
-                f"{target:.3g} A/um at L_poly = {float(l_poly):.1f} nm"
+                f"{group.node.name}: no doping meets I_off = "
+                f"{group.ioff_target:.3g} A/um at L_poly = "
+                f"{float(group.l_poly_nm):.1f} nm"
             )
         ss_best = min(ss_all[i] for i in feasible)
         near = [i for i in feasible
@@ -389,35 +454,24 @@ def optimize_doping_groups(node: NodeSpec,
     return winners
 
 
-def optimize_doping_stack(node: NodeSpec, lengths_nm: Sequence[float],
-                          jobs: Sequence[tuple[Polarity, float]],
-                          ratios: Sequence[float], ioff_target: float,
-                          vdd_leak: float, ss_tie_tolerance: float
-                          ) -> list[list[MOSFET]]:
-    """Minimum-S_S doping for every (length, polarity) of one node.
-
-    Convenience wrapper over :func:`optimize_doping_groups` for a
-    shared leakage target: returns ``devices[i][j]`` for length ``i``
-    and job ``j`` (a ``(polarity, width_um)`` pair).
-    """
-    groups = [(float(l_poly), pol, width, ioff_target, vdd_leak)
-              for l_poly in lengths_nm
-              for pol, width in jobs]
-    flat = optimize_doping_groups(node, groups, ratios, ss_tie_tolerance)
-    n_jobs = len(jobs)
-    return [flat[i * n_jobs:(i + 1) * n_jobs]
-            for i in range(len(list(lengths_nm)))]
-
-
 # -- super-V_th: the two-step Fig. 1(c) doping selection --------------------
 
-def _long_channel_request(node: NodeSpec, polarity: Polarity,
-                          width_um: float) -> DopingSolveRequest:
+def super_vth_request(node: NodeSpec, polarity: Polarity,
+                      width_um: float) -> DopingSolveRequest:
+    """One Fig. 1(c) job: the short-channel device's leakage condition.
+
+    The request carries the calibration in force when it is made; step
+    1 solves its long-channel twin, step 2 the request itself.
+    """
     return DopingSolveRequest(
-        node=node, l_poly_nm=LONG_CHANNEL_MULTIPLE * node.l_poly_nm,
-        halo_ratio=0.0, polarity=polarity, width_um=width_um,
-        ioff_target=node.ioff_target_a_per_um, vdd_leak=node.vdd_nominal,
+        node=node, l_poly_nm=node.l_poly_nm, polarity=polarity,
+        width_um=width_um, ioff_target=node.ioff_target_a_per_um,
+        vdd_leak=node.vdd_nominal,
     )
+
+
+def _long_channel_request(job: DopingSolveRequest) -> DopingSolveRequest:
+    return replace(job, l_poly_nm=LONG_CHANNEL_MULTIPLE * job.node.l_poly_nm)
 
 
 def _raise_substrate_error(req: DopingSolveRequest, below: bool) -> None:
@@ -436,7 +490,7 @@ def super_vth_substrate(node: NodeSpec, polarity: Polarity,
                         width_um: float) -> float:
     """Batched step 1: N_sub from the long-channel leakage condition."""
     reset_warm_starts()
-    req = _long_channel_request(node, polarity, width_um)
+    req = _long_channel_request(super_vth_request(node, polarity, width_um))
     result = solve_substrate_stack([req], flow="supervth_n_sub")
     if not result.feasible[0]:
         _raise_substrate_error(req, bool(result.r_lo[0] < 0.0))
@@ -467,12 +521,8 @@ def super_vth_halo(node: NodeSpec, polarity: Polarity, width_um: float,
                    n_sub: float) -> float:
     """Batched step 2: N_p,halo from the short-channel condition."""
     reset_warm_starts()
-    req = DopingSolveRequest(
-        node=node, l_poly_nm=node.l_poly_nm, halo_ratio=0.0,
-        polarity=polarity, width_um=width_um,
-        ioff_target=node.ioff_target_a_per_um, vdd_leak=node.vdd_nominal,
-    )
-    result = _solve_halo_stack([req], [n_sub])
+    result = _solve_halo_stack(
+        [super_vth_request(node, polarity, width_um)], [n_sub])
     if result.feasible[0]:
         return 10.0 ** float(result.root_log10[0])
     if result.r_lo[0] <= 0.0:
@@ -484,39 +534,33 @@ def super_vth_halo(node: NodeSpec, polarity: Polarity, width_um: float,
     )
 
 
-def optimize_super_vth_stack(jobs: Sequence[tuple[NodeSpec, Polarity, float]]
+def optimize_super_vth_stack(jobs: Sequence[DopingSolveRequest]
                              ) -> list[MOSFET]:
-    """Run the full Fig. 1(c) loop for many (node, polarity, width) jobs.
+    """Run the full Fig. 1(c) loop for many jobs in lock-step.
 
-    Both root-solve steps are batched across all jobs.  Errors are
-    raised for the job the sequential flow would fail first: job ``i``
-    runs substrate-then-halo entirely before job ``i+1``, so an earlier
-    job's halo failure outranks a later job's substrate failure.
+    Each job is a :func:`super_vth_request` (node, polarity, width and
+    the calibration it was made under), so one stack may span nodes,
+    settings and calibrations.  Both root-solve steps are batched
+    across all jobs.  Errors are raised for the job the sequential
+    flow would fail first: job ``i`` runs substrate-then-halo entirely
+    before job ``i+1``, so an earlier job's halo failure outranks a
+    later job's substrate failure.
     """
     reset_warm_starts()
-    sub_reqs = [_long_channel_request(node, pol, width)
-                for node, pol, width in jobs]
+    sub_reqs = [_long_channel_request(job) for job in jobs]
     sub_result = solve_substrate_stack(sub_reqs, flow="supervth_n_sub")
     n_sub = 10.0 ** sub_result.root_log10
     bad_sub = next((i for i in range(len(jobs))
                     if not sub_result.feasible[i]), None)
 
     halo_count = len(jobs) if bad_sub is None else bad_sub
-    halo_reqs = [
-        DopingSolveRequest(
-            node=node, l_poly_nm=node.l_poly_nm, halo_ratio=0.0,
-            polarity=pol, width_um=width,
-            ioff_target=node.ioff_target_a_per_um,
-            vdd_leak=node.vdd_nominal,
-        )
-        for node, pol, width in jobs[:halo_count]
-    ]
+    halo_reqs = list(jobs[:halo_count])
     halo_result = (_solve_halo_stack(halo_reqs, n_sub[:halo_count])
                    if halo_reqs else None)
     for i in range(halo_count):
         if (not halo_result.feasible[i]) and halo_result.r_lo[i] > 0.0:
             raise OptimizationError(
-                f"{jobs[i][0].name}: halo cannot rescue the short-channel "
+                f"{jobs[i].node.name}: halo cannot rescue the short-channel "
                 "leakage — L_poly too short for this T_ox"
             )
     if bad_sub is not None:

@@ -102,16 +102,20 @@ def derive_flavours(node: NodeSpec, l_poly_nm: float,
         # One root-solve covers the whole flavour menu: the batched
         # engine supports per-candidate leakage targets, so all
         # flavour x polarity x halo-ratio points stack together.
-        from .batch import optimize_doping_groups, reset_warm_starts
+        from .batch import (DopingSolveRequest, optimize_doping_groups,
+                            reset_warm_starts)
         from .subvth import HALO_RATIO_GRID, SS_TIE_TOLERANCE
         reset_warm_starts()
-        groups = []
-        for name, multiplier in menu.items():
-            target = base_ioff_a_per_um * multiplier
-            groups.append((l_poly_nm, Polarity.NFET, 1.0, target, vdd_leak))
-            groups.append((l_poly_nm, Polarity.PFET, pfet_width_um,
-                           target, vdd_leak))
-        winners = optimize_doping_groups(node, groups, HALO_RATIO_GRID,
+        groups = [
+            DopingSolveRequest(node=node, l_poly_nm=l_poly_nm,
+                               polarity=polarity, width_um=width,
+                               ioff_target=base_ioff_a_per_um * multiplier,
+                               vdd_leak=vdd_leak)
+            for multiplier in menu.values()
+            for polarity, width in ((Polarity.NFET, 1.0),
+                                    (Polarity.PFET, pfet_width_um))
+        ]
+        winners = optimize_doping_groups(groups, HALO_RATIO_GRID,
                                          SS_TIE_TOLERANCE)
         for i, name in enumerate(menu):
             pairs[name] = (winners[2 * i], winners[2 * i + 1])

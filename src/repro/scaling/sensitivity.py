@@ -7,29 +7,42 @@ Eq. 2(b) short-channel slope prefactor.  A fair question is whether
 the paper's *conclusions* — the sub-V_th strategy's SNM and energy
 advantages at 32nm — depend on those choices.
 
-:func:`headline_under_calibration` re-runs both strategy optimisers
-and the headline circuit comparisons under perturbed constants; the
-``ext_sensitivity`` experiment sweeps a grid and asserts the
-conclusions are calibration-robust.
+:func:`headlines_under_calibrations` re-runs both strategy optimisers
+and the headline circuit comparisons under a grid of perturbed
+constants; the ``ext_sensitivity`` experiment sweeps a grid and asserts
+the conclusions are calibration-robust.  :func:`headline_under_calibration`
+is its one-calibration case.
 
 Implementation note: the constants live as module globals that the
-physics reads at call time, so a scoped context manager can swap them
-safely (and always restores them, exception or not).
+physics reads (scalar devices and parameter stacks at construction),
+so a scoped context manager can swap them safely (and always restores
+them, exception or not).  The doping solves do not need the scope,
+though: an optimiser records the calibration in force when it is made
+(:class:`~repro.scaling.batch.Calibration`) and hands it to its doping
+requests, which carry it per lane.  So the grid's optimisers are made
+inside their scopes, every calibration's families are optimised in
+one lock-step stack per flow (four root-solves for ext_sensitivity's
+grid), and only the circuit work runs again inside each scope.
 """
 
 from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 from ..circuit.chain import InverterChain
 from ..circuit.snm import noise_margins
-from ..device import geometry as geometry_mod
-from ..device import subthreshold as subthreshold_mod
-from ..device import threshold as threshold_mod
-from ..errors import ParameterError
-from .subvth import build_sub_vth_family
-from .supervth import build_super_vth_family
+from ..errors import OptimizationError, ParameterError
+from .batch import Calibration, optimize_super_vth_stack
+from .roadmap import roadmap_nodes
+from .strategy import DeviceDesign
+from .subvth import (
+    SubVthOptimizer,
+    build_sub_vth_family,
+    optimize_sub_vth_stack,
+)
+from .supervth import build_super_vth_family, pair_designs, pair_requests
 
 
 @contextlib.contextmanager
@@ -51,21 +64,13 @@ def calibration(overlap_fraction: float | None = None,
     if overlap_fraction is not None and overlap_fraction >= 0.5:
         raise ParameterError("overlap fraction must be < 0.5")
 
-    saved = (geometry_mod.OVERLAP_FRACTION,
-             threshold_mod.LT_CALIBRATION,
-             subthreshold_mod.SCE_PREFACTOR_DEFAULT)
-    try:
-        if overlap_fraction is not None:
-            geometry_mod.OVERLAP_FRACTION = overlap_fraction
-        if lt_calibration is not None:
-            threshold_mod.LT_CALIBRATION = lt_calibration
-        if sce_prefactor is not None:
-            subthreshold_mod.SCE_PREFACTOR_DEFAULT = sce_prefactor
+    now = Calibration.current()
+    with Calibration(
+        now.overlap_fraction if overlap_fraction is None else overlap_fraction,
+        now.lt_calibration if lt_calibration is None else lt_calibration,
+        now.sce_prefactor if sce_prefactor is None else sce_prefactor,
+    ).scope():
         yield
-    finally:
-        (geometry_mod.OVERLAP_FRACTION,
-         threshold_mod.LT_CALIBRATION,
-         subthreshold_mod.SCE_PREFACTOR_DEFAULT) = saved
 
 
 @dataclass(frozen=True)
@@ -103,27 +108,98 @@ def headline_under_calibration(overlap_fraction: float | None = None,
     (the cached families in :mod:`repro.experiments.families` are NOT
     used — they carry the default calibration).  ``solver`` selects the
     batched or sequential doping engine for the rebuilds; the batched
-    engine's warm-start brackets are keyed by the calibration constants,
-    so perturbed runs never reuse default-calibration roots.
+    engine is :func:`headlines_under_calibrations` with one grid point,
+    whose doping requests carry the calibration in their warm-start
+    keys, so perturbed runs never reuse default-calibration roots.
     """
-    with calibration(overlap_fraction, lt_calibration, sce_prefactor):
+    overrides = {"overlap_fraction": overlap_fraction,
+                 "lt_calibration": lt_calibration,
+                 "sce_prefactor": sce_prefactor}
+    if solver == "batch":
+        return headlines_under_calibrations([overrides])[0]
+    with calibration(**overrides):
         sup = build_super_vth_family(solver=solver)
         sub = build_sub_vth_family(solver=solver)
-        sup32, sub32 = sup.design("32nm"), sub.design("32nm")
+        return _headline(sup.designs, sub.design("32nm"))
 
-        snm_sup = noise_margins(sup32.inverter(0.25)).snm
-        snm_sub = noise_margins(sub32.inverter(0.25)).snm
-        e_sup = InverterChain(sup32.inverter(0.3)) \
-            .minimum_energy_point().energy.total_j
-        e_sub = InverterChain(sub32.inverter(0.3)) \
-            .minimum_energy_point().energy.total_j
-        ss = [d.nfet.ss_v_per_dec for d in sup.designs]
 
-        return HeadlineResult(
-            snm_advantage=snm_sub / snm_sup - 1.0,
-            energy_advantage=1.0 - e_sub / e_sup,
-            ss_degradation=ss[-1] / ss[0] - 1.0,
-            overlap_fraction=geometry_mod.OVERLAP_FRACTION,
-            lt_calibration=threshold_mod.LT_CALIBRATION,
-            sce_prefactor=subthreshold_mod.SCE_PREFACTOR_DEFAULT,
-        )
+def headlines_under_calibrations(grid: Sequence[Mapping[str, float | None]]
+                                 ) -> list[HeadlineResult]:
+    """Headline comparisons for every override set of a grid, in lock-step.
+
+    The result is :func:`headline_under_calibration` per entry of
+    ``grid``, with the doping solves stacked.  The overrides of the
+    whole grid are validated first; entries that resolve to the same
+    constants are solved once and share their result.  Each distinct
+    calibration's optimisers are made inside its scope, so they carry
+    it.  All their super-V_th jobs then run as one
+    :func:`~repro.scaling.batch.optimize_super_vth_stack` and all their
+    sub-V_th optimisers as one
+    :func:`~repro.scaling.subvth.optimize_sub_vth_stack`: four doping
+    root-solves for ext_sensitivity's grid.  Lanes of different
+    calibrations never share a bracket, so every device is bitwise the
+    one a per-calibration rebuild returns.  The circuit work (SNM and
+    minimum-energy point) runs per calibration, inside its scope.
+    Errors are those of the per-calibration loop: when a stacked solve
+    fails, the calibrations run again one at a time, in grid order.
+    """
+    resolved = []
+    for overrides in grid:
+        with calibration(**overrides):
+            resolved.append(Calibration.current())
+    distinct = list(dict.fromkeys(resolved))
+    results = dict(zip(distinct, _headlines(distinct)))
+    return [results[cal] for cal in resolved]
+
+
+def _headlines(cals: Sequence[Calibration]) -> list[HeadlineResult]:
+    """:func:`headlines_under_calibrations` for distinct calibrations."""
+    nodes = roadmap_nodes()
+    jobs = []
+    optimizers: list[SubVthOptimizer] = []
+    for cal in cals:
+        with cal.scope():
+            jobs += pair_requests(nodes)
+            optimizers += [SubVthOptimizer(node) for node in nodes]
+    try:
+        devices = optimize_super_vth_stack(jobs)
+        sub_designs = optimize_sub_vth_stack(optimizers)
+    except OptimizationError:
+        if len(cals) == 1:
+            raise
+        # The loop would raise the first failing calibration's error
+        # (super-V_th, sub-V_th, then circuits, before the next one).
+        for cal in cals:
+            _headlines([cal])
+        raise
+
+    n = len(nodes)
+    results = []
+    for k, cal in enumerate(cals):
+        sup = pair_designs(nodes, devices[2 * k * n:2 * (k + 1) * n])
+        with cal.scope():
+            results.append(_headline(sup, sub_designs[(k + 1) * n - 1]))
+    return results
+
+
+def _headline(super_designs: Sequence[DeviceDesign],
+              sub32: DeviceDesign) -> HeadlineResult:
+    """The headline comparisons for one calibration's designs (run in
+    that calibration's scope; the last super-V_th design is 32nm)."""
+    sup32 = super_designs[-1]
+    snm_sup = noise_margins(sup32.inverter(0.25)).snm
+    snm_sub = noise_margins(sub32.inverter(0.25)).snm
+    e_sup = InverterChain(sup32.inverter(0.3)) \
+        .minimum_energy_point().energy.total_j
+    e_sub = InverterChain(sub32.inverter(0.3)) \
+        .minimum_energy_point().energy.total_j
+    ss = [d.nfet.ss_v_per_dec for d in super_designs]
+    now = Calibration.current()
+    return HeadlineResult(
+        snm_advantage=snm_sub / snm_sup - 1.0,
+        energy_advantage=1.0 - e_sub / e_sup,
+        ss_degradation=ss[-1] / ss[0] - 1.0,
+        overlap_fraction=now.overlap_fraction,
+        lt_calibration=now.lt_calibration,
+        sce_prefactor=now.sce_prefactor,
+    )

@@ -17,12 +17,18 @@ and then co-optimises the gate length and doping profile:
 
 The result reproduces Table 3: longer, slower-scaling gate lengths,
 reduced doping, and an S_S that stays ~80 mV/dec down to 32nm.
+
+The batched flow runs in lock-step (:func:`optimize_sub_vth_stack`):
+every optimiser's length sweep is one stacked root-solve and every
+refinement a second one, whatever the number of nodes or calibrations.
+The single-problem entry points are its one-problem case.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 from scipy.optimize import brentq
@@ -31,7 +37,9 @@ from .. import perf
 from ..circuit.batch import validate_solver
 from ..circuit.inverter import Inverter
 from ..device.mosfet import MOSFET, Polarity, nfet as build_nfet, pfet as build_pfet
-from ..errors import OptimizationError
+from ..errors import OptimizationError, ParameterError
+from . import batch as batch_mod
+from .batch import Calibration, DopingSolveRequest
 from .roadmap import NodeSpec, roadmap_nodes, sub_vth_ioff_target
 from .strategy import DeviceDesign, DeviceFamily
 from .supervth import N_SUB_BOUNDS, PFET_WIDTH_RATIO
@@ -124,14 +132,11 @@ def optimize_doping_for_length(node: NodeSpec, l_poly_nm: float,
         vectorised root-solve; ``"sequential"`` is the scalar oracle.
     """
     validate_solver(solver)
+    if solver == "batch":
+        return optimize_doping_for_lengths(
+            node, [l_poly_nm], ioff_target, polarity, width_um, vdd_leak)[0]
     target = sub_vth_ioff_target(node) if ioff_target is None else ioff_target
     bias = node.vdd_nominal if vdd_leak is None else vdd_leak
-    if solver == "batch":
-        from . import batch as batch_mod
-        batch_mod.reset_warm_starts()
-        return batch_mod.optimize_doping_stack(
-            node, [l_poly_nm], [(polarity, width_um)], HALO_RATIO_GRID,
-            target, bias, SS_TIE_TOLERANCE)[0][0]
     candidates: list[MOSFET] = []
     for ratio in HALO_RATIO_GRID:
         candidate = _solve_substrate_for_ioff(
@@ -153,6 +158,35 @@ def optimize_doping_for_length(node: NodeSpec, l_poly_nm: float,
     return best
 
 
+def optimize_doping_for_lengths(node: NodeSpec, lengths_nm,
+                                ioff_target: float | None = None,
+                                polarity: Polarity = Polarity.NFET,
+                                width_um: float = 1.0,
+                                vdd_leak: float | None = None
+                                ) -> list[MOSFET]:
+    """:func:`optimize_doping_for_length` over a length grid, in lock-step.
+
+    One cold masked root-solve covers every length ``lengths_nm`` [nm]
+    x halo ratio; lane for lane it is the one-length solve, so each
+    returned device is bitwise the one a per-length call returns.
+    Raises :class:`~repro.errors.OptimizationError` for the first
+    length with no feasible doping.
+    """
+    target = sub_vth_ioff_target(node) if ioff_target is None else ioff_target
+    bias = node.vdd_nominal if vdd_leak is None else vdd_leak
+    batch_mod.reset_warm_starts()
+    groups = [DopingSolveRequest(node=node, l_poly_nm=float(l_poly),
+                                 polarity=polarity, width_um=width_um,
+                                 ioff_target=target, vdd_leak=bias)
+              for l_poly in lengths_nm]
+    return batch_mod.optimize_doping_groups(groups, HALO_RATIO_GRID,
+                                            SS_TIE_TOLERANCE)
+
+
+#: One evaluated length: ``(l_poly_nm, design, energy_factor)``.
+Row = tuple[float, DeviceDesign, float]
+
+
 @dataclass(frozen=True)
 class SubVthOptimizer:
     """Finds the energy-optimal gate length for one node.
@@ -160,12 +194,23 @@ class SubVthOptimizer:
     The figure of merit is the Eq. 8 energy factor ``C_L S_S^2`` with
     ``C_L`` the FO1 load of a symmetric inverter built from the
     per-length doping-optimised NFET/PFET pair.
+
+    ``calibration`` is not an argument: it records the calibrated
+    device constants in force when the optimiser is made, and the
+    optimiser solves under them.  So optimisers made inside different
+    calibration scopes stack in one :func:`optimize_sub_vth_stack`
+    call, and an optimiser made outside a scope ignores a scope entered
+    later.  The batch entry points (:meth:`optimize`, :meth:`sweep`,
+    :meth:`design_for_length`, :meth:`designs_for_lengths`) are that
+    lock-step flow's one-problem case.
     """
 
     node: NodeSpec
     ioff_target: float | None = None
     pfet_width_um: float = PFET_WIDTH_RATIO
     n_length_points: int = 9
+    calibration: Calibration = field(default_factory=Calibration.current,
+                                     init=False)
 
     def design_for_length(self, l_poly_nm: float,
                           solver: str = "batch") -> DeviceDesign:
@@ -177,15 +222,20 @@ class SubVthOptimizer:
         This pins the 250 mV drive current across generations, which is
         what gives the strategy its graceful delay scaling (Fig. 11).
         """
-        self._fresh_flow(solver)
-        return self._rows_for_lengths([l_poly_nm], solver)[0][1]
-
-    @staticmethod
-    def _fresh_flow(solver: str) -> None:
-        """Start a flow invocation cache-state independent (see batch)."""
+        validate_solver(solver)
         if solver == "batch":
-            from . import batch as batch_mod
-            batch_mod.reset_warm_starts()
+            return self.designs_for_lengths([l_poly_nm])[0]
+        return self._sequential_rows([l_poly_nm])[0][1]
+
+    def designs_for_lengths(self, lengths_nm) -> list[DeviceDesign]:
+        """:meth:`design_for_length` over a length grid, in lock-step.
+
+        One cold stacked root-solve covers every length; each design is
+        bitwise the one a per-length call returns.
+        """
+        batch_mod.reset_warm_starts()
+        rows = _unwrap(_rows_stack([(self, lengths_nm)])[0])
+        return [row[1] for row in rows]
 
     def energy_factor(self, design: DeviceDesign) -> float:
         """``C_L S_S^2`` for one candidate design (arbitrary units)."""
@@ -198,52 +248,56 @@ class SubVthOptimizer:
         c_load = design.load_capacitance()
         return c_load * design.nfet.ss_v_per_dec
 
-    def _rows_for_lengths(self, lengths_nm,
-                          solver: str) -> list[tuple[float, DeviceDesign, float]]:
-        """``(l_poly_nm, design, energy_factor)`` rows for a length grid.
+    def _target(self) -> float:
+        return (sub_vth_ioff_target(self.node)
+                if self.ioff_target is None else self.ioff_target)
 
-        The batch path solves the whole ``lengths x polarity x
-        halo-ratio`` candidate stack in one masked bisection; the
-        sequential path is the per-candidate scalar oracle.
-        """
-        validate_solver(solver)
-        lengths = [float(l) for l in lengths_nm]
-        rows: list[tuple[float, DeviceDesign, float]] = []
-        if solver == "batch":
-            from . import batch as batch_mod
-            target = (sub_vth_ioff_target(self.node)
-                      if self.ioff_target is None else self.ioff_target)
-            jobs = [(Polarity.NFET, 1.0), (Polarity.PFET, self.pfet_width_um)]
-            devices = batch_mod.optimize_doping_stack(
-                self.node, lengths, jobs, HALO_RATIO_GRID, target,
-                SUB_VTH_EVAL_VDD, SS_TIE_TOLERANCE)
-            for l_poly, (n_dev, p_dev) in zip(lengths, devices):
-                design = DeviceDesign(node=self.node, nfet=n_dev, pfet=p_dev,
-                                      strategy="sub-vth", vdd=SUB_VTH_EVAL_VDD)
-                rows.append((l_poly, design, self.energy_factor(design)))
-            return rows
-        for l_poly in lengths:
-            n_dev = optimize_doping_for_length(
-                self.node, l_poly, self.ioff_target, Polarity.NFET, 1.0,
-                vdd_leak=SUB_VTH_EVAL_VDD, solver=solver,
-            )
-            p_dev = optimize_doping_for_length(
-                self.node, l_poly, self.ioff_target, Polarity.PFET,
-                self.pfet_width_um, vdd_leak=SUB_VTH_EVAL_VDD, solver=solver,
-            )
-            design = DeviceDesign(node=self.node, nfet=n_dev, pfet=p_dev,
-                                  strategy="sub-vth", vdd=SUB_VTH_EVAL_VDD)
-            rows.append((l_poly, design, self.energy_factor(design)))
-        return rows
+    def _pair_groups(self, l_poly_nm: float) -> list[DopingSolveRequest]:
+        """The NFET and PFET doping groups at one length."""
+        return [
+            DopingSolveRequest(
+                node=self.node, l_poly_nm=l_poly_nm, polarity=polarity,
+                width_um=width, ioff_target=self._target(),
+                vdd_leak=SUB_VTH_EVAL_VDD, calibration=self.calibration)
+            for polarity, width in ((Polarity.NFET, 1.0),
+                                    (Polarity.PFET, self.pfet_width_um))
+        ]
 
-    def sweep(self, solver: str = "batch"
-              ) -> list[tuple[float, DeviceDesign, float]]:
+    def _row(self, l_poly_nm: float, nfet: MOSFET, pfet: MOSFET) -> Row:
+        design = DeviceDesign(node=self.node, nfet=nfet, pfet=pfet,
+                              strategy="sub-vth", vdd=SUB_VTH_EVAL_VDD)
+        return (l_poly_nm, design, self.energy_factor(design))
+
+    def _sequential_rows(self, lengths_nm) -> list[Row]:
+        """Rows for a length grid through the per-candidate scalar oracle
+        (under the optimiser's calibration, as the batched path)."""
+        with self.calibration.scope():
+            return [self._sequential_row(float(l)) for l in lengths_nm]
+
+    def _sequential_row(self, l_poly: float) -> Row:
+        n_dev = optimize_doping_for_length(
+            self.node, l_poly, self.ioff_target, Polarity.NFET, 1.0,
+            vdd_leak=SUB_VTH_EVAL_VDD, solver="sequential",
+        )
+        p_dev = optimize_doping_for_length(
+            self.node, l_poly, self.ioff_target, Polarity.PFET,
+            self.pfet_width_um, vdd_leak=SUB_VTH_EVAL_VDD,
+            solver="sequential",
+        )
+        return self._row(l_poly, n_dev, p_dev)
+
+    def _sweep_lengths(self) -> np.ndarray:
+        return np.linspace(self.node.l_poly_nm * LENGTH_RANGE[0],
+                           self.node.l_poly_nm * LENGTH_RANGE[1],
+                           self.n_length_points)
+
+    def sweep(self, solver: str = "batch") -> list[Row]:
         """Evaluate the length grid: ``(l_poly_nm, design, energy_factor)``."""
-        self._fresh_flow(solver)
-        lengths = np.linspace(self.node.l_poly_nm * LENGTH_RANGE[0],
-                              self.node.l_poly_nm * LENGTH_RANGE[1],
-                              self.n_length_points)
-        return self._rows_for_lengths(lengths, solver)
+        validate_solver(solver)
+        if solver == "sequential":
+            return self._sequential_rows(self._sweep_lengths())
+        batch_mod.reset_warm_starts()
+        return _unwrap(_rows_stack([(self, self._sweep_lengths())])[0])
 
     def optimize(self, solver: str = "batch") -> DeviceDesign:
         """Grid search with a flatness-aware selection rule.
@@ -256,26 +310,42 @@ class SubVthOptimizer:
         pick the energy-optimal length over the delay-optimal one.
         A second, local grid refines the choice.
         """
+        validate_solver(solver)
+        if solver == "batch":
+            return optimize_sub_vth_stack([self])[0]
         rows = self.sweep(solver=solver)
         chosen = self._select(rows)
+        error = self._edge_error(rows, chosen)
+        if error is not None:
+            raise error
+        local = self._refine_lengths(rows, chosen)
+        if local is not None:
+            chosen = self._select(self._sequential_rows(local), rows)
+        return chosen[1]
+
+    def _edge_error(self, rows: list[Row],
+                    chosen: Row) -> OptimizationError | None:
+        """The refusal to return an edge design, if ``chosen`` is one."""
         if chosen[0] == rows[-1][0] and len(rows) > 1:
-            raise OptimizationError(
+            return OptimizationError(
                 f"{self.node.name}: energy factor still flat/falling at "
                 f"{rows[-1][0]:.0f} nm; widen LENGTH_RANGE"
             )
-        # Local refinement around the chosen length.
-        step = rows[1][0] - rows[0][0] if len(rows) > 1 else 0.0
-        if step > 0.0:
-            lo = max(chosen[0] - step, rows[0][0])
-            hi = min(chosen[0] + step, rows[-1][0])
-            local = self._rows_for_lengths(np.linspace(lo, hi, 7), solver)
-            chosen = self._select(local, rows)
-        return chosen[1]
+        return None
 
     @staticmethod
-    def _select(rows: list[tuple[float, DeviceDesign, float]],
-                reference: list[tuple[float, DeviceDesign, float]] | None = None
-                ) -> tuple[float, DeviceDesign, float]:
+    def _refine_lengths(rows: list[Row], chosen: Row) -> np.ndarray | None:
+        """The local refinement grid around the chosen length (None when
+        the sweep has a single point)."""
+        step = rows[1][0] - rows[0][0] if len(rows) > 1 else 0.0
+        if step <= 0.0:
+            return None
+        lo = max(chosen[0] - step, rows[0][0])
+        hi = min(chosen[0] + step, rows[-1][0])
+        return np.linspace(lo, hi, 7)
+
+    @staticmethod
+    def _select(rows: list[Row], reference: list[Row] | None = None) -> Row:
         """Longest-length row whose energy factor is within tolerance of the min.
 
         The minimum is taken over ``rows`` plus the optional
@@ -291,16 +361,142 @@ class SubVthOptimizer:
         return max(eligible, key=lambda r: r[0])
 
 
+def _unwrap(rows: list[Row] | OptimizationError) -> list[Row]:
+    if isinstance(rows, OptimizationError):
+        raise rows
+    return rows
+
+
+def _rows_stack(problems: Sequence[tuple[SubVthOptimizer, Sequence[float]]]
+                ) -> list[list[Row] | OptimizationError]:
+    """Rows for every ``(optimizer, lengths)`` problem in one root-solve.
+
+    The ``problems x lengths x polarity x halo-ratio`` candidates stack
+    on the lane axis.  Each problem gets its rows, or the
+    :class:`~repro.errors.OptimizationError` its one-problem solve
+    raises (its first length/polarity with no feasible doping).
+    Designs and energy factors are evaluated inside each optimiser's
+    calibration scope, as its one-problem flow would.
+    """
+    if not problems:
+        return []
+    lengths = [[float(l) for l in grid] for _opt, grid in problems]
+    groups = [group for (opt, _grid), grid in zip(problems, lengths)
+              for l_poly in grid for group in opt._pair_groups(l_poly)]
+    try:
+        winners = batch_mod.optimize_doping_groups(groups, HALO_RATIO_GRID,
+                                                   SS_TIE_TOLERANCE)
+    except OptimizationError as err:
+        if len(problems) == 1:
+            return [err]
+        # Some problem has no feasible doping: solve each alone and
+        # cold, as its one-problem flow would, to find which.  A failing
+        # stack always ends in an error, and feasibility does not depend
+        # on warm starts, so the warm starts this drops cannot change
+        # which error is raised.
+        out: list[list[Row] | OptimizationError] = []
+        for problem in problems:
+            batch_mod.reset_warm_starts()
+            out += _rows_stack([problem])
+        return out
+    rows: list[list[Row] | OptimizationError] = []
+    start = 0
+    for (opt, _grid), grid in zip(problems, lengths):
+        mine = winners[start:start + 2 * len(grid)]
+        start += 2 * len(grid)
+        with opt.calibration.scope():
+            rows.append([opt._row(l_poly, mine[2 * i], mine[2 * i + 1])
+                         for i, l_poly in enumerate(grid)])
+    return rows
+
+
+def optimize_sub_vth_stack(optimizers: Sequence[SubVthOptimizer]
+                           ) -> list[DeviceDesign]:
+    """Run :meth:`SubVthOptimizer.optimize` for many optimisers in lock-step.
+
+    Every optimiser's length sweep is one stacked root-solve and every
+    refinement grid a second one, so a family costs two solves however
+    many nodes — or calibrations — it spans.  Each refinement lane
+    warm-starts from the root its own sweep stored (memo keys differ
+    per node and calibration), so every design is bitwise the one a
+    per-optimiser loop returns.  Errors follow that loop too: problem
+    ``i`` runs sweep, edge check and refinement before problem
+    ``i+1``, so an earlier problem's refinement failure outranks a
+    later problem's sweep failure.
+
+    A sweep root evicted from :data:`~repro.scaling.batch.bracket_memo`
+    before its refinement reads it would make that lane solve cold
+    (different bits), so a stack whose sweeps could store more roots
+    than the memo holds runs as consecutive lock-step chunks that fit.
+    Optimisers that share a node, calibration and leakage target would
+    share warm-start brackets across problems, so a stack must not
+    repeat one (:class:`~repro.errors.ParameterError`).
+    """
+    identities = [(opt.node, opt.calibration, opt._target())
+                  for opt in optimizers]
+    if len(set(identities)) != len(identities):
+        raise ParameterError(
+            "a lock-step stack needs distinct (node, calibration, "
+            "I_off target) optimisers")
+    designs: list[DeviceDesign] = []
+    chunk: list[SubVthOptimizer] = []
+    roots = 0
+    for opt in optimizers:
+        need = 2 * len(HALO_RATIO_GRID) * opt.n_length_points
+        if chunk and roots + need > batch_mod.bracket_memo.maxsize:
+            designs += _optimize_chunk(chunk)
+            chunk, roots = [], 0
+        chunk.append(opt)
+        roots += need
+    return designs + _optimize_chunk(chunk)
+
+
+def _optimize_chunk(optimizers: Sequence[SubVthOptimizer]
+                    ) -> list[DeviceDesign]:
+    """:func:`optimize_sub_vth_stack` for a stack whose sweep roots fit
+    the bracket memo."""
+    batch_mod.reset_warm_starts()
+    sweeps = _rows_stack([(opt, opt._sweep_lengths()) for opt in optimizers])
+    chosen: list[Row] = []
+    first_error: OptimizationError | None = None
+    for opt, rows in zip(optimizers, sweeps):
+        if isinstance(rows, OptimizationError):
+            first_error = rows
+            break
+        pick = opt._select(rows)
+        first_error = opt._edge_error(rows, pick)
+        if first_error is not None:
+            break
+        chosen.append(pick)
+
+    # Refine the problems before the first error, in one more solve.
+    local_grids = [SubVthOptimizer._refine_lengths(rows, pick)
+                   for rows, pick in zip(sweeps, chosen)]
+    refine = [(i, grid) for i, grid in enumerate(local_grids)
+              if grid is not None]
+    locals_ = _rows_stack([(optimizers[i], grid) for i, grid in refine])
+    for (i, _grid), local in zip(refine, locals_):
+        chosen[i] = optimizers[i]._select(_unwrap(local), sweeps[i])
+    if first_error is not None:
+        raise first_error
+    return [row[1] for row in chosen]
+
+
 def build_sub_vth_family(include_130nm: bool = False,
                          ioff_target: float | None = None,
                          solver: str = "batch") -> DeviceFamily:
     """The paper's Table 3 device family.
 
     Each node's design uses the energy-optimal gate length and the
-    minimum-S_S doping at the fixed 100 pA/µm leakage target.
+    minimum-S_S doping at the fixed 100 pA/µm leakage target.  The
+    batched flow optimises every node in lock-step
+    (:func:`optimize_sub_vth_stack`: two stacked root-solves).
     """
-    designs = []
-    for node in roadmap_nodes(include_130nm):
-        optimizer = SubVthOptimizer(node, ioff_target=ioff_target)
-        designs.append(optimizer.optimize(solver=solver))
+    optimizers = [SubVthOptimizer(node, ioff_target=ioff_target)
+                  for node in roadmap_nodes(include_130nm)]
+    validate_solver(solver)
+    if solver == "batch":
+        designs = optimize_sub_vth_stack(optimizers)
+    else:
+        designs = [opt.optimize(solver=solver) for opt in optimizers]
     return DeviceFamily(strategy="sub-vth", designs=tuple(designs))

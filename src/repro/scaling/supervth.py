@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 from scipy.optimize import brentq
 
@@ -162,13 +163,35 @@ class SuperVthOptimizer:
         validate_solver(solver)
         if solver == "batch":
             from . import batch as batch_mod
-            jobs = [(self.node, self.polarity, self.width_um)]
-            return batch_mod.optimize_super_vth_stack(jobs)[0]
+            return batch_mod.optimize_super_vth_stack([
+                batch_mod.super_vth_request(
+                    self.node, self.polarity, self.width_um)])[0]
         n_sub = self.solve_substrate(solver=solver)
         n_p_halo, dev = self._solve_halo(n_sub, solver)
         if dev is not None and dev.profile.n_p_halo_cm3 == n_p_halo:
             return dev
         return self._device(n_sub, n_p_halo)
+
+
+def pair_requests(nodes: Sequence[NodeSpec],
+                  pfet_width_um: float = PFET_WIDTH_RATIO) -> list:
+    """The batched Fig. 1(c) jobs for ``nodes``: an NFET and a PFET
+    :func:`~repro.scaling.batch.super_vth_request` per node, in order,
+    each carrying the calibration in force now."""
+    from . import batch as batch_mod
+    return [batch_mod.super_vth_request(node, polarity, width)
+            for node in nodes
+            for polarity, width in ((Polarity.NFET, 1.0),
+                                    (Polarity.PFET, pfet_width_um))]
+
+
+def pair_designs(nodes: Sequence[NodeSpec],
+                 devices: Sequence[MOSFET]) -> tuple[DeviceDesign, ...]:
+    """One design per node from :func:`pair_requests`' solved devices."""
+    return tuple(DeviceDesign(node=node, nfet=devices[2 * i],
+                              pfet=devices[2 * i + 1], strategy="super-vth",
+                              vdd=node.vdd_nominal)
+                 for i, node in enumerate(nodes))
 
 
 def build_super_vth_design(node: NodeSpec,
@@ -178,17 +201,14 @@ def build_super_vth_design(node: NodeSpec,
     validate_solver(solver)
     if solver == "batch":
         from . import batch as batch_mod
-        n_dev, p_dev = batch_mod.optimize_super_vth_stack([
-            (node, Polarity.NFET, 1.0),
-            (node, Polarity.PFET, pfet_width_um),
-        ])
+        devices = batch_mod.optimize_super_vth_stack(
+            pair_requests([node], pfet_width_um))
     else:
-        n_dev = SuperVthOptimizer(node, Polarity.NFET,
-                                  width_um=1.0).optimize(solver=solver)
-        p_dev = SuperVthOptimizer(node, Polarity.PFET,
-                                  width_um=pfet_width_um).optimize(solver=solver)
-    return DeviceDesign(node=node, nfet=n_dev, pfet=p_dev,
-                        strategy="super-vth", vdd=node.vdd_nominal)
+        devices = [SuperVthOptimizer(node, polarity, width_um=width)
+                   .optimize(solver=solver)
+                   for polarity, width in ((Polarity.NFET, 1.0),
+                                           (Polarity.PFET, pfet_width_um))]
+    return pair_designs([node], devices)[0]
 
 
 def build_super_vth_family(include_130nm: bool = False,
@@ -203,14 +223,8 @@ def build_super_vth_family(include_130nm: bool = False,
     nodes = tuple(roadmap_nodes(include_130nm))
     if solver == "batch":
         from . import batch as batch_mod
-        jobs = [(node, pol, width) for node in nodes
-                for pol, width in ((Polarity.NFET, 1.0),
-                                   (Polarity.PFET, PFET_WIDTH_RATIO))]
-        devices = batch_mod.optimize_super_vth_stack(jobs)
-        designs = tuple(
-            DeviceDesign(node=node, nfet=devices[2 * i], pfet=devices[2 * i + 1],
-                         strategy="super-vth", vdd=node.vdd_nominal)
-            for i, node in enumerate(nodes))
+        designs = pair_designs(nodes, batch_mod.optimize_super_vth_stack(
+            pair_requests(nodes)))
     else:
         designs = tuple(build_super_vth_design(node, solver=solver)
                         for node in nodes)

@@ -22,7 +22,11 @@ from ..circuit.energy import chain_energy_per_cycle, find_vmin
 from ..device.corners import Corner, at_corner
 from ..device.mosfet import Polarity
 from ..errors import ParameterError
-from ..scaling.batch import optimize_doping_groups, reset_warm_starts
+from ..scaling.batch import (
+    DopingSolveRequest,
+    optimize_doping_groups,
+    reset_warm_starts,
+)
 from ..scaling.roadmap import NodeSpec
 from ..scaling.strategy import DeviceDesign
 from ..scaling.subvth import HALO_RATIO_GRID, SS_TIE_TOLERANCE
@@ -80,12 +84,14 @@ def exact_design(node: NodeSpec, l_poly_nm: float,
     """
     reset_warm_starts()
     groups = [
-        (float(l_poly_nm), Polarity.NFET, 1.0,
-         float(ioff_target_a_per_um), node.vdd_nominal),
-        (float(l_poly_nm), Polarity.PFET, PFET_WIDTH_RATIO,
-         float(ioff_target_a_per_um), node.vdd_nominal),
+        DopingSolveRequest(node=node, l_poly_nm=float(l_poly_nm),
+                           polarity=polarity, width_um=width,
+                           ioff_target=float(ioff_target_a_per_um),
+                           vdd_leak=node.vdd_nominal)
+        for polarity, width in ((Polarity.NFET, 1.0),
+                                (Polarity.PFET, PFET_WIDTH_RATIO))
     ]
-    n_dev, p_dev = optimize_doping_groups(node, groups, HALO_RATIO_GRID,
+    n_dev, p_dev = optimize_doping_groups(groups, HALO_RATIO_GRID,
                                           SS_TIE_TOLERANCE)
     return DeviceDesign(node=node, nfet=n_dev, pfet=p_dev,
                         strategy="service", vdd=node.vdd_nominal)

@@ -38,7 +38,11 @@ from ..cache import grid_path, model_schema_hash
 from ..device.batch import ParameterStack
 from ..device.mosfet import Polarity
 from ..errors import OptimizationError, ParameterError
-from ..scaling.batch import optimize_doping_groups, reset_warm_starts
+from ..scaling.batch import (
+    DopingSolveRequest,
+    optimize_doping_groups,
+    reset_warm_starts,
+)
 from ..scaling.roadmap import PRIMARY_NODES, node_by_name
 from ..scaling.strategy import DeviceDesign
 from ..scaling.subvth import HALO_RATIO_GRID, SS_TIE_TOLERANCE
@@ -183,20 +187,22 @@ def _shard_designs(node, l_poly_nm: float,
     ones).  Infeasible targets yield None (a NaN grid row).
     """
     def groups_for(subset: tuple[float, ...]):
-        return ([(l_poly_nm, Polarity.NFET, 1.0, t, node.vdd_nominal)
-                 for t in subset]
-                + [(l_poly_nm, Polarity.PFET, PFET_WIDTH_RATIO, t,
-                    node.vdd_nominal) for t in subset])
+        return [DopingSolveRequest(node=node, l_poly_nm=l_poly_nm,
+                                   polarity=polarity, width_um=width,
+                                   ioff_target=t, vdd_leak=node.vdd_nominal)
+                for polarity, width in ((Polarity.NFET, 1.0),
+                                        (Polarity.PFET, PFET_WIDTH_RATIO))
+                for t in subset]
 
     try:
-        devices = optimize_doping_groups(node, groups_for(targets),
+        devices = optimize_doping_groups(groups_for(targets),
                                          HALO_RATIO_GRID, SS_TIE_TOLERANCE)
     except OptimizationError:
         designs: list[DeviceDesign | None] = []
         for target in targets:
             try:
                 pair = optimize_doping_groups(
-                    node, groups_for((target,)),
+                    groups_for((target,)),
                     HALO_RATIO_GRID, SS_TIE_TOLERANCE)
             except OptimizationError:
                 designs.append(None)

@@ -19,8 +19,11 @@ Both are driven by ``repro serve``.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 import math
+import os
+import stat
 import sys
 
 from .. import perf
@@ -379,16 +382,70 @@ async def serve_stdio(service: DesignSpaceService,
     line — malformed lines included: a line that is not valid UTF-8
     or not JSON, or that is longer than :data:`_STDIO_MAX_LINE`,
     answers ``bad_request`` and serving goes on.  ``reader`` /
-    ``writer`` default to this process's stdio (injectable in tests:
-    an :class:`asyncio.StreamReader` and any object with ``write``).
+    ``writer`` default to this process's stdio, whose input may be a
+    pipe or a regular file (``repro serve < requests.jsonl``);
+    injectable in tests as an :class:`asyncio.StreamReader` and any
+    object with ``write``.
     Responses are flushed per line, so a driving process can pipeline
     synchronously.
     """
+    feeding = None
     if reader is None:
         loop = asyncio.get_running_loop()
         reader = asyncio.StreamReader(limit=_STDIO_MAX_LINE)
-        await loop.connect_read_pipe(
-            lambda: asyncio.StreamReaderProtocol(reader), sys.stdin)
+        if stat.S_ISREG(os.fstat(sys.stdin.fileno()).st_mode):
+            # A pipe transport refuses regular files (``serve <
+            # file``): feed the same reader from the file instead.
+            feeding = loop.create_task(_feed_from_file(reader, sys.stdin))
+        else:
+            await loop.connect_read_pipe(
+                lambda: asyncio.StreamReaderProtocol(reader), sys.stdin)
+    try:
+        await _serve_lines(service, reader, writer)
+    finally:
+        if feeding is not None:
+            # Done at EOF; a read error surfaces here.
+            feeding.cancel()
+            with contextlib.suppress(asyncio.CancelledError):
+                await feeding
+
+
+class _FlowControl:
+    """The pause/resume half of a read transport: the reader pauses it
+    when its buffer passes twice its limit and resumes it once drained,
+    as it would a pipe."""
+
+    def __init__(self) -> None:
+        self.ready = asyncio.Event()
+        self.ready.set()
+
+    def pause_reading(self) -> None:
+        self.ready.clear()
+
+    def resume_reading(self) -> None:
+        self.ready.set()
+
+
+async def _feed_from_file(reader: asyncio.StreamReader, stream) -> None:
+    """Feed ``reader`` from a regular file in chunks, then EOF, reading
+    off the event loop and only while the reader wants more."""
+    loop = asyncio.get_running_loop()
+    flow = _FlowControl()
+    reader.set_transport(flow)
+    try:
+        while True:
+            await flow.ready.wait()
+            chunk = await loop.run_in_executor(None, stream.buffer.read1,
+                                               _STDIO_MAX_LINE)
+            if not chunk:
+                break
+            reader.feed_data(chunk)
+    finally:
+        reader.feed_eof()
+
+
+async def _serve_lines(service: DesignSpaceService,
+                       reader: asyncio.StreamReader, writer) -> None:
     while True:
         raw = await _read_request_line(reader)
         if raw is None:
@@ -412,13 +469,39 @@ async def serve_stdio(service: DesignSpaceService,
                 await drain()
 
 
+#: Largest HTTP request body [bytes] the server reads.
 _HTTP_MAX_BODY = 1 << 20
+
+
+def _content_length(value: str) -> tuple[int, tuple[str, str] | None]:
+    """``(length, None)`` for a Content-Length value that frames a body;
+    ``(0, (status, message))`` when it cannot: not a non-negative
+    integer (400) or over :data:`_HTTP_MAX_BODY` (413)."""
+    text = value.strip()
+    if not (text.isascii() and text.isdigit()):
+        return 0, ("400 Bad Request",
+                   f"Content-Length {text!r} is not a non-negative integer")
+    # Count digits before converting: int() refuses a string of more
+    # than a few thousand digits, and none of those fits the limit.
+    digits = text.lstrip("0") or "0"
+    if len(digits) > len(str(_HTTP_MAX_BODY)) \
+            or int(digits) > _HTTP_MAX_BODY:
+        return 0, ("413 Payload Too Large",
+                   f"Content-Length exceeds the {_HTTP_MAX_BODY}-byte "
+                   "request body limit")
+    return int(digits), None
 
 
 async def _handle_http_client(service: DesignSpaceService,
                               reader: asyncio.StreamReader,
                               writer: asyncio.StreamWriter) -> None:
-    """One HTTP/1.1 connection: ``POST /query`` or ``GET /info``."""
+    """One HTTP/1.1 connection: ``POST /query`` or ``GET /info``.
+
+    A Content-Length that is malformed, negative or over
+    :data:`_HTTP_MAX_BODY` answers one ``bad_request`` (400 or 413) and
+    closes the connection: the stream can no longer be split into
+    requests, so a request never gets a second reply for its tail.
+    """
     try:
         while True:
             request_line = await reader.readline()
@@ -428,13 +511,22 @@ async def _handle_http_client(service: DesignSpaceService,
             method = parts[0].upper() if parts else ""
             target = parts[1] if len(parts) > 1 else ""
             length = 0
+            framing = None
             while True:
                 header = await reader.readline()
                 if header in (b"\r\n", b"\n", b""):
                     break
                 name, _sep, value = header.decode("latin-1").partition(":")
-                if name.strip().lower() == "content-length":
-                    length = min(int(value.strip()), _HTTP_MAX_BODY)
+                if name.strip().lower() == "content-length" \
+                        and framing is None:
+                    length, framing = _content_length(value)
+            if framing is not None:
+                status, message = framing
+                _write_http(writer, status,
+                            service._error("bad_request", message, None),
+                            keep_alive=False)
+                await writer.drain()
+                break
             body = await reader.readexactly(length) if length else b""
             if method == "GET" and target == "/info":
                 response = service.handle({"query": "info"})
@@ -446,17 +538,23 @@ async def _handle_http_client(service: DesignSpaceService,
                 response = {"ok": False, "error": "bad_request",
                             "message": "use POST /query or GET /info"}
                 status = "404 Not Found"
-            payload = json.dumps(response, sort_keys=True).encode()
-            writer.write(
-                f"HTTP/1.1 {status}\r\n"
-                f"Content-Type: application/json\r\n"
-                f"Content-Length: {len(payload)}\r\n"
-                f"Connection: keep-alive\r\n\r\n".encode() + payload)
+            _write_http(writer, status, response, keep_alive=True)
             await writer.drain()
     except (ConnectionError, asyncio.IncompleteReadError, ValueError):
         pass
     finally:
         writer.close()
+
+
+def _write_http(writer, status: str, response: dict,
+                keep_alive: bool) -> None:
+    payload = json.dumps(response, sort_keys=True).encode()
+    connection = "keep-alive" if keep_alive else "close"
+    writer.write(
+        f"HTTP/1.1 {status}\r\n"
+        f"Content-Type: application/json\r\n"
+        f"Content-Length: {len(payload)}\r\n"
+        f"Connection: {connection}\r\n\r\n".encode() + payload)
 
 
 async def serve_http(service: DesignSpaceService, host: str = "127.0.0.1",

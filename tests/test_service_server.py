@@ -368,6 +368,30 @@ class TestStdioTransport:
         assert [replies[1]["id"], replies[3]["id"]] == [3, 4]
 
 
+    def test_regular_file_on_stdin(self, exact_only, tmp_path, capsys,
+                                   monkeypatch):
+        """``repro serve < requests.jsonl``: a regular file cannot back
+        a pipe transport, so serving reads it in chunks into the same
+        reader — same line handling, same over-long discard, one reply
+        per line in order, then a normal exit at EOF."""
+        def info(n):
+            return json.dumps({"query": "info", "id": n}).encode() + b"\n"
+
+        path = tmp_path / "requests.jsonl"
+        path.write_bytes(info(1) + b"\xff\xfe\n" + b"z" * 100_000 + b"\n"
+                         + info(2))
+        capsys.readouterr()
+        with open(path) as stdin:
+            monkeypatch.setattr("sys.stdin", stdin)
+            asyncio.run(serve_stdio(exact_only))
+        replies = [json.loads(line)
+                   for line in capsys.readouterr().out.splitlines()]
+        assert [r["ok"] for r in replies] == [True, False, False, True]
+        assert "UTF-8" in replies[1]["message"]
+        assert "longer than" in replies[2]["message"]
+        assert [replies[0]["id"], replies[3]["id"]] == [1, 2]
+
+
 class TestHttpTransport:
     @staticmethod
     def _exchange(service, raw: bytes):
@@ -436,6 +460,74 @@ class TestHttpTransport:
         assert "400 Bad Request" in replies[0][0]
         assert replies[0][1]["error"] == "bad_request"
         assert "200 OK" in replies[1][0] and replies[1][1]["ok"] is True
+
+    @staticmethod
+    def _replies(service, raw: bytes) -> list[tuple[str, dict]]:
+        """Every ``(head, body)`` reply on one connection fed ``raw``."""
+        writer = _CollectingWriter()
+        writer.close = lambda: None
+
+        async def drive():
+            reader = asyncio.StreamReader()
+            reader.feed_data(raw)
+            reader.feed_eof()
+            await _handle_http_client(service, reader, writer)
+
+        asyncio.run(drive())
+        replies = []
+        rest = b"".join(writer.chunks)
+        while rest:
+            head, _sep, rest = rest.partition(b"\r\n\r\n")
+            length = int(head.split(b"Content-Length: ")[1].split(b"\r\n")[0])
+            replies.append((head.decode(), json.loads(rest[:length])))
+            rest = rest[length:]
+        return replies
+
+    @pytest.mark.parametrize("value", [b"abc", b"-5", b"1e3", b"", b"\xb2"])
+    def test_malformed_content_length_is_one_400_then_close(self, service,
+                                                            value):
+        info = json.dumps({"query": "info"}).encode()
+        replies = self._replies(
+            service,
+            b"POST /query HTTP/1.1\r\nContent-Length: " + value
+            + b"\r\n\r\n" + info
+            + b"GET /info HTTP/1.1\r\n\r\n")
+        assert len(replies) == 1
+        head, body = replies[0]
+        assert "400 Bad Request" in head and "Connection: close" in head
+        assert body["error"] == "bad_request"
+        assert "Content-Length" in body["message"]
+
+    @pytest.mark.parametrize("value", [None, b"9" * 5000],
+                             ids=["body-length", "5000-digits"])
+    def test_over_limit_body_is_one_413_then_close(self, service, value):
+        """A body over the limit is refused whole: its tail is never
+        parsed as a second request.  A length too long for int() gets
+        the same reply."""
+        limit = 1 << 20
+        tail = b"GET /info HTTP/1.1\r\n\r\n"
+        body = b"x" * limit + tail
+        if value is None:
+            value = str(len(body)).encode()
+        replies = self._replies(
+            service,
+            b"POST /query HTTP/1.1\r\nContent-Length: "
+            + value + b"\r\n\r\n" + body)
+        assert len(replies) == 1
+        head, envelope = replies[0]
+        assert "413 Payload Too Large" in head
+        assert "Connection: close" in head
+        assert envelope["error"] == "bad_request"
+        assert str(limit) in envelope["message"]
+
+    def test_zero_padded_content_length_frames_the_body(self, service):
+        payload = json.dumps({"query": "info"}).encode()
+        replies = self._replies(
+            service,
+            b"POST /query HTTP/1.1\r\nContent-Length: " + b"0" * 5000
+            + str(len(payload)).encode() + b"\r\n\r\n" + payload)
+        assert len(replies) == 1
+        assert "200 OK" in replies[0][0] and replies[0][1]["ok"] is True
 
     def test_unknown_target_is_404(self, service):
         head, body = self._exchange(service,
