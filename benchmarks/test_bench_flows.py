@@ -1,8 +1,7 @@
 """Benches: the batched design-space engine (scaling flows).
 
-Each optimiser flow is timed cold — the device-construction memo and
-the warm-start bracket cache are cleared before every round — and
-paired with its sequential (scalar-oracle) counterpart so
+Each optimiser flow is timed cold — the device-construction memo is
+cleared before every round — and paired with its sequential (scalar-oracle) counterpart so
 ``BENCH_flows.json`` records the before/after of the vectorisation.
 The sequential sub-V_th sweeps are the slow half; set
 ``REPRO_BENCH_QUICK=1`` (the CI quick mode) to skip them.
@@ -16,8 +15,7 @@ import pytest
 from repro import perf
 from repro.cache import device_memo
 from repro.device.mosfet import Polarity
-from repro.scaling.batch import (DopingSolveRequest, bracket_memo,
-                                 optimize_doping_groups)
+from repro.scaling.batch import DopingSolveRequest, optimize_doping_groups
 from repro.scaling.multivth import derive_flavours
 from repro.scaling.roadmap import node_by_name
 from repro.scaling.sensitivity import (headline_under_calibration,
@@ -33,9 +31,8 @@ slow = pytest.mark.skipif(
 
 
 def _cold():
-    """Clear the caches a prior round (or fixture) may have warmed."""
+    """Clear the device memo a prior round (or fixture) may have warmed."""
     device_memo.clear()
-    bracket_memo.clear()
 
 
 def run_cold(benchmark, func, *args, **kwargs):

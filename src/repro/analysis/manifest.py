@@ -175,8 +175,15 @@ class RunManifest:
     # -- capture -------------------------------------------------------------
 
     def record(self, experiment_id: str) -> tuple[ExperimentResult, RunRecord]:
-        """Run one experiment, capturing its provenance trace."""
+        """Run one experiment, capturing its provenance trace.
+
+        The process is first put in the state every recorded experiment
+        starts from (:func:`~repro.experiments.families.prepare_experiment`),
+        so the captured counters do not depend on what ran before.
+        """
         from ..experiments import run_experiment
+        from ..experiments.families import prepare_experiment
+        prepare_experiment()
         before = perf.snapshot()
         start = time.perf_counter()
         result = run_experiment(experiment_id)

@@ -1,4 +1,4 @@
-"""Caching layers: in-process construction memos and an on-disk store.
+"""Caching layers: an in-process construction memo and an on-disk store.
 
 Two independent layers, both instrumented through :mod:`repro.perf`:
 
@@ -10,12 +10,10 @@ are immutable (frozen dataclasses), so construction is memoised on the
 full parameter tuple in a bounded LRU table and identical rebuilds are
 free.
 
-**Family disk cache** (opt-in): optimising a Table 2/3
-:class:`~repro.scaling.strategy.DeviceFamily` costs seconds of
-root-solving but is a pure function of the model source code.  When
-enabled, optimised families are persisted as JSON through
-:mod:`repro.io.serialize` and reloaded on the next run.  Enable it by
-either::
+**Grid tensors on disk** (opt-in): the design-space service's
+precomputed metric grids, ``grid-{grid_id}-{hash}.npz``
+(:func:`grid_path`; built by ``repro grid build``, written/read by
+:mod:`repro.service.grid`).  Enable the disk cache by either::
 
     export REPRO_CACHE_DIR=/path/to/cache   # explicit location
     export REPRO_CACHE=1                    # default ~/.cache/repro
@@ -24,23 +22,11 @@ Entries are versioned by :func:`model_schema_hash`, a digest of the
 physics/optimiser source files — any model change changes the hash and
 silently invalidates old entries.  To invalidate manually, delete the
 cache directory (or call :func:`clear_disk_cache`).
-
-The cache directory has three tenants, all keyed by the same schema
-hash (see ``docs/TUTORIAL.md`` for the full layout):
-
-* family entries — ``{tag}-{hash}.json``, optimised
-  :class:`~repro.scaling.strategy.DeviceFamily` JSON;
-* the bracket spill — ``brackets-{hash}.json``, the doping solver's
-  warm-start table (:func:`load_brackets` / :func:`store_brackets`);
-* grid tensors — ``grid-{grid_id}-{hash}.npz``, the design-space
-  service's precomputed metric grids (:func:`grid_path`; built by
-  ``repro grid build``, written/read by :mod:`repro.service.grid`).
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import pathlib
 import threading
@@ -58,7 +44,6 @@ _SCHEMA_SOURCES = (
     "device",
     "scaling",
     "circuit",
-    "io/serialize.py",
 )
 
 
@@ -124,7 +109,7 @@ def device_cache_enabled() -> bool:
     return os.environ.get("REPRO_DEVICE_CACHE", "1") != "0"
 
 
-# -- on-disk family cache -----------------------------------------------------
+# -- on-disk cache ------------------------------------------------------------
 
 def cache_dir() -> pathlib.Path | None:
     """The on-disk cache directory, or None when the cache is disabled.
@@ -163,150 +148,6 @@ def model_schema_hash() -> str:
     return _SCHEMA_HASH
 
 
-def _entry_path(tag: str, directory: pathlib.Path) -> pathlib.Path:
-    return directory / f"{tag}-{model_schema_hash()}.json"
-
-
-def load_family(tag: str):
-    """Load a cached :class:`DeviceFamily`, or None on miss/disabled.
-
-    Any unreadable or schema-mismatched entry counts as a miss; the
-    caller recomputes and overwrites it.
-    """
-    directory = cache_dir()
-    if directory is None:
-        return None
-    path = _entry_path(tag, directory)
-    # Imported lazily: io.serialize imports the device layer, which
-    # imports this module for the construction memo.
-    from .io.serialize import family_from_dict, load_json
-    try:
-        family = family_from_dict(load_json(path))
-    except (OSError, ValueError, KeyError, TypeError):
-        perf.bump("cache.family.misses")
-        return None
-    perf.bump("cache.family.hits")
-    return family
-
-
-def store_family(tag: str, family) -> None:
-    """Persist an optimised family (no-op when the cache is disabled)."""
-    directory = cache_dir()
-    if directory is None:
-        return
-    from .io.serialize import family_to_dict, save_json
-    directory.mkdir(parents=True, exist_ok=True)
-    path = _entry_path(tag, directory)
-    tmp = path.with_suffix(".json.tmp")
-    save_json(family_to_dict(family), tmp)
-    tmp.replace(path)
-    perf.bump("cache.family.stores")
-
-
-# -- on-disk bracket spill ----------------------------------------------------
-#
-# The scaling doping solver's warm-start brackets (repro.scaling.batch)
-# are scoped to one flow invocation, so cold invocations re-derive every
-# root from the full doping bounds.  When the disk cache is enabled the
-# solver spills each cold-converged final bracket here — keyed by the
-# same model schema hash as the family cache, so model edits silently
-# invalidate old brackets — and replays it on the next invocation.
-# Replayed brackets are already below the solver tolerance, which makes
-# replay byte-deterministic: the lane retires before its first sweep
-# with exactly the midpoint a cold solve would return.
-#
-# The spill is an append-only log: each store adds one line, a
-# ``{"schema": 1, "entries": {...}}`` object holding only that store's
-# new brackets, so a spill costs O(new entries) however large the table
-# has grown.  A single-object file written before the log format is a
-# valid one-line log.
-
-_BRACKET_TAG = "brackets"
-_BRACKET_TABLES: dict[pathlib.Path, dict[str, list[float]]] = {}
-_BRACKET_LOCK = threading.Lock()
-
-
-def _bracket_pairs(line: str) -> dict[str, list[float]]:
-    """The brackets of one spill line; empty when it does not parse."""
-    try:
-        payload = json.loads(line)
-        entries = (payload.get("entries", {})
-                   if payload.get("schema") == 1 else {})
-        return {str(key): [float(pair[0]), float(pair[1])]
-                for key, pair in entries.items()
-                if isinstance(pair, (list, tuple)) and len(pair) == 2}
-    except (ValueError, TypeError, AttributeError):
-        return {}
-
-
-def load_brackets() -> dict[str, list[float]] | None:
-    """The on-disk bracket table, or None when the cache is disabled.
-
-    The table maps the solver's exact string keys to ``[lo, hi]``
-    bracket pairs, merged from the spill log's lines in order (later
-    entries win).  A line that does not parse — a torn tail from an
-    interrupted append — is skipped: it loses its entries but never
-    changes a result, because a spilled bracket only accelerates a
-    solve.  The table is read once per process per cache directory
-    and shared with :func:`store_brackets`, which extends it.
-    """
-    directory = cache_dir()
-    if directory is None:
-        return None
-    path = _entry_path(_BRACKET_TAG, directory)
-    with _BRACKET_LOCK:
-        table = _BRACKET_TABLES.get(path)
-        if table is None:
-            table = {}
-            try:
-                lines = path.read_text().splitlines()
-            except (OSError, ValueError):
-                lines = []
-            for line in lines:
-                table.update(_bracket_pairs(line))
-            _BRACKET_TABLES[path] = table
-    return table
-
-
-def store_brackets(entries: dict[str, tuple[float, float]]) -> None:
-    """Merge solved brackets into the table and append them to the log.
-
-    No-op when the cache is disabled or no entry is new.  The new
-    entries go out as one JSON line in one ``os.write`` on an
-    ``O_APPEND`` descriptor, so the cost is O(new entries), and
-    concurrent writers — parallel shard workers of
-    ``repro grid build --jobs N`` — append whole lines rather than
-    interleaving a buffered write's pieces.  Each line starts with a
-    newline, so neither a torn line nor a file written without a
-    trailing newline can swallow the next one.  JSON serialises
-    floats via ``repr`` (shortest round-trip), so replayed brackets
-    are bitwise the ones that were spilled.
-    """
-    table = load_brackets()
-    if table is None:
-        return
-    directory = cache_dir()
-    assert directory is not None
-    with _BRACKET_LOCK:
-        new = {}
-        for key, (lo, hi) in entries.items():
-            pair = [float(lo), float(hi)]
-            if table.get(str(key)) != pair:
-                table[str(key)] = pair
-                new[str(key)] = pair
-        if not new:
-            return
-        line = "\n" + json.dumps({"schema": 1, "entries": new},
-                                 sort_keys=True)
-        directory.mkdir(parents=True, exist_ok=True)
-        path = _entry_path(_BRACKET_TAG, directory)
-        fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
-        try:
-            os.write(fd, line.encode())
-        finally:
-            os.close(fd)
-
-
 # -- design-space grid tensors ------------------------------------------------
 
 def grid_path(grid_id: str) -> pathlib.Path | None:
@@ -314,9 +155,9 @@ def grid_path(grid_id: str) -> pathlib.Path | None:
 
     ``grid_id`` is the :meth:`repro.service.grid.GridSpec.grid_id` axes
     digest; the filename also carries :func:`model_schema_hash`, so a
-    model edit orphans old tensors exactly like stale family entries
-    (the service then reports a cache miss and rebuilds or falls back
-    to the exact tier).  Returns None when the disk cache is disabled.
+    model edit orphans old tensors (the service then reports a cache
+    miss and rebuilds or falls back to the exact tier).  Returns None
+    when the disk cache is disabled.
     """
     directory = cache_dir()
     if directory is None:
@@ -325,19 +166,12 @@ def grid_path(grid_id: str) -> pathlib.Path | None:
 
 
 def clear_disk_cache() -> int:
-    """Delete every entry in the disk cache; returns the count removed.
-
-    Covers all three tenants: family JSON, the bracket spill, and the
-    design-space grid tensors (``*.npz``).
-    """
+    """Delete the disk cache's grid tensors; returns the count removed."""
     directory = cache_dir()
     if directory is None or not directory.is_dir():
         return 0
     removed = 0
-    for pattern in ("*.json", "*.npz"):
-        for path in directory.glob(pattern):
-            path.unlink(missing_ok=True)
-            removed += 1
-    with _BRACKET_LOCK:
-        _BRACKET_TABLES.clear()
+    for path in directory.glob("*.npz"):
+        path.unlink(missing_ok=True)
+        removed += 1
     return removed

@@ -50,11 +50,19 @@ def _run_one_worker(experiment_id: str):
     Module-level so it pickles into :class:`ProcessPoolExecutor`
     workers; experiments are pure functions of the registry id.  The
     counters are reset first because a forked worker inherits the
-    parent's totals, which would double-count once merged back.
+    parent's totals, which would double-count once merged back.  The
+    process is then put in the state every recorded experiment starts
+    from (:func:`~repro.experiments.families.prepare_experiment`), and
+    the counters of that prelude are returned apart from the
+    experiment's own, so they reach ``--profile`` totals but never an
+    experiment's record.
     """
+    from .experiments.families import prepare_experiment
     perf.reset()
+    prepare_experiment()
+    prelude = perf.snapshot()
     result, elapsed = _run_one(experiment_id)
-    return result, elapsed, perf.snapshot()
+    return result, elapsed, perf.delta(prelude), prelude
 
 
 def _print_result(result, elapsed: float, plot: bool) -> bool:
@@ -108,7 +116,9 @@ def _cmd_run(targets: list[str], plot: bool = False, jobs: int = 1,
         with ProcessPoolExecutor(max_workers=workers) as pool:
             # map() preserves submission order, so the report stream is
             # deterministic regardless of completion order.
-            for result, elapsed, counts in pool.map(_run_one_worker, ids):
+            for result, elapsed, counts, prelude in pool.map(
+                    _run_one_worker, ids):
+                perf.merge(prelude)
                 perf.merge(counts)
                 if not _print_result(result, elapsed, plot):
                     failures += 1
@@ -136,12 +146,15 @@ def _resolve_ids(targets: list[str] | None) -> list[str] | int:
 
 
 def _results_json_problems(path, manifest, ids: list[str]) -> list[str]:
-    """Structural staleness checks for the committed results.json.
+    """Staleness checks for the committed results.json.
 
     Byte comparison would be meaningless (wall times and git SHA vary
     run to run), so the check is semantic: the file must exist, parse,
     carry the current model schema hash, and record perf counters and
-    wall time for every id that was just run.
+    wall time for every id that was just run, with counters equal to
+    the re-run's.  Counters are a pure function of the code, so a
+    difference means either stale results or counters that depend on
+    how the run was spread over ``--jobs`` workers.
     """
     import json
     if not path.exists():
@@ -156,6 +169,7 @@ def _results_json_problems(path, manifest, ids: list[str]) -> list[str]:
             f"{path.name}: schema hash {payload.get('schema_hash')!r} != "
             f"current {manifest.schema_hash!r} (model sources changed)")
     entries = payload.get("experiments", {})
+    counters = {r.experiment_id: r.perf_counters for r in manifest.records}
     for eid in ids:
         entry = entries.get(eid)
         if entry is None:
@@ -163,6 +177,13 @@ def _results_json_problems(path, manifest, ids: list[str]) -> list[str]:
         elif ("perf_counters" not in entry
               or "wall_time_s" not in entry):
             problems.append(f"{path.name}: incomplete entry for {eid!r}")
+        else:
+            committed, rerun = entry["perf_counters"], counters[eid]
+            moved = sorted(name for name in committed.keys() | rerun.keys()
+                           if committed.get(name) != rerun.get(name))
+            if moved:
+                problems.append(f"{path.name}: perf counters of {eid!r} "
+                                f"differ from the re-run: {', '.join(moved)}")
     return problems
 
 
@@ -190,7 +211,8 @@ def _cmd_report(root: str, check: bool = False, jobs: int = 1,
         from concurrent.futures import ProcessPoolExecutor
         workers = min(jobs, len(ids))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for result, elapsed, counts in pool.map(_run_one_worker, ids):
+            for result, elapsed, counts, _prelude in pool.map(
+                    _run_one_worker, ids):
                 perf.merge(counts)
                 manifest.add(result, wall_time_s=elapsed,
                              perf_counters=counts)

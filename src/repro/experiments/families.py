@@ -1,66 +1,48 @@
-"""Cached device families shared across experiments.
+"""Device families shared across experiments.
 
 Building the sub-V_th family runs hundreds of doping optimisations;
-experiments share one cached instance per configuration so running the
-whole suite stays fast.  Two layers:
+experiments share one in-process instance per configuration
+(``lru_cache``) so running the whole suite stays fast.
 
-* an in-process ``lru_cache`` (always on), and
-* the opt-in on-disk JSON cache from :mod:`repro.cache`, which lets a
-  fresh process (``repro run table2``, a parallel worker) skip the
-  optimiser entirely when a previous run already solved this model
-  version.  Enable with ``REPRO_CACHE=1`` or ``REPRO_CACHE_DIR=...``.
+:func:`prepare_experiment` puts the process in the state every
+recorded experiment starts from, so an experiment's perf counters do
+not depend on which experiments ran before it in the same process.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable
 
-from .. import perf
-from ..cache import load_family, store_family
+from ..cache import device_memo
 from ..scaling.strategy import DeviceFamily
 from ..scaling.subvth import build_sub_vth_family
 from ..scaling.supervth import build_super_vth_family
 
 
-def _cached_family(tag: str, build: Callable[[bool], DeviceFamily],
-                   include_130nm: bool) -> DeviceFamily:
-    if include_130nm:
-        tag = f"{tag}-130"
-    family = load_family(tag)
-    if family is None:
-        # Reattribute the optimiser's scaling.* / numerics.* counters
-        # to a *.family.* namespace: which experiment happens to
-        # trigger the lazy family build depends on run order, and the
-        # per-experiment footers only stay deterministic if family
-        # construction work is not billed to that experiment.
-        before = perf.snapshot()
-        family = build(include_130nm)
-        for name, inc in perf.delta(before).items():
-            for prefix in ("scaling.", "numerics."):
-                if name.startswith(prefix):
-                    # Reverse the observed counters, then re-bill them
-                    # to the family namespace.
-                    perf.bump(name, -inc)  # repro: noqa[RPR006] startswith guard pins the family
-                    perf.bump(prefix + "family."  # repro: noqa[RPR006] prefix is scaling./numerics., both registered families
-                              + name[len(prefix):], inc)
-                    break
-        store_family(tag, family)
-    return family
-
-
 @lru_cache(maxsize=4)
 def super_vth_family(include_130nm: bool = False) -> DeviceFamily:
     """The (cached) Table 2 family."""
-    return _cached_family("family-super-vth", build_super_vth_family,
-                          include_130nm)
+    return build_super_vth_family(include_130nm)
 
 
 @lru_cache(maxsize=4)
 def sub_vth_family(include_130nm: bool = False) -> DeviceFamily:
     """The (cached) Table 3 family."""
-    return _cached_family("family-sub-vth", build_sub_vth_family,
-                          include_130nm)
+    return build_sub_vth_family(include_130nm)
+
+
+def prepare_experiment() -> None:
+    """Build the default families and empty the device memo.
+
+    The default families are the only ones experiments use, so after
+    this no experiment builds a family, and each one starts with an
+    empty device memo.  Its counters are then the same whether it runs
+    first in a fresh worker or after others in one process, which is
+    what keeps ``results.json`` independent of ``repro report --jobs``.
+    """
+    super_vth_family()
+    sub_vth_family()
+    device_memo.clear()
 
 
 #: Sub-threshold evaluation supply used by the figure experiments [V].

@@ -1,9 +1,7 @@
 """RPR003 — no nondeterminism hazards in library code.
 
-``repro report --jobs N`` must be byte-deterministic (PR 4 reset the
-scaling warm-start cache at every flow entry for exactly this), and
-Monte Carlo results must be a pure function of their ``seed``
-argument.  Wall-clock reads and global RNG state break both.
+``repro report --jobs N`` must be byte-deterministic, and Monte
+Carlo results must be a pure function of their ``seed`` argument.  Wall-clock reads and global RNG state break both.
 
 Flagged: ``time.time`` / ``time.time_ns``, ``datetime.now`` /
 ``datetime.utcnow``, the ``random`` stdlib module, ``os.urandom``,

@@ -9,9 +9,8 @@ so the registry, its docstring, and the check cannot drift apart).
 
 Dynamically built names (f-strings, ``"prefix" + tail``) are allowed
 only when their literal head matches one of the registered
-:data:`repro.perf.DYNAMIC_COUNTER_PREFIXES` families (``cache.*``,
-``scaling.family.*``); a fully dynamic name needs an inline noqa with
-its reason.
+:data:`repro.perf.DYNAMIC_COUNTER_PREFIXES` families (``cache.*``); a
+fully dynamic name needs an inline noqa with its reason.
 """
 
 from __future__ import annotations

@@ -6,9 +6,9 @@ in the device, circuit and scaling engines.  They agreed only
 approximately: warm-start handling, counter semantics and termination
 rules drifted per copy, and every fix had to be applied three times.
 The shared core in :mod:`repro.numerics` is now the single sanctioned
-implementation (gathered active set, warm-start contract, compression
-counters); engine code states its problem as a ``residual(x, idx)``
-callback instead of iterating masks by hand.
+implementation (gathered active set, compression counters); engine
+code states its problem as a ``residual(x, idx)`` callback instead of
+iterating masks by hand.
 
 The rule flags ``while`` loops whose test consumes a mask derived from
 a comparison in the same scope — ``while np.any(active)``,

@@ -7,11 +7,12 @@ under ``src/repro``.
 
 Module-level mutable containers in *engine* code (``device``,
 ``tcad``, ``circuit``, ``scaling``, ``materials``, ``variability``)
-are flagged too: PR 4's warm-start cache taught us that process-level
-state in the numerics must be deliberate — keyed, resettable, and
-run-order independent — so any such cache must either be spelled
-ALL_CAPS (a frozen constant table) or carry an inline noqa naming its
-reset discipline.
+are flagged too: process-level state in the numerics lets a result
+depend on what ran earlier in the process, so any such table must
+either be spelled ALL_CAPS (a frozen constant table) or carry an
+inline noqa naming its reset discipline.  The doping solver's
+warm-start memo, which needed a reset at every flow entry, is the
+case that motivated the rule; it has since been removed.
 """
 
 from __future__ import annotations
@@ -51,10 +52,11 @@ def _is_constant_style(name: str) -> bool:
 class MutableStateRule(Rule):
     rule_id = "RPR008"
     title = "mutable default argument / loose module-level mutable state"
-    rationale = ("PR 4: the bracket warm-start cache had to be reset at "
-                 "every flow entry to keep `repro report --jobs N` "
-                 "byte-deterministic; undisciplined shared state in "
-                 "engine code breaks that guarantee silently")
+    rationale = ("shared state in engine code lets a result depend on "
+                 "what ran before it in the process, which silently "
+                 "breaks `repro report --jobs N` byte-determinism (the "
+                 "doping solver's warm-start memo needed a reset at "
+                 "every flow entry until it was removed)")
 
     def check_module(self, module: ModuleUnit,
                      context: ProjectContext) -> Iterator[Finding]:

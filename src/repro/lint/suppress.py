@@ -6,7 +6,7 @@ rule id.  Bare ``# repro: noqa`` without a rule list is *not*
 honoured — suppressions must say what they suppress, and by repo
 convention should state why::
 
-    bracket_memo = LRUMemo("bracket")  # repro: noqa[RPR008] reset per flow
+    perf.bump(sweep_counter)  # repro: noqa[RPR006] caller passes a registered name
 
 The marker grammar is deliberately rigid (``repro: noqa`` followed by
 a bracketed, comma-separated rule list) so a typo fails loudly as an

@@ -8,8 +8,8 @@ package is the single implementation all batched engines now call:
 * :func:`bisect_masked` — pure masked bisection (the SRAM read
   balance and constant-current V_th solves),
 * :func:`bisect_illinois` — bisection warm-up plus safeguarded
-  Illinois polish with warm-start brackets (the doping solves, the
-  DVS supply solve and the SNM gain = -1 crossings),
+  Illinois polish (the doping solves, the DVS supply solve and the
+  SNM gain = -1 crossings),
 * :func:`newton_safeguarded` — safeguarded Newton (``rtsafe``) that
   stops on step size (the inverter VTC balance, whose slope the
   closed-form device kernel returns with the currents).
@@ -39,7 +39,6 @@ measured compression (see the provenance footers in docs/RESULTS.md).
 from .backend import array_namespace, gather, scatter
 from .rootsolve import (
     BracketResult,
-    WarmStarts,
     bisect_illinois,
     bisect_masked,
     newton_safeguarded,
@@ -50,7 +49,6 @@ __all__ = [
     "gather",
     "scatter",
     "BracketResult",
-    "WarmStarts",
     "bisect_illinois",
     "bisect_masked",
     "newton_safeguarded",

@@ -14,10 +14,10 @@ Conventions
   negate at the call site; IEEE negation is exact, so the iterate
   sequence is bitwise unchanged.)
 * Lanes whose initial bracket is already at or below ``xtol`` never
-  enter the active set: their root is the bracket midpoint.  Warm
-  starts exploit this — a sign-verified bracket of width <= ``xtol``
-  (e.g. replayed from the disk spill) retires instantly with the same
-  midpoint a cold solve would have produced.
+  enter the active set: their root is the bracket midpoint.
+* Every solve starts from the brackets it is handed; nothing is
+  remembered between calls, so a lane's root is a pure function of its
+  residual and bounds.
 * Equivalence: for lanes present in both, the gathered iteration
   reproduces the retired masked loops bitwise, because all residuals
   are elementwise and gather/scatter only re-indexes them.
@@ -33,11 +33,10 @@ import math
 from dataclasses import dataclass
 
 from .. import perf
-from ..errors import ParameterError
 from .backend import array_namespace, as_float_copy, flatnonzero, scatter
 
-__all__ = ["BracketResult", "WarmStarts", "bisect_masked",
-           "bisect_illinois", "newton_safeguarded"]
+__all__ = ["BracketResult", "bisect_masked", "bisect_illinois",
+           "newton_safeguarded"]
 
 #: Hard sweep cap of :func:`bisect_illinois` (bisection alone would
 #: need ~45 sweeps to cross typical bounds; Illinois converges sooner).
@@ -45,30 +44,12 @@ MAX_SWEEPS_DEFAULT: int = 80
 
 
 @dataclass(frozen=True)
-class WarmStarts:
-    """Per-lane warm-start brackets for :func:`bisect_illinois`.
-
-    ``mask`` selects the lanes with a candidate bracket; ``lo`` /
-    ``hi`` are read only where it is set.  Brackets are sign-verified
-    before use and fall back to the full bounds when stale, so warm
-    starts can only cost performance, never correctness.
-    """
-
-    lo: object
-    hi: object
-    mask: object
-
-
-@dataclass(frozen=True)
 class BracketResult:
     """Outcome of one :func:`bisect_illinois` stack solve.
 
     ``root`` is meaningful only where ``feasible``.  ``r_lo`` /
-    ``r_hi`` are the residuals at the *full* bounds; lanes whose
-    sign-verified warm bracket already straddled report ``-inf`` /
-    ``+inf`` sentinels instead (monotonicity proves the full bounds
-    straddle too).  ``warm_used`` marks the lanes whose warm bracket
-    survived verification; ``sweeps`` counts executed sweeps.
+    ``r_hi`` are the residuals at the bounds the solve was handed;
+    ``sweeps`` counts executed sweeps.
     """
 
     root: object
@@ -77,7 +58,6 @@ class BracketResult:
     feasible: object
     r_lo: object
     r_hi: object
-    warm_used: object
     sweeps: int
 
 
@@ -125,69 +105,37 @@ def bisect_masked(residual, lo, hi, *, xtol: float,
 
 
 def bisect_illinois(residual, lo, hi, *, xtol: float,
-                    warm_starts: WarmStarts | None = None,
                     ends: tuple | None = None,
                     warmup_sweeps: int = 0,
                     max_sweeps: int = MAX_SWEEPS_DEFAULT,
                     sweep_counter: str | None = None, xp=None
                     ) -> BracketResult:
-    """Warm-started bracketing solve: bisection, then Illinois polish.
+    """Bracketing solve: bisection, then Illinois polish.
 
-    ``lo`` / ``hi`` are the *full* per-lane bounds; ``warm_starts``
-    optionally narrows lanes to cached brackets, which are
-    sign-verified here (stale lanes fall back to the full bounds at
-    the cost of one gathered residual pass).  ``ends = (r_lo, r_hi)``
-    hands in residuals the caller already holds at the full bounds,
-    which saves the two residual passes that open the solve; they
-    must be the values ``residual`` returns there, and the iteration
-    is then bitwise the one without them.  ``ends`` and
-    ``warm_starts`` are exclusive (warm brackets move the bounds the
-    ends belong to).  The first
-    ``warmup_sweeps`` sweeps are pure bisection — false position is
-    badly skewed while the bracket still spans the residual's
-    exponential tails — after which the Illinois (modified false
-    position) proposal is used whenever it lands strictly inside the
-    bracket, falling back to the midpoint otherwise, so the bracket
-    shrinks every sweep and the result is never worse than bisection.
+    ``lo`` / ``hi`` are the per-lane bounds.  ``ends = (r_lo, r_hi)``
+    hands in residuals the caller already holds at those bounds, which
+    saves the two residual passes that open the solve; they must be
+    the values ``residual`` returns there, and the iteration is then
+    bitwise the one without them.  The first ``warmup_sweeps`` sweeps
+    are pure bisection — false position is badly skewed while the
+    bracket still spans the residual's exponential tails — after which
+    the Illinois (modified false position) proposal is used whenever it
+    lands strictly inside the bracket, falling back to the midpoint
+    otherwise, so the bracket shrinks every sweep and the result is
+    never worse than bisection.
     """
-    if ends is not None and warm_starts is not None:
-        raise ParameterError("ends and warm_starts are exclusive")
     xp = array_namespace(lo, hi, xp=xp)
-    lo_full = as_float_copy(xp, lo)
-    hi_full = as_float_copy(xp, hi)
-    n = _lane_count(lo_full)
-    if warm_starts is None:
-        warm = xp.zeros(n, dtype=xp.bool)
-        lo = as_float_copy(xp, lo_full)
-        hi = as_float_copy(xp, hi_full)
-    else:
-        warm = xp.asarray(warm_starts.mask, dtype=xp.bool)
-        lo = xp.where(warm, xp.asarray(warm_starts.lo, dtype=xp.float64),
-                      lo_full)
-        hi = xp.where(warm, xp.asarray(warm_starts.hi, dtype=xp.float64),
-                      hi_full)
+    lo = as_float_copy(xp, lo)
+    hi = as_float_copy(xp, hi)
+    n = _lane_count(lo)
     if ends is None:
         all_lanes = xp.arange(n)
-        rl = residual(lo, all_lanes)
-        rh = residual(hi, all_lanes)
+        r_lo = residual(lo, all_lanes)
+        r_hi = residual(hi, all_lanes)
     else:
-        rl = as_float_copy(xp, ends[0])
-        rh = as_float_copy(xp, ends[1])
-    # Stale warm brackets (no longer straddling) fall back to the full
-    # bounds: one extra gathered residual pass, never a wrong root.
-    stale = warm & ~((rl <= 0.0) & (rh >= 0.0))
-    sidx = flatnonzero(xp, stale)
-    if _lane_count(sidx):
-        lo = scatter(lo, sidx, lo_full[sidx])
-        hi = scatter(hi, sidx, hi_full[sidx])
-        rl = scatter(rl, sidx, residual(lo_full[sidx], sidx))
-        rh = scatter(rh, sidx, residual(hi_full[sidx], sidx))
-        warm = warm & ~stale
-    # Reported bound residuals: a sign-verified warm bracket proves the
-    # full bounds straddle too (the residual is monotone), so warm
-    # lanes report sentinels rather than re-evaluating the bounds.
-    ret_r_lo = xp.where(warm, -xp.inf, rl)
-    ret_r_hi = xp.where(warm, xp.inf, rh)
+        r_lo, r_hi = ends
+    rl = as_float_copy(xp, r_lo)
+    rh = as_float_copy(xp, r_hi)
 
     feasible = (rl <= 0.0) & (rh >= 0.0)
     # Illinois side memory: +1 / -1 when the last two updates replaced
@@ -233,8 +181,8 @@ def bisect_illinois(residual, lo, hi, *, xtol: float,
         if sweep_counter is not None:
             perf.bump(sweep_counter)  # repro: noqa[RPR006] caller passes a registered name
     return BracketResult(root=0.5 * (lo + hi), lo=lo, hi=hi,
-                         feasible=feasible, r_lo=ret_r_lo, r_hi=ret_r_hi,
-                         warm_used=warm, sweeps=sweeps)
+                         feasible=feasible, r_lo=r_lo, r_hi=r_hi,
+                         sweeps=sweeps)
 
 
 def newton_safeguarded(residual_jacobian, lo, hi, *, xtol: float,

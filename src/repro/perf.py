@@ -19,8 +19,6 @@ Counter names in use
     Leakage-residual evaluations inside the scaling root-solves.
 ``cache.device.hits`` / ``cache.device.misses``
     In-process device-construction memo.
-``cache.family.hits`` / ``cache.family.misses``
-    On-disk optimised-family cache.
 ``circuit.vtc_batch_solves`` / ``circuit.vtc_batch_points``
     Batched VTC kernel invocations and the total points they solved.
 ``circuit.vtc_newton_sweeps``
@@ -45,32 +43,16 @@ Counter names in use
     Batched doping root-solves and the candidate points they stacked
     (deterministic: fixed by the optimisation grid sizes).
 ``scaling.doping_bisection_sweeps``
-    Whole-stack bisection sweeps inside the batched doping solver
-    (warm-start dependent, so run-order sensitive).
+    Whole-stack bisection sweeps inside the batched doping solver.
 ``scaling.device_eval_points``
     Parameter-axis device evaluations (`repro.device.batch` metrics
     calls, counted per stacked point).
-``cache.bracket.hits`` / ``cache.bracket.misses``
-    Warm-start bracket cache of the batched doping solver.
-``cache.<name>.evictions``
-    Entries an in-process memo (``device``, ``bracket``) dropped at
-    its size cap.  A lock-step doping flow needs every sweep root to
-    survive until its refinement reads it, so ``cache.bracket.evictions``
-    reads 0 on the flows.
-``cache.family.stores``
-    Optimised families persisted to the on-disk cache.
-``scaling.bracket_warm_hits`` / ``scaling.bracket_cold_misses``
-    Disk-layer warm starts of the doping solver: lanes whose replayed
-    bracket survived sign verification vs lanes solved cold from the
-    full bounds (bumped only when the on-disk cache is enabled).
+``cache.device.evictions``
+    Entries the device memo dropped at its size cap.
 ``numerics.active_lanes`` / ``numerics.total_lanes``
     Lanes the shared root-solve core actually evaluated vs lanes
     carried, summed per sweep; their ratio is the measured active-set
-    compression (run-order sensitive via warm starts).
-``scaling.family.*`` / ``numerics.family.*``
-    Flow-level re-attribution of the ``scaling.*`` / ``numerics.*``
-    counters by :mod:`repro.experiments.families` (same meanings,
-    family scope).
+    compression.
 ``service.grid.shards`` / ``service.grid.points``
     Design-space grid precompute: (node, L_poly) shards filled and the
     total (target, V_dd) metric points they produced.
@@ -132,12 +114,6 @@ KNOWN_COUNTERS: frozenset[str] = frozenset({
     "cache.device.hits",
     "cache.device.misses",
     "cache.device.evictions",
-    "cache.family.hits",
-    "cache.family.misses",
-    "cache.family.stores",
-    "cache.bracket.hits",
-    "cache.bracket.misses",
-    "cache.bracket.evictions",
     "circuit.vtc_batch_solves",
     "circuit.vtc_batch_points",
     "circuit.vtc_newton_sweeps",
@@ -152,8 +128,6 @@ KNOWN_COUNTERS: frozenset[str] = frozenset({
     "scaling.doping_batch_points",
     "scaling.doping_bisection_sweeps",
     "scaling.device_eval_points",
-    "scaling.bracket_warm_hits",
-    "scaling.bracket_cold_misses",
     "numerics.active_lanes",
     "numerics.total_lanes",
     "service.grid.shards",
@@ -182,9 +156,8 @@ KNOWN_COUNTERS: frozenset[str] = frozenset({
 
 #: Name families that may be built dynamically (f-string/concat call
 #: sites): the cache layer parameterises ``cache.<name>.*`` on the memo
-#: name, and the family flows re-attribute under ``scaling.family.*``.
-DYNAMIC_COUNTER_PREFIXES: tuple[str, ...] = (
-    "cache.", "scaling.family.", "numerics.family.")
+#: name.
+DYNAMIC_COUNTER_PREFIXES: tuple[str, ...] = ("cache.",)
 
 _COUNTERS: Counter[str] = Counter()
 

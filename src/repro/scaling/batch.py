@@ -13,7 +13,7 @@ Scalar MOSFETs are constructed only at the converged roots (the designs
 the caller keeps anyway), so the selection rules and returned objects
 are shared with the sequential paths.
 
-Lock-step stacks: the lanes of a cold masked solve are independent, so
+Lock-step stacks: the lanes of a masked solve are independent, so
 the flows stack *independent problems* on the lane axis — every node of
 a family, every length of a Fig. 7/8 curve, every setting of an
 ablation, every calibration of ``ext_sensitivity`` — and make one
@@ -26,31 +26,15 @@ Per-lane calibration: a :class:`DopingSolveRequest` records the three
 calibrated constants in force when it is made
 (:class:`Calibration`), so a request made inside a
 :func:`repro.scaling.sensitivity.calibration` scope carries the
-override.  The residual stack takes them per lane, winning devices are
-built inside their request's calibration scope, and every cache key
-(warm-start memo, disk spill) is read from the request, never from the
-globals at solve time: lanes of different calibrations in one stack
-then never share a bracket.  Default-calibration keys are byte-identical
-to the keys written before calibration was per lane.
+override.  The residual stack takes them per lane, and winning devices
+are built inside their request's calibration scope.
 
-Warm starts: converged roots are cached per (flow, node, polarity,
-halo-ratio, length-bucket, target, calibration) in an LRU keyed bracket
-cache.  A cached root shrinks the next solve's bracket to
-``root +/- WARM_MARGIN_LOG10``; brackets are sign-verified before use
-and fall back to the full doping bounds when stale, so warm starts can
-only cost performance, never correctness.  The cache is scoped to one
-flow invocation — every top-level flow entry calls
-:func:`reset_warm_starts` — so flow results never depend on what ran
-earlier in the process (see that function's docstring).
-
-When the on-disk cache is enabled (:func:`repro.cache.cache_dir`), the
-solver additionally spills each cold-converged final bracket to disk
-under an exact per-candidate key and replays it on the next process's
-cold invocation.  A replayed bracket is already below ``xtol``, so the
-lane retires before its first sweep with exactly the midpoint a cold
-solve would produce — byte-determinism survives the shortcut.  The
-disk layer reports ``scaling.bracket_warm_hits`` /
-``scaling.bracket_cold_misses``.
+Every lane starts cold, from the full doping bounds
+(:data:`~repro.scaling.supervth.N_SUB_BOUNDS` or
+:data:`~repro.scaling.supervth.N_HALO_BOUNDS`), and nothing is
+remembered between solves.  A solved device is therefore a pure
+function of its request, whatever ran before it in the process or
+shares its stack.
 
 The residual ``log(I_off(N)/target)`` is monotone *decreasing* in
 ``log10(N)`` (more doping -> higher V_th -> less leakage), which gives
@@ -58,11 +42,8 @@ the feasibility tests: a candidate is solvable iff the residual is
 ``>= 0`` at the lower doping bound and ``<= 0`` at the upper one.
 
 Perf counters: ``scaling.doping_batch_solves`` / ``..._points`` count
-batched solves and stacked candidate points (deterministic — grid sizes
-only), ``scaling.doping_bisection_sweeps`` counts bisection passes
-(warm-start dependent), and the bracket cache reports
-``cache.bracket.hits`` / ``cache.bracket.misses`` /
-``cache.bracket.evictions``.
+batched solves and stacked candidate points (grid sizes only), and
+``scaling.doping_bisection_sweeps`` counts bisection passes.
 """
 
 from __future__ import annotations
@@ -75,9 +56,8 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .. import perf
-from ..cache import LRUMemo, load_brackets, store_brackets
 from ..circuit.batch import SOLVER_MODES, validate_solver
-from ..numerics import WarmStarts, bisect_illinois
+from ..numerics import bisect_illinois
 from ..device import geometry as geometry_mod
 from ..device import subthreshold as subthreshold_mod
 from ..device import threshold as threshold_mod
@@ -105,47 +85,12 @@ __all__ = [
     "super_vth_halo",
     "super_vth_request",
     "optimize_super_vth_stack",
-    "bracket_memo",
-    "reset_warm_starts",
 ]
 
 #: Bisection tolerance in log10(doping) — tight enough that batched and
 #: sequential (brentq, xtol=1e-12) roots agree to ~1e-12 relative,
 #: comfortably inside the 1e-9 equivalence budget.
 XTOL_LOG10: float = 1e-12
-
-#: Half-width [decades] of a warm-start bracket around a cached root.
-WARM_MARGIN_LOG10: float = 0.3
-
-#: Gate lengths within one bucket share warm-start brackets [nm]; the
-#: sub-V_th refinement grid lands in the buckets its sweep populated.
-LENGTH_BUCKET_NM: float = 4.0
-
-#: Warm-start bracket cache (cache.bracket.* hit/miss/eviction
-#: counters).  A lock-step flow stores every sweep root before its
-#: refinement reads them back, and a root evicted in between makes
-#: that lane solve cold (different bits).  The largest such set is
-#: ext_sensitivity's sub-V_th length sweep: up to 6 calibrations x 4
-#: nodes x 9 lengths x 2 polarities x 6 halo ratios = 2,592 roots, so
-#: the memo must hold at least that many.
-bracket_memo = LRUMemo("bracket", maxsize=4096)  # repro: noqa[RPR008] reset_warm_starts() drops it at every flow entry
-
-
-def reset_warm_starts() -> None:
-    """Drop the warm-start bracket state.  Called on flow entry.
-
-    Warm-started and cold solves agree only to the bracketing
-    tolerance (~1e-12 in log10), not bitwise, so every top-level flow
-    invocation starts cold: its results are then a pure function of
-    the flow inputs, independent of whatever ran earlier in the
-    process.  ``repro report`` relies on this — its byte-deterministic
-    docs must not depend on how experiments are partitioned across
-    ``--jobs`` workers.  The cache still accelerates the repeated
-    solves *within* one flow invocation (the length sweep feeding its
-    refinement grid, jobs sharing a length bucket).
-    """
-    bracket_memo.clear()
-
 
 class Calibration(NamedTuple):
     """The three calibrated device constants (DESIGN.md §2) as one value.
@@ -208,50 +153,13 @@ class DopingSolveResult:
     """Outcome of one masked-bisection doping solve.
 
     ``root_log10`` is meaningful only where ``feasible``.  ``r_lo`` /
-    ``r_hi`` are the residuals at the full doping bounds; points whose
-    sign-verified warm-start bracket already straddled the root report
-    ``+inf`` / ``-inf`` there (the residual is monotone decreasing, so
-    a straddling inner bracket proves the full bounds straddle too).
+    ``r_hi`` are the residuals at the full doping bounds.
     """
 
     root_log10: np.ndarray
     feasible: np.ndarray
     r_lo: np.ndarray
     r_hi: np.ndarray
-
-
-def _bracket_key(flow: str, req: DopingSolveRequest,
-                 extra: float | None = None):
-    """Warm-start cache key: flow + candidate identity + calibration.
-
-    Lengths are bucketed (:data:`LENGTH_BUCKET_NM`) so nearby lengths —
-    the sweep grid vs its refinement grid, Fig. 7/8 curves — share
-    brackets.  The request's calibration is part of the key for the
-    same reason it is part of the device-construction memo key.
-    """
-    return (
-        flow, req.node.name, req.node.l_poly_nm, req.node.t_ox_nm,
-        req.polarity.value, round(req.halo_ratio, 9),
-        int(round(req.l_poly_nm / LENGTH_BUCKET_NM)),
-        req.ioff_target, req.vdd_leak, extra,
-    ) + tuple(req.calibration)
-
-
-def _disk_key(flow: str, req: DopingSolveRequest, extra_exact,
-              lo_bound: float, hi_bound: float, xtol: float) -> str:
-    """Exact on-disk bracket key (:func:`repro.cache.store_brackets`).
-
-    The in-process memo key buckets lengths and rounds ratios so nearby
-    candidates can *share* approximate brackets; a disk bracket is
-    replayed verbatim, so its key appends every exact value the
-    residual depends on (``extra_exact`` carries the halo flow's exact
-    N_sub).  ``repr`` of the tuple is deterministic: floats serialise
-    via shortest round-trip repr.
-    """
-    return repr(_bracket_key(flow, req) + (
-        req.l_poly_nm, req.width_um, req.halo_ratio, extra_exact,
-        lo_bound, hi_bound, xtol,
-    ))
 
 
 #: Pure-bisection sweeps before the Illinois polish kicks in.  The
@@ -265,97 +173,34 @@ _MAX_SWEEPS: int = 80
 
 
 def solve_log_doping(residual: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                     keys: Sequence, lo_bound: float, hi_bound: float,
-                     xtol: float = XTOL_LOG10,
-                     disk_keys: Sequence[str | None] | None = None
-                     ) -> DopingSolveResult:
-    """Gathered bracketing solve for log10-doping roots over a stack.
+                     n: int, lo_bound: float, hi_bound: float,
+                     xtol: float = XTOL_LOG10) -> DopingSolveResult:
+    """Gathered bracketing solve for ``n`` log10-doping roots.
 
     ``residual(log_n, idx)`` maps gathered log10 dopings (plus their
     lane indices, for slicing per-point parameters) to the log-leakage
     residuals of the live points and must be monotone decreasing per
-    point.  ``keys`` (one per point; ``None`` opts out) index the
-    warm-start bracket cache; ``disk_keys`` (exact string keys) opt
-    points into the on-disk bracket spill when the disk cache is
-    enabled.
+    point.  Every lane starts from ``[lo_bound, hi_bound]``.
 
     The iteration is :func:`repro.numerics.bisect_illinois` on the
     negated (monotone-increasing) residual — IEEE negation is exact, so
     the iterate sequence matches the retired in-module loop bitwise: a
     few pure-bisection sweeps shrink every bracket into the near-linear
     regime, then the safeguarded Illinois polish finishes superlinearly.
-
-    Warm-start priority per point: an in-process memo root (bracketed
-    to ``+/- WARM_MARGIN_LOG10``) wins over a disk-spilled bracket, so
-    results never depend on whether the disk layer is populated — a
-    replayed disk bracket is already below ``xtol`` and retires with
-    exactly the cold solve's midpoint.
     """
-    n = len(keys)
-    lo_full = np.full(n, float(lo_bound))
-    hi_full = np.full(n, float(hi_bound))
     perf.bump("scaling.doping_batch_solves")
     perf.bump("scaling.doping_batch_points", n)
-
-    disk_table = load_brackets() if disk_keys is not None else None
-
-    wlo = lo_full.copy()
-    whi = hi_full.copy()
-    warm = np.zeros(n, dtype=bool)
-    from_disk = np.zeros(n, dtype=bool)
-    for i, key in enumerate(keys):
-        root = None if key is None else bracket_memo.get(key)
-        if root is not None:
-            wl = max(lo_full[i], root - WARM_MARGIN_LOG10)
-            wh = min(hi_full[i], root + WARM_MARGIN_LOG10)
-            if wl < wh:
-                wlo[i], whi[i] = wl, wh
-                warm[i] = True
-            continue
-        if disk_table is None or disk_keys[i] is None:
-            continue
-        entry = disk_table.get(disk_keys[i])
-        if entry is None:
-            continue
-        dlo, dhi = entry
-        if lo_bound <= dlo <= dhi <= hi_bound and (dhi - dlo) <= xtol:
-            wlo[i], whi[i] = dlo, dhi
-            warm[i] = True
-            from_disk[i] = True
 
     def increasing(log_n: np.ndarray, idx: np.ndarray) -> np.ndarray:
         return -residual(log_n, idx)
 
     result = bisect_illinois(
-        increasing, lo_full, hi_full, xtol=xtol,
-        warm_starts=WarmStarts(lo=wlo, hi=whi, mask=warm),
-        warmup_sweeps=_BISECTION_WARMUP_SWEEPS, max_sweeps=_MAX_SWEEPS,
+        increasing, np.full(n, float(lo_bound)), np.full(n, float(hi_bound)),
+        xtol=xtol, warmup_sweeps=_BISECTION_WARMUP_SWEEPS,
+        max_sweeps=_MAX_SWEEPS,
         sweep_counter="scaling.doping_bisection_sweeps",
     )
-
-    root = result.root
-    feasible = result.feasible
-    for i, key in enumerate(keys):
-        if key is not None and feasible[i]:
-            bracket_memo.put(key, float(root[i]))
-
-    if disk_table is not None:
-        cold = ~result.warm_used
-        perf.bump("scaling.bracket_warm_hits",
-                  int(np.count_nonzero(from_disk & result.warm_used)))
-        perf.bump("scaling.bracket_cold_misses",
-                  int(np.count_nonzero(cold)))
-        # Spill only fully cold, converged lanes: their final bracket
-        # is below xtol, so replaying it is byte-deterministic.
-        spill = {
-            disk_keys[i]: (float(result.lo[i]), float(result.hi[i]))
-            for i in range(n)
-            if (disk_keys[i] is not None and cold[i] and feasible[i]
-                and (result.hi[i] - result.lo[i]) <= xtol)
-        }
-        store_brackets(spill)
-
-    return DopingSolveResult(root_log10=root, feasible=feasible,
+    return DopingSolveResult(root_log10=result.root, feasible=result.feasible,
                              r_lo=-result.r_lo, r_hi=-result.r_hi)
 
 
@@ -370,8 +215,8 @@ def _stack_for(reqs: Sequence[DopingSolveRequest]) -> ParameterStack:
     )
 
 
-def solve_substrate_stack(reqs: Sequence[DopingSolveRequest],
-                          flow: str = "n_sub") -> DopingSolveResult:
+def solve_substrate_stack(reqs: Sequence[DopingSolveRequest]
+                          ) -> DopingSolveResult:
     """Batched N_sub solve with ``N_p,halo = halo_ratio * N_sub``."""
     stack = _stack_for(reqs)
     ratios = np.array([r.halo_ratio for r in reqs])
@@ -383,10 +228,8 @@ def solve_substrate_stack(reqs: Sequence[DopingSolveRequest],
         metrics = stack.take(idx).metrics(n_sub, ratios[idx] * n_sub)
         return np.log(metrics.i_off_per_um(vdds[idx]) / targets[idx])
 
-    keys = [_bracket_key(flow, r) for r in reqs]
     lo, hi = (math.log10(b) for b in N_SUB_BOUNDS)
-    disk_keys = [_disk_key(flow, r, None, lo, hi, XTOL_LOG10) for r in reqs]
-    return solve_log_doping(residual, keys, lo, hi, disk_keys=disk_keys)
+    return solve_log_doping(residual, len(reqs), lo, hi)
 
 
 def _build_device(req: DopingSolveRequest, n_sub: float,
@@ -489,9 +332,8 @@ def _raise_substrate_error(req: DopingSolveRequest, below: bool) -> None:
 def super_vth_substrate(node: NodeSpec, polarity: Polarity,
                         width_um: float) -> float:
     """Batched step 1: N_sub from the long-channel leakage condition."""
-    reset_warm_starts()
     req = _long_channel_request(super_vth_request(node, polarity, width_um))
-    result = solve_substrate_stack([req], flow="supervth_n_sub")
+    result = solve_substrate_stack([req])
     if not result.feasible[0]:
         _raise_substrate_error(req, bool(result.r_lo[0] < 0.0))
     return 10.0 ** float(result.root_log10[0])
@@ -508,19 +350,13 @@ def _solve_halo_stack(reqs: Sequence[DopingSolveRequest],
         metrics = stack.take(idx).metrics(n_sub[idx], 10.0 ** log_n)
         return np.log(metrics.i_off_per_um(vdds[idx]) / targets[idx])
 
-    keys = [_bracket_key("supervth_halo", r,
-                         extra=round(math.log10(ns), 6))
-            for r, ns in zip(reqs, n_sub)]
     lo, hi = (math.log10(b) for b in N_HALO_BOUNDS)
-    disk_keys = [_disk_key("supervth_halo", r, float(ns), lo, hi, XTOL_LOG10)
-                 for r, ns in zip(reqs, n_sub)]
-    return solve_log_doping(residual, keys, lo, hi, disk_keys=disk_keys)
+    return solve_log_doping(residual, len(reqs), lo, hi)
 
 
 def super_vth_halo(node: NodeSpec, polarity: Polarity, width_um: float,
                    n_sub: float) -> float:
     """Batched step 2: N_p,halo from the short-channel condition."""
-    reset_warm_starts()
     result = _solve_halo_stack(
         [super_vth_request(node, polarity, width_um)], [n_sub])
     if result.feasible[0]:
@@ -546,9 +382,8 @@ def optimize_super_vth_stack(jobs: Sequence[DopingSolveRequest]
     before job ``i+1``, so an earlier job's halo failure outranks a
     later job's substrate failure.
     """
-    reset_warm_starts()
     sub_reqs = [_long_channel_request(job) for job in jobs]
-    sub_result = solve_substrate_stack(sub_reqs, flow="supervth_n_sub")
+    sub_result = solve_substrate_stack(sub_reqs)
     n_sub = 10.0 ** sub_result.root_log10
     bad_sub = next((i for i in range(len(jobs))
                     if not sub_result.feasible[i]), None)

@@ -102,10 +102,8 @@ def derive_flavours(node: NodeSpec, l_poly_nm: float,
         # One root-solve covers the whole flavour menu: the batched
         # engine supports per-candidate leakage targets, so all
         # flavour x polarity x halo-ratio points stack together.
-        from .batch import (DopingSolveRequest, optimize_doping_groups,
-                            reset_warm_starts)
+        from .batch import DopingSolveRequest, optimize_doping_groups
         from .subvth import HALO_RATIO_GRID, SS_TIE_TOLERANCE
-        reset_warm_starts()
         groups = [
             DopingSolveRequest(node=node, l_poly_nm=l_poly_nm,
                                polarity=polarity, width_um=width,

@@ -109,8 +109,7 @@ def headline_under_calibration(overlap_fraction: float | None = None,
     used — they carry the default calibration).  ``solver`` selects the
     batched or sequential doping engine for the rebuilds; the batched
     engine is :func:`headlines_under_calibrations` with one grid point,
-    whose doping requests carry the calibration in their warm-start
-    keys, so perturbed runs never reuse default-calibration roots.
+    whose doping requests carry the calibration.
     """
     overrides = {"overlap_fraction": overlap_fraction,
                  "lt_calibration": lt_calibration,
@@ -136,9 +135,8 @@ def headlines_under_calibrations(grid: Sequence[Mapping[str, float | None]]
     :func:`~repro.scaling.batch.optimize_super_vth_stack` and all their
     sub-V_th optimisers as one
     :func:`~repro.scaling.subvth.optimize_sub_vth_stack`: four doping
-    root-solves for ext_sensitivity's grid.  Lanes of different
-    calibrations never share a bracket, so every device is bitwise the
-    one a per-calibration rebuild returns.  The circuit work (SNM and
+    root-solves for ext_sensitivity's grid.  Every lane solves cold, so
+    every device is bitwise the one a per-calibration rebuild returns.  The circuit work (SNM and
     minimum-energy point) runs per calibration, inside its scope.
     Errors are those of the per-calibration loop: when a stacked solve
     fails, the calibrations run again one at a time, in grid order.

@@ -37,7 +37,7 @@ from .. import perf
 from ..circuit.batch import validate_solver
 from ..circuit.inverter import Inverter
 from ..device.mosfet import MOSFET, Polarity, nfet as build_nfet, pfet as build_pfet
-from ..errors import OptimizationError, ParameterError
+from ..errors import OptimizationError
 from . import batch as batch_mod
 from .batch import Calibration, DopingSolveRequest
 from .roadmap import NodeSpec, roadmap_nodes, sub_vth_ioff_target
@@ -166,7 +166,7 @@ def optimize_doping_for_lengths(node: NodeSpec, lengths_nm,
                                 ) -> list[MOSFET]:
     """:func:`optimize_doping_for_length` over a length grid, in lock-step.
 
-    One cold masked root-solve covers every length ``lengths_nm`` [nm]
+    One masked root-solve covers every length ``lengths_nm`` [nm]
     x halo ratio; lane for lane it is the one-length solve, so each
     returned device is bitwise the one a per-length call returns.
     Raises :class:`~repro.errors.OptimizationError` for the first
@@ -174,7 +174,6 @@ def optimize_doping_for_lengths(node: NodeSpec, lengths_nm,
     """
     target = sub_vth_ioff_target(node) if ioff_target is None else ioff_target
     bias = node.vdd_nominal if vdd_leak is None else vdd_leak
-    batch_mod.reset_warm_starts()
     groups = [DopingSolveRequest(node=node, l_poly_nm=float(l_poly),
                                  polarity=polarity, width_um=width_um,
                                  ioff_target=target, vdd_leak=bias)
@@ -230,10 +229,9 @@ class SubVthOptimizer:
     def designs_for_lengths(self, lengths_nm) -> list[DeviceDesign]:
         """:meth:`design_for_length` over a length grid, in lock-step.
 
-        One cold stacked root-solve covers every length; each design is
+        One stacked root-solve covers every length; each design is
         bitwise the one a per-length call returns.
         """
-        batch_mod.reset_warm_starts()
         rows = _unwrap(_rows_stack([(self, lengths_nm)])[0])
         return [row[1] for row in rows]
 
@@ -296,7 +294,6 @@ class SubVthOptimizer:
         validate_solver(solver)
         if solver == "sequential":
             return self._sequential_rows(self._sweep_lengths())
-        batch_mod.reset_warm_starts()
         return _unwrap(_rows_stack([(self, self._sweep_lengths())])[0])
 
     def optimize(self, solver: str = "batch") -> DeviceDesign:
@@ -389,14 +386,10 @@ def _rows_stack(problems: Sequence[tuple[SubVthOptimizer, Sequence[float]]]
     except OptimizationError as err:
         if len(problems) == 1:
             return [err]
-        # Some problem has no feasible doping: solve each alone and
-        # cold, as its one-problem flow would, to find which.  A failing
-        # stack always ends in an error, and feasibility does not depend
-        # on warm starts, so the warm starts this drops cannot change
-        # which error is raised.
+        # Some problem has no feasible doping: solve each alone, as its
+        # one-problem flow would, to find which.
         out: list[list[Row] | OptimizationError] = []
         for problem in problems:
-            batch_mod.reset_warm_starts()
             out += _rows_stack([problem])
         return out
     rows: list[list[Row] | OptimizationError] = []
@@ -416,46 +409,12 @@ def optimize_sub_vth_stack(optimizers: Sequence[SubVthOptimizer]
 
     Every optimiser's length sweep is one stacked root-solve and every
     refinement grid a second one, so a family costs two solves however
-    many nodes — or calibrations — it spans.  Each refinement lane
-    warm-starts from the root its own sweep stored (memo keys differ
-    per node and calibration), so every design is bitwise the one a
-    per-optimiser loop returns.  Errors follow that loop too: problem
-    ``i`` runs sweep, edge check and refinement before problem
-    ``i+1``, so an earlier problem's refinement failure outranks a
-    later problem's sweep failure.
-
-    A sweep root evicted from :data:`~repro.scaling.batch.bracket_memo`
-    before its refinement reads it would make that lane solve cold
-    (different bits), so a stack whose sweeps could store more roots
-    than the memo holds runs as consecutive lock-step chunks that fit.
-    Optimisers that share a node, calibration and leakage target would
-    share warm-start brackets across problems, so a stack must not
-    repeat one (:class:`~repro.errors.ParameterError`).
+    many nodes — or calibrations — it spans.  Every lane solves cold,
+    so every design is bitwise the one a per-optimiser loop returns.
+    Errors follow that loop too: problem ``i`` runs sweep, edge check
+    and refinement before problem ``i+1``, so an earlier problem's
+    refinement failure outranks a later problem's sweep failure.
     """
-    identities = [(opt.node, opt.calibration, opt._target())
-                  for opt in optimizers]
-    if len(set(identities)) != len(identities):
-        raise ParameterError(
-            "a lock-step stack needs distinct (node, calibration, "
-            "I_off target) optimisers")
-    designs: list[DeviceDesign] = []
-    chunk: list[SubVthOptimizer] = []
-    roots = 0
-    for opt in optimizers:
-        need = 2 * len(HALO_RATIO_GRID) * opt.n_length_points
-        if chunk and roots + need > batch_mod.bracket_memo.maxsize:
-            designs += _optimize_chunk(chunk)
-            chunk, roots = [], 0
-        chunk.append(opt)
-        roots += need
-    return designs + _optimize_chunk(chunk)
-
-
-def _optimize_chunk(optimizers: Sequence[SubVthOptimizer]
-                    ) -> list[DeviceDesign]:
-    """:func:`optimize_sub_vth_stack` for a stack whose sweep roots fit
-    the bracket memo."""
-    batch_mod.reset_warm_starts()
     sweeps = _rows_stack([(opt, opt._sweep_lengths()) for opt in optimizers])
     chosen: list[Row] = []
     first_error: OptimizationError | None = None

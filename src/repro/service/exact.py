@@ -5,10 +5,10 @@ corners — and the oracle the surrogate's recorded error bounds are
 measured against.  Every function here composes the same public flow
 APIs the experiments use (``optimize_doping_groups`` for the doping,
 the scalar :class:`~repro.device.mosfet.MOSFET` metrics,
-``noise_margins_batch`` / ``find_vmin`` for the circuit figures), with
-:func:`repro.scaling.batch.reset_warm_starts` called on entry, so an
-exact service answer is *bitwise* the answer a direct library call
-produces — a property the service tests assert.
+``noise_margins_batch`` / ``find_vmin`` for the circuit figures).  Every
+doping solve starts cold from the full bounds, so an exact service
+answer is *bitwise* the answer a direct library call produces — a
+property the service tests assert.
 """
 
 from __future__ import annotations
@@ -22,11 +22,7 @@ from ..circuit.energy import chain_energy_per_cycle, find_vmin
 from ..device.corners import Corner, at_corner
 from ..device.mosfet import Polarity
 from ..errors import ParameterError
-from ..scaling.batch import (
-    DopingSolveRequest,
-    optimize_doping_groups,
-    reset_warm_starts,
-)
+from ..scaling.batch import DopingSolveRequest, optimize_doping_groups
 from ..scaling.roadmap import NodeSpec
 from ..scaling.strategy import DeviceDesign
 from ..scaling.subvth import HALO_RATIO_GRID, SS_TIE_TOLERANCE
@@ -82,7 +78,6 @@ def exact_design(node: NodeSpec, l_poly_nm: float,
     the device ``optimize_doping_for_length`` returns on its own
     (asserted by ``tests/test_service_server.py``).
     """
-    reset_warm_starts()
     groups = [
         DopingSolveRequest(node=node, l_poly_nm=float(l_poly_nm),
                            polarity=polarity, width_um=width,

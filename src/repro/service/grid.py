@@ -4,24 +4,23 @@ The service's warm tier is a set of dense metric tensors over the
 design-space axes — technology node (categorical), drawn gate length
 (as a multiple of the node's etched length), log10 of the leakage
 target, and supply voltage.  One **shard** is one (node, L_poly)
-pair: a shard resets the solver warm starts, runs one batched doping
-root-solve over every leakage target and both polarities
+pair: a shard runs one batched doping root-solve over every leakage
+target and both polarities
 (:func:`repro.scaling.batch.optimize_doping_groups`), then evaluates
 all served metrics over the V_dd axis — the NFET curves through one
 :meth:`repro.device.batch.ParameterStack.from_devices` stack, the
 circuit figures through the same helpers the exact tier uses (the SNM
 one takes the whole V_dd axis as lanes of one batched extraction).
 
-Because every shard starts from :func:`reset_warm_starts` and shards
-are assembled in spec order, the tensors are byte-identical however
-the shards are distributed over worker processes — the same
-``reset_warm_starts()`` contract that makes ``repro report --jobs N``
-order-independent, asserted by ``tests/test_service_grid.py``.
+Because every doping solve starts cold and shards are assembled in
+spec order, the tensors are byte-identical however the shards are
+distributed over worker processes, as asserted by
+``tests/test_service_grid.py``.
 
 Grids spill to the disk cache as ``grid-{grid_id}-{schema_hash}.npz``
 (:func:`repro.cache.grid_path`): the axes digest names the spec, the
 model schema hash versions the physics, so editing any model source
-orphans old tensors exactly like stale family entries.
+orphans old tensors.
 """
 
 from __future__ import annotations
@@ -38,11 +37,7 @@ from ..cache import grid_path, model_schema_hash
 from ..device.batch import ParameterStack
 from ..device.mosfet import Polarity
 from ..errors import OptimizationError, ParameterError
-from ..scaling.batch import (
-    DopingSolveRequest,
-    optimize_doping_groups,
-    reset_warm_starts,
-)
+from ..scaling.batch import DopingSolveRequest, optimize_doping_groups
 from ..scaling.roadmap import PRIMARY_NODES, node_by_name
 from ..scaling.strategy import DeviceDesign
 from ..scaling.subvth import HALO_RATIO_GRID, SS_TIE_TOLERANCE
@@ -230,9 +225,8 @@ def fill_shard(spec: GridSpec, node_name: str,
     V_dd axis as lanes (one batched extraction per design, bitwise
     one per supply), delay/V_min through the exact tier's scalar
     helpers.
-    Starts from :func:`reset_warm_starts`, so the result is a pure
-    function of (spec, node, ratio) — the sharding determinism
-    contract.
+    The result is a pure function of (spec, node, ratio) — the
+    sharding determinism contract.
     """
     node = node_by_name(node_name)
     l_poly_nm = l_ratio * node.l_poly_nm
@@ -240,7 +234,6 @@ def fill_shard(spec: GridSpec, node_name: str,
     vdd = np.asarray(spec.vdd_v, dtype=float)
     n_targets, n_vdd = len(targets), vdd.shape[0]
 
-    reset_warm_starts()
     designs = _shard_designs(node, l_poly_nm, targets)
 
     out = {metric: np.full((n_targets, n_vdd), np.nan)
@@ -296,8 +289,8 @@ def build_grid(spec: GridSpec, jobs: int = 1) -> Grid:
 
     Shards — (node, L_poly ratio) pairs — are submitted in spec order
     and assembled in spec order (``pool.map`` preserves submission
-    order), and each shard resets its own warm starts, so the tensors
-    are byte-identical for any ``jobs`` value.
+    order), and each shard is a pure function of its inputs, so the
+    tensors are byte-identical for any ``jobs`` value.
     """
     if jobs < 1:
         raise ParameterError("jobs must be >= 1")

@@ -1,9 +1,4 @@
-"""Tests for the caching layers (in-process memo + on-disk family cache)."""
-
-import json
-
-import numpy as np
-import pytest
+"""Tests for the caching layers (in-process memo + on-disk grid store)."""
 
 from repro import perf
 from repro.cache import (
@@ -12,11 +7,8 @@ from repro.cache import (
     clear_disk_cache,
     device_cache_enabled,
     device_memo,
-    load_brackets,
-    load_family,
+    grid_path,
     model_schema_hash,
-    store_brackets,
-    store_family,
 )
 from repro.device import nfet
 
@@ -78,177 +70,28 @@ class TestDiskCache:
         monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
         monkeypatch.delenv("REPRO_CACHE", raising=False)
         assert cache_dir() is None
-        assert load_family("family-super-vth") is None
+        assert grid_path("abc") is None
 
-    def test_round_trip(self, monkeypatch, tmp_path, super_family):
+    def test_schema_hash_versions_entries(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        perf.reset()
-        assert load_family("family-test") is None        # cold: miss
-        store_family("family-test", super_family)
-        reloaded = load_family("family-test")            # warm: hit
-        assert reloaded is not None
-        assert reloaded.node_names() == super_family.node_names()
-        original = super_family.design("32nm").nfet
-        round_tripped = reloaded.design("32nm").nfet
-        assert round_tripped.profile.n_sub_cm3 == original.profile.n_sub_cm3
-        assert perf.get("cache.family.misses") == 1
-        assert perf.get("cache.family.hits") == 1
-
-    def test_schema_hash_versions_entries(self, monkeypatch, tmp_path,
-                                          super_family):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        store_family("family-test", super_family)
-        # A model change re-hashes the sources and misses the old entry.
+        before = grid_path("abc")
+        # A model change re-hashes the sources and names a new entry.
         import repro.cache as cache_mod
         monkeypatch.setattr(cache_mod, "_SCHEMA_HASH", "deadbeefdeadbeef")
-        assert load_family("family-test") is None
+        after = grid_path("abc")
+        assert after != before
+        assert after == tmp_path / "grid-abc-deadbeefdeadbeef.npz"
 
-    def test_clear_disk_cache(self, monkeypatch, tmp_path, super_family):
+    def test_clear_disk_cache(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        store_family("family-test", super_family)
+        path = grid_path("abc")
+        path.write_bytes(b"tensor")
         assert clear_disk_cache() == 1
-        assert load_family("family-test") is None
+        assert not path.exists()
 
     def test_schema_hash_is_stable(self):
         assert model_schema_hash() == model_schema_hash()
         assert len(model_schema_hash()) == 16
-
-
-class TestBracketSpill:
-    """On-disk warm-start brackets of the batched doping solver."""
-
-    @staticmethod
-    def _reqs():
-        from repro.device.mosfet import Polarity
-        from repro.scaling.batch import DopingSolveRequest
-        from repro.scaling.roadmap import node_by_name
-        node = node_by_name("90nm")
-        return [
-            DopingSolveRequest(node=node, l_poly_nm=l, halo_ratio=1.2,
-                               polarity=Polarity.NFET, width_um=1.0,
-                               ioff_target=100e-12, vdd_leak=0.25)
-            for l in (65.0, 58.0)
-        ]
-
-    def test_replay_is_byte_deterministic(self, monkeypatch, tmp_path):
-        import repro.cache as cache_mod
-        from repro.scaling.batch import (
-            reset_warm_starts,
-            solve_substrate_stack,
-        )
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        reqs = self._reqs()
-
-        reset_warm_starts()
-        perf.reset()
-        cold = solve_substrate_stack(reqs)
-        assert np.all(cold.feasible)
-        assert perf.get("scaling.bracket_cold_misses") == len(reqs)
-        assert perf.get("scaling.bracket_warm_hits") == 0
-        table = load_brackets()
-        assert table is not None and len(table) == len(reqs)
-
-        # Simulate a fresh process: drop the in-process memo *and* the
-        # cached table so the brackets really come back off disk.
-        reset_warm_starts()
-        with cache_mod._BRACKET_LOCK:
-            cache_mod._BRACKET_TABLES.clear()
-        perf.reset()
-        replay = solve_substrate_stack(reqs)
-        assert np.array_equal(replay.root_log10, cold.root_log10)
-        assert np.array_equal(replay.feasible, cold.feasible)
-        assert perf.get("scaling.bracket_warm_hits") == len(reqs)
-        assert perf.get("scaling.bracket_cold_misses") == 0
-        # Replayed brackets are below xtol: no bisection sweeps run.
-        assert perf.get("scaling.doping_bisection_sweeps") == 0
-        reset_warm_starts()
-
-    def test_disk_layer_silent_when_disabled(self, monkeypatch):
-        from repro.scaling.batch import (
-            reset_warm_starts,
-            solve_substrate_stack,
-        )
-        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-        monkeypatch.delenv("REPRO_CACHE", raising=False)
-        assert load_brackets() is None
-        store_brackets({"ignored": (1.0, 2.0)})
-        reset_warm_starts()
-        perf.reset()
-        result = solve_substrate_stack(self._reqs())
-        assert np.all(result.feasible)
-        assert perf.get("scaling.bracket_warm_hits") == 0
-        assert perf.get("scaling.bracket_cold_misses") == 0
-        reset_warm_starts()
-
-    def test_clear_disk_cache_drops_brackets(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        store_brackets({"key": (1.25, 1.25)})
-        assert load_brackets() == {"key": [1.25, 1.25]}
-        assert clear_disk_cache() == 1
-        assert load_brackets() == {}
-
-    @staticmethod
-    def _reload():
-        """Drop the in-process table so the next load reads the file."""
-        import repro.cache as cache_mod
-        with cache_mod._BRACKET_LOCK:
-            cache_mod._BRACKET_TABLES.clear()
-        return load_brackets()
-
-    @staticmethod
-    def _spill_lines(tmp_path):
-        (path,) = tmp_path.glob("brackets-*.json")
-        return [json.loads(line)
-                for line in path.read_text().splitlines() if line]
-
-    def test_store_appends_one_line_of_new_entries(self, monkeypatch,
-                                                   tmp_path):
-        """A store costs O(new entries): one appended line holding only
-        them, however large the table already is."""
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        self._reload()
-        big = {f"k{i}": (i * 0.5, i * 0.5 + 1e-13) for i in range(2000)}
-        store_brackets(big)
-        store_brackets({"new-a": (1.0, 1.0), "new-b": (-2.5, -2.5),
-                        "k7": big["k7"]})
-        lines = self._spill_lines(tmp_path)
-        assert len(lines) == 2
-        assert len(lines[0]["entries"]) == 2000
-        assert lines[1] == {"schema": 1, "entries": {
-            "new-a": [1.0, 1.0], "new-b": [-2.5, -2.5]}}
-        table = self._reload()
-        assert len(table) == 2002
-        assert table["k1999"] == [999.5, 999.5 + 1e-13]
-        store_brackets({"k7": big["k7"]})   # nothing new: no line
-        assert len(self._spill_lines(tmp_path)) == 2
-        self._reload()
-
-    def test_torn_last_line_is_skipped(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        self._reload()
-        store_brackets({"kept": (1.0, 1.0)})
-        store_brackets({"later": (2.0, 2.0), "kept": (3.0, 3.0)})
-        (path,) = tmp_path.glob("brackets-*.json")
-        with path.open("ab") as handle:          # a torn third record
-            handle.write(b'\n{"entries": {"kept": [5.0, 5.0], "torn": [6')
-        assert self._reload() == {"kept": [3.0, 3.0],
-                                  "later": [2.0, 2.0]}
-        store_brackets({"after": (4.0, 4.0)})    # not swallowed
-        assert self._reload()["after"] == [4.0, 4.0]
-        self._reload()
-
-    def test_single_object_file_still_loads(self, monkeypatch, tmp_path):
-        """A spill written as one JSON object without a trailing
-        newline is a one-line log: it loads, and appends follow it."""
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        path = tmp_path / f"brackets-{model_schema_hash()}.json"
-        path.write_text(json.dumps(
-            {"schema": 1, "entries": {"old": [0.5, 0.5]}},
-            sort_keys=True))
-        assert self._reload() == {"old": [0.5, 0.5]}
-        store_brackets({"new": (0.75, 0.75)})
-        assert self._reload() == {"old": [0.5, 0.5], "new": [0.75, 0.75]}
-        self._reload()
 
 
 class TestMemoDefaultOn:

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import main
@@ -47,6 +49,20 @@ class TestCli:
         out = capsys.readouterr().out
         assert out.index("Generalized scaling") < out.index("Eq. 3")
         assert "[OK ]" in out
+
+    def test_parallel_profile_counts_the_worker_prelude(self, capsys):
+        # table2 only reads the Table 2 family, which each worker of a
+        # fresh CLI process builds before its experiment runs: that
+        # work must still reach the --profile totals, though no
+        # experiment's record bills it.
+        from repro.experiments.families import (sub_vth_family,
+                                                super_vth_family)
+        super_vth_family.cache_clear()
+        sub_vth_family.cache_clear()
+        assert main(["run", "table2", "table1", "--jobs", "2",
+                     "--profile"]) == 0
+        out = capsys.readouterr().out
+        assert re.search(r"scaling\.doping_batch_solves +[1-9]", out)
 
     def test_run_profile_prints_counters(self, capsys):
         assert main(["run", "fig2", "--profile"]) == 0

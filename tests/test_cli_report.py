@@ -122,6 +122,19 @@ class TestReportCheck:
                      "--only", *IDS, "--check"]) == 2
         assert "schema hash" in capsys.readouterr().err
 
+    def test_results_json_tampered_counter_fails(self, generated, capsys):
+        path = generated / "results.json"
+        payload = json.loads(path.read_text())
+        counters = payload["experiments"]["eq3"]["perf_counters"]
+        counters["circuit.vtc_batch_points"] += 1
+        path.write_text(json.dumps(payload))
+        assert main(["report", "--root", str(generated),
+                     "--only", *IDS, "--check"]) == 2
+        err = capsys.readouterr().err
+        assert ("perf counters of 'eq3' differ from the re-run: "
+                "circuit.vtc_batch_points") in err
+        assert "'table1'" not in err
+
     def test_check_does_not_write(self, tmp_path):
         assert main(["report", "--root", str(tmp_path),
                      "--only", "table1", "--check"]) == 2

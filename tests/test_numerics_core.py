@@ -8,9 +8,9 @@ The invariants the three batched engines rely on (see
   their own lanes regardless of which lanes retire first;
 * NaN and infeasible lanes terminate without poisoning their
   neighbours;
-* a sign-verified warm bracket of width <= ``xtol`` retires before the
-  first sweep with exactly the midpoint a cold solve produces, while a
-  stale bracket falls back to the full bounds;
+* a bracket of width <= ``xtol`` retires before the first sweep with
+  its midpoint, and end residuals handed in by the caller change no
+  bit of the solve;
 * the compression counters tick per executed sweep.
 """
 
@@ -18,9 +18,7 @@ import numpy as np
 import pytest
 
 from repro import perf
-from repro.errors import ParameterError
 from repro.numerics import (
-    WarmStarts,
     array_namespace,
     bisect_illinois,
     bisect_masked,
@@ -144,41 +142,21 @@ class TestBisectIllinois:
         assert result.root == pytest.approx(roots, abs=1e-11)
 
     def test_warm_bracket_retires_bitwise(self):
+        """A bracket already at or below ``xtol`` — here a converged
+        solve's own final bracket, handed back as the bounds — retires
+        before the first sweep with exactly that solve's root."""
         roots = _roots(6)
-        lo = np.full(6, -1.0)
-        hi = np.full(6, 1.0)
 
         def residual(x, idx):
             return x - roots[idx]
 
-        cold = bisect_illinois(residual, lo, hi, xtol=1e-9)
-        warm = bisect_illinois(
-            residual, lo, hi, xtol=1e-9,
-            warm_starts=WarmStarts(lo=np.asarray(cold.lo),
-                                   hi=np.asarray(cold.hi),
-                                   mask=np.ones(6, dtype=bool)))
-        assert warm.sweeps == 0
-        assert np.array_equal(warm.root, cold.root)
-        assert np.all(warm.warm_used)
-        # Sentinels document that the bounds were proven, not probed.
-        assert np.all(np.isneginf(warm.r_lo))
-        assert np.all(np.isposinf(warm.r_hi))
-
-    def test_stale_warm_bracket_falls_back(self):
-        roots = _roots(4)
-
-        def residual(x, idx):
-            return x - roots[idx]
-
-        # Brackets that straddle nothing: sign check must reject them.
-        stale = WarmStarts(lo=roots + 0.05, hi=roots + 0.06,
-                           mask=np.ones(4, dtype=bool))
-        result = bisect_illinois(residual, np.full(4, -1.0),
-                                 np.full(4, 1.0), xtol=1e-10,
-                                 warm_starts=stale)
-        assert not np.any(result.warm_used)
-        assert np.all(result.feasible)
-        assert result.root == pytest.approx(roots, abs=1e-9)
+        cold = bisect_illinois(residual, np.full(6, -1.0),
+                               np.full(6, 1.0), xtol=1e-9)
+        narrow = bisect_illinois(residual, cold.lo, cold.hi, xtol=1e-9)
+        assert narrow.sweeps == 0
+        assert np.array_equal(narrow.root, cold.root)
+        assert np.array_equal(narrow.r_lo, residual(cold.lo, np.arange(6)))
+        assert np.array_equal(narrow.r_hi, residual(cold.hi, np.arange(6)))
 
     def test_infeasible_lanes_flagged_not_iterated(self):
         roots = np.array([0.0, 5.0])  # second root outside [-1, 1]
@@ -231,14 +209,6 @@ class TestBisectIllinois:
         assert known.sweeps == plain.sweeps
         assert len(calls) == known.sweeps
         assert not bool(known.feasible[30])
-
-    def test_ends_exclude_warm_starts(self):
-        warm = WarmStarts(lo=np.zeros(2), hi=np.ones(2),
-                          mask=np.ones(2, dtype=bool))
-        with pytest.raises(ParameterError, match="exclusive"):
-            bisect_illinois(lambda x, idx: x, -np.ones(2), np.ones(2),
-                            xtol=1e-9, warm_starts=warm,
-                            ends=(-np.ones(2), np.ones(2)))
 
 
 class TestNewtonSafeguarded:

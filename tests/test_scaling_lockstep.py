@@ -2,10 +2,10 @@
 
 The flows stack independent problems — nodes, lengths, settings and
 calibrations — on the lane axis of one cold masked root-solve.  Lanes
-of such a solve are independent, and every refinement lane warm-starts
-from the root its own sweep stored, so each lock-step result must be
-bitwise the result of solving its problem alone.  Errors follow the
-per-problem loop's order.
+of such a solve are independent and every lane starts from the full
+doping bounds, so each lock-step result must be bitwise the result of
+solving its problem alone.  Errors follow the per-problem loop's
+order.
 """
 
 import dataclasses
@@ -14,10 +14,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import perf
-from repro.cache import LRUMemo
 from repro.device import subthreshold as subthreshold_mod
 from repro.device.mosfet import Polarity
-from repro.errors import OptimizationError, ParameterError
+from repro.errors import OptimizationError
 from repro.experiments.ext_sensitivity import CALIBRATION_GRID
 from repro.scaling import batch as batch_mod
 from repro.scaling import sensitivity as sensitivity_mod
@@ -25,7 +24,6 @@ from repro.scaling import subvth as subvth_mod
 from repro.scaling.batch import (
     Calibration,
     DopingSolveRequest,
-    reset_warm_starts,
     solve_substrate_stack,
 )
 from repro.scaling.roadmap import roadmap_nodes, sub_vth_ioff_target
@@ -68,7 +66,7 @@ class TestSubVthLockStep:
 
     def test_mixed_calibration_stack(self):
         """One stack holding a calibrated and a default optimiser: each
-        lane keeps its own calibration, keys and warm starts."""
+        lane keeps its own calibration."""
         node = NODES[2]
         with calibration(sce_prefactor=11.0):
             harsh = SubVthOptimizer(node)
@@ -99,32 +97,13 @@ class TestSubVthLockStep:
             alone = optimizer.design_for_length(float(l_poly))
             assert _design_bits(design) == _design_bits(alone), l_poly
 
-    def test_repeated_problem_is_refused(self):
-        with pytest.raises(ParameterError, match="distinct"):
-            optimize_sub_vth_stack([SubVthOptimizer(NODES[0]),
-                                    SubVthOptimizer(NODES[0],
-                                                    n_length_points=5)])
-
-    def test_stack_larger_than_bracket_memo_runs_in_chunks(self,
-                                                           monkeypatch):
-        """Sweeps that could store more roots than the memo holds run as
-        chunks that fit, so no refinement loses its sweep's roots."""
-        # 5 lengths x 2 polarities x 6 ratios = 60 roots per optimiser:
-        # two optimisers fit, a third would evict the first one's roots.
-        monkeypatch.setattr(batch_mod, "bracket_memo",
-                            LRUMemo("bracket", maxsize=130))
-        optimizers = [SubVthOptimizer(node, n_length_points=5)
-                      for node in NODES[:3]]
-        perf.reset()
-        alone = [opt.optimize() for opt in optimizers]
-        alone_hits = perf.get("cache.bracket.hits")
-        perf.reset()
-        stacked = optimize_sub_vth_stack(optimizers)
-        # Every refinement lane found the warm start its sweep stored.
-        assert perf.get("cache.bracket.hits") == alone_hits > 0
-        assert perf.get("scaling.doping_batch_solves") == 4
-        for node, design, want in zip(NODES, stacked, alone):
-            assert _design_bits(design) == _design_bits(want), node.name
+    def test_repeated_problem_is_accepted(self):
+        """A stack may repeat an optimiser: no lane shares state with
+        another, so both entries are its one-problem result."""
+        opt = SubVthOptimizer(NODES[0], n_length_points=5)
+        stacked = optimize_sub_vth_stack([opt, opt])
+        want = _design_bits(opt.optimize())
+        assert [_design_bits(d) for d in stacked] == [want, want]
 
     def test_optimizer_takes_the_calibration_in_force_when_made(self):
         plain = SubVthOptimizer(NODES[0])
@@ -211,8 +190,6 @@ class TestSensitivityLockStep:
         perf.reset()
         stacked = headlines_under_calibrations(
             [kwargs for _label, kwargs in CALIBRATION_GRID] + [repeat])
-        # Every sweep root survived until its refinement read it.
-        assert perf.get("cache.bracket.evictions") == 0
         assert perf.get("scaling.doping_batch_solves") == 4
         assert stacked[-1] == stacked[0]
         for (label, kwargs), result in zip(CALIBRATION_GRID, stacked):
@@ -245,21 +222,16 @@ def _requests(draw):
             halo_ratio=halo) for node, ratio, pol, halo, log_ioff in specs]
 
 
-def _cold(reqs):
-    reset_warm_starts()
-    return solve_substrate_stack(reqs)
-
-
 @settings(max_examples=12, deadline=None, derandomize=True)
 @given(parts=st.lists(_requests(), min_size=2, max_size=3))
 def test_concatenated_cold_solve_equals_parts(parts):
     """A cold stack over several parts (each under its own calibration)
     equals each part solved cold alone, lane for lane — infeasible
     lanes included."""
-    whole = _cold([req for part in parts for req in part])
+    whole = solve_substrate_stack([req for part in parts for req in part])
     start = 0
     for part in parts:
-        alone = _cold(part)
+        alone = solve_substrate_stack(part)
         lanes = slice(start, start + len(part))
         for name in ("root_log10", "feasible", "r_lo", "r_hi"):
             got = getattr(whole, name)[lanes]

@@ -1,9 +1,9 @@
 """Determinism, spill and reload of the precomputed metric grids.
 
 The sharding contract under test: a shard is a pure function of
-(spec, node, L ratio) because every shard starts from
-``reset_warm_starts()``, so ``build_grid`` produces **byte-identical**
-tensors for any ``--jobs`` value.  The spill contract: grids land in
+(spec, node, L ratio) because every doping solve starts cold, so
+``build_grid`` produces **byte-identical** tensors for any ``--jobs``
+value.  The spill contract: grids land in
 the disk cache keyed by (axes digest, model schema hash), so a model
 edit silently orphans stale tensors and ``load_grid`` reports a miss
 instead of serving physics from an older revision.

@@ -17,7 +17,6 @@ from repro import perf
 from repro.cache import model_schema_hash
 from repro.device.corners import Corner
 from repro.device.mosfet import Polarity
-from repro.scaling.batch import reset_warm_starts
 from repro.scaling.roadmap import node_by_name
 from repro.scaling.subvth import optimize_doping_for_length
 from repro.service import DesignSpaceService, serve_stdio
@@ -134,10 +133,8 @@ class TestExactTierParity:
         l_poly_nm = 1.75 * NODE.l_poly_nm
         target = 10.0 ** -10.3
         design = exact_design(NODE, l_poly_nm, target)
-        reset_warm_starts()
         n_oracle = optimize_doping_for_length(
             NODE, l_poly_nm, ioff_target=target)
-        reset_warm_starts()
         p_oracle = optimize_doping_for_length(
             NODE, l_poly_nm, ioff_target=target,
             polarity=Polarity.PFET, width_um=2.0)

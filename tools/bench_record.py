@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import hashlib
 import json
 import os
 import pathlib
@@ -176,20 +177,36 @@ def compare(summary: dict, committed_path: pathlib.Path) -> int:
     return 0
 
 
-def git_sha() -> str | None:
+def git_sha(root: pathlib.Path = REPO_ROOT) -> str | None:
     """Current commit SHA, or None outside a git checkout.
 
-    A ``-dirty`` suffix marks a run on uncommitted changes: the
-    numbers then belong to that commit plus the working-tree edits.
+    A run on uncommitted changes reads ``<sha>-dirty-<digest>``: the
+    numbers then belong to that commit plus the working-tree edits, and
+    the digest (of ``git diff HEAD`` plus the untracked files' names
+    and contents) tells runs on different edits of one commit apart.
+    A clean tree keeps the bare SHA.
     """
+    def git(*args: str) -> bytes:
+        return subprocess.run(["git", *args], cwd=root, check=True,
+                              capture_output=True).stdout
+
     try:
-        out = subprocess.run(["git", "describe", "--always", "--dirty",
-                              "--abbrev=7"],
-                             cwd=REPO_ROOT, check=True,
-                             capture_output=True, text=True)
+        sha = git("describe", "--always", "--abbrev=7").decode().strip()
+        diff = git("diff", "HEAD", "--binary")
+        untracked = git("ls-files", "--others", "--exclude-standard", "-z")
     except (OSError, subprocess.CalledProcessError):
         return None
-    return out.stdout.strip() or None
+    if not sha or not (diff or untracked):
+        return sha or None
+    digest = hashlib.sha256(diff)
+    for name in untracked.split(b"\0"):
+        if name:
+            digest.update(name + b"\0")
+            try:
+                digest.update((root / os.fsdecode(name)).read_bytes())
+            except OSError:  # e.g. a dangling symlink: its name counts
+                pass
+    return f"{sha}-dirty-{digest.hexdigest()[:8]}"
 
 
 def append_history(summary: dict, suite_name: str,
