@@ -20,6 +20,8 @@ Both devices of every point are evaluated by one call of the
 closed-form device kernel :func:`repro.device.iv.ids_with_partials`
 over the stacked NFET/PFET parameters, which returns the currents and
 the output conductances ``g_ds`` that make up the balance's slope.
+The small-signal gain is the balance's implicit derivative at a solved
+point, ``-(g_m,N + g_m,P) / (g_ds,N + g_ds,P)``: one more kernel call.
 
 The gain = -1 crossings of :func:`noise_margins_batch` are located by
 the same scan as the scalar path, then each crossing is solved inside
@@ -33,11 +35,11 @@ of solving those VTC points again.
 
 The supply is lane data, like the V_th offsets: every kernel takes an
 optional ``vdd`` [V] that broadcasts with ``dvth_n``/``dvth_p`` and
-defaults to the inverter's own supply.  The scan grid, the gain
-stencil's step and the rail pins follow each lane's supply, so one
-call over a stack of supplies returns, lane for lane, the same bits as
-one call per supply — which is how the rare-event estimator solves a
-whole failure-rate-vs-V_dd curve in lock-step.
+defaults to the inverter's own supply.  The scan grid and the rail
+pins follow each lane's supply, so one call over a stack of supplies
+returns, lane for lane, the same bits as one call per supply — which
+is how the rare-event estimator solves a whole failure-rate-vs-V_dd
+curve in lock-step.
 
 The scalar implementations remain available as correctness oracles
 behind each consumer's ``solver=`` switch (the same convention as
@@ -122,7 +124,8 @@ class _VtcSystem:
     source sits at the point's supply ``vdd``: its gate-source and
     drain-source magnitudes are ``V_dd - V_in`` and ``V_dd - V_out``.
     One :func:`ids_with_partials` call over the stacked parameters
-    evaluates both devices of every gathered point.
+    evaluates both devices of every gathered point; :meth:`solve` finds
+    every point's output and :meth:`gain` its small-signal gain there.
     """
 
     def __init__(self, inverter, vin: np.ndarray, dvth_n: np.ndarray,
@@ -147,6 +150,40 @@ class _VtcSystem:
             self.params, self.vgs[:, idx],
             np.stack([vout, self.vdd[idx] - vout]), self.vth_shift[:, idx])
         return current[0] - current[1], g_ds[0] + g_ds[1]
+
+    def solve(self, xtol: float) -> np.ndarray:
+        """Static output voltages [V] of every point."""
+        if xtol <= 0.0:
+            raise ParameterError("xtol must be positive")
+        supply = self.vdd
+        vin = self.vgs[0]  # the NFET's V_gs
+        if np.any((vin < 0.0) | (vin > supply)):
+            raise ParameterError("vin outside the supply range [0, V_dd]")
+        n = vin.size
+        # Both rails of every point in one kernel call.
+        f_rails, _ = self.balance(np.concatenate([np.zeros(n), supply]),
+                                  np.tile(np.arange(n), 2))
+        at_lo = f_rails[:n] >= 0.0
+        at_hi = (f_rails[n:] <= 0.0) & ~at_lo
+        # Rail points are pinned by collapsing their bracket, which keeps
+        # them out of the Newton iteration's active set from sweep zero.
+        lo = np.where(at_hi, supply, 0.0)
+        hi = np.where(at_lo, 0.0, supply)
+        perf.bump("circuit.vtc_batch_solves")
+        perf.bump("circuit.vtc_batch_points", n)
+        return newton_safeguarded(self.balance, lo, hi, xtol=xtol,
+                                  sweep_counter="circuit.vtc_newton_sweeps")
+
+    def gain(self, vout: np.ndarray) -> np.ndarray:
+        """``dV_out/dV_in`` of every point at its solved output ``vout``
+        [V]: ``-(g_m,N + g_m,P) / (g_ds,N + g_ds,P)``, the implicit
+        derivative of the balance (the PFET's gate and drain voltages
+        fall as V_in and V_out rise, so both of its partials enter with
+        the NFET's sign)."""
+        _, g_m, g_ds = ids_with_partials(
+            self.params, self.vgs, np.stack([vout, self.vdd - vout]),
+            self.vth_shift)
+        return -(g_m[0] + g_m[1]) / (g_ds[0] + g_ds[1])
 
 
 def _broadcast_inputs(inverter, *inputs) -> list[np.ndarray]:
@@ -174,73 +211,38 @@ def solve_vtc_batch(inverter, vin, dvth_n=0.0, dvth_p=0.0,
     ``Inverter.vtc_point`` on a V_th-offset copy of the devices at
     that supply.  Scalar inputs return a float.
     """
-    if xtol <= 0.0:
-        raise ParameterError("xtol must be positive")
     vin_arr, dn_arr, dp_arr, vdd_arr = _broadcast_inputs(
         inverter, vin, dvth_n, dvth_p, vdd)
-    shape = vin_arr.shape
-    flat = vin_arr.ravel()
-    supply = vdd_arr.ravel()
-    if np.any((flat < 0.0) | (flat > supply)):
-        raise ParameterError("vin outside the supply range [0, V_dd]")
-    system = _VtcSystem(inverter, flat, dn_arr.ravel(), dp_arr.ravel(),
-                        supply)
-    n = flat.size
-    # Both rails of every point in one kernel call.
-    f_rails, _ = system.balance(np.concatenate([np.zeros(n), supply]),
-                                np.tile(np.arange(n), 2))
-    at_lo = f_rails[:n] >= 0.0
-    at_hi = (f_rails[n:] <= 0.0) & ~at_lo
-    # Rail points are pinned by collapsing their bracket, which keeps
-    # them out of the Newton iteration's active set from sweep zero.
-    lo = np.where(at_hi, supply, 0.0)
-    hi = np.where(at_lo, 0.0, supply)
-    perf.bump("circuit.vtc_batch_solves")
-    perf.bump("circuit.vtc_batch_points", n)
-    vout = newton_safeguarded(system.balance, lo, hi, xtol=xtol,
-                              sweep_counter="circuit.vtc_newton_sweeps")
-    if shape == ():
+    system = _VtcSystem(inverter, vin_arr.ravel(), dn_arr.ravel(),
+                        dp_arr.ravel(), vdd_arr.ravel())
+    vout = system.solve(xtol)
+    if vin_arr.shape == ():
         return float(vout[0])
-    return vout.reshape(shape)
+    return vout.reshape(vin_arr.shape)
 
 
 def gain_batch(inverter, vin, dvth_n=0.0, dvth_p=0.0,
-               h_v: float | None = None, xtol: float = XTOL_DEFAULT):
+               xtol: float = XTOL_DEFAULT):
     """Small-signal gain dV_out/dV_in for arrays of VTC points.
 
-    Uses the same finite-difference stencil (step ``h_v`` [v],
-    defaulting to ``V_dd * 1e-4``, clamped at the rails) as
-    ``Inverter.gain``, evaluated from one batched VTC solve over all
-    ``2 * n`` stencil endpoints.
+    One batched VTC solve, then the devices' closed-form partials at
+    every solved (V_in, V_out): ``-(g_m,N + g_m,P) / (g_ds,N +
+    g_ds,P)``, the same definition as ``Inverter.gain``.
     """
     vin_arr, dn_arr, dp_arr, vdd_arr = _broadcast_inputs(
         inverter, vin, dvth_n, dvth_p, None)
-    shape = vin_arr.shape
     gains = _gain_flat(inverter, vin_arr.ravel(), dn_arr.ravel(),
-                       dp_arr.ravel(), vdd_arr.ravel(), h_v, xtol)
-    if shape == ():
+                       dp_arr.ravel(), vdd_arr.ravel(), xtol)
+    if vin_arr.shape == ():
         return float(gains[0])
-    return gains.reshape(shape)
+    return gains.reshape(vin_arr.shape)
 
 
 def _gain_flat(inverter, vin: np.ndarray, dvth_n: np.ndarray,
-               dvth_p: np.ndarray, vdd: np.ndarray, h: float | None,
+               dvth_p: np.ndarray, vdd: np.ndarray,
                xtol: float) -> np.ndarray:
-    step = (vdd * 1e-4) if h is None else h
-    lo = np.maximum(vin - step, 0.0)
-    hi = np.minimum(vin + step, vdd)
-    if np.any(hi <= lo):
-        raise ParameterError("gain stencil collapsed; vin at a corner?")
-    vouts = solve_vtc_batch(
-        inverter,
-        np.concatenate([hi, lo]),
-        np.concatenate([dvth_n, dvth_n]),
-        np.concatenate([dvth_p, dvth_p]),
-        xtol=xtol,
-        vdd=np.concatenate([vdd, vdd]),
-    )
-    m = vin.size
-    return (vouts[:m] - vouts[m:]) / (hi - lo)
+    system = _VtcSystem(inverter, vin, dvth_n, dvth_p, vdd)
+    return system.gain(system.solve(xtol))
 
 
 @dataclass(frozen=True)
@@ -301,7 +303,7 @@ def _refine_crossings(inverter, a: np.ndarray, b: np.ndarray,
 
     def residual(vin: np.ndarray, idx: np.ndarray) -> np.ndarray:
         gains = _gain_flat(inverter, vin, dvth_n[idx], dvth_p[idx],
-                           vdd[idx], None, xtol)
+                           vdd[idx], xtol)
         return -sign[idx] * (gains + 1.0)
 
     ends = (-sign * (gain_a + 1.0), -sign * (gain_b + 1.0))
@@ -338,7 +340,7 @@ def noise_margins_batch(inverter, dvth_n=0.0, dvth_p=0.0, n_scan: int = 101,
 
     gains = _gain_flat(inverter, vins.ravel(),
                        np.repeat(dn, n_scan), np.repeat(dp, n_scan),
-                       np.repeat(supply, n_scan), None,
+                       np.repeat(supply, n_scan),
                        xtol).reshape(trials, n_scan)
     below = (gains + 1.0) < 0.0
     has_crossing = below.any(axis=1)

@@ -6,7 +6,9 @@ numerically and with the full weak-to-strong-inversion model, so the
 same code serves both the sub-V_th (250 mV) and nominal-V_dd analyses.
 Whole input grids default to the vectorised Newton kernel of
 :mod:`repro.circuit.batch`; the per-point Brent solve remains as the
-scalar oracle (``solver="sequential"``).
+scalar oracle (``solver="sequential"``).  The small-signal gain is the
+implicit derivative of the same current balance, read off the devices'
+closed-form partials at the solved output.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from scipy.optimize import brentq
 from .. import perf
 from ..device.mosfet import MOSFET, Polarity
 from ..errors import ParameterError
-from .batch import solve_vtc_batch, validate_solver
+from .batch import _VtcSystem, solve_vtc_batch, validate_solver
 
 
 @dataclass(frozen=True)
@@ -108,17 +110,15 @@ class Inverter:
         vouts = np.array([self.vtc_point(float(v), xtol=xtol) for v in vins])
         return vins, vouts
 
-    def gain(self, vin: float, h_v: float | None = None,
-             xtol: float = 1e-9) -> float:
-        """Small-signal voltage gain dV_out/dV_in at ``vin``
-        (negative); ``h_v`` [v] overrides the stencil half-step."""
-        step = (self.vdd * 1e-4) if h_v is None else h_v
-        lo = max(vin - step, 0.0)
-        hi = min(vin + step, self.vdd)
-        if hi <= lo:
-            raise ParameterError("gain stencil collapsed; vin at a corner?")
-        return (self.vtc_point(hi, xtol=xtol)
-                - self.vtc_point(lo, xtol=xtol)) / (hi - lo)
+    def gain(self, vin: float, xtol: float = 1e-9) -> float:
+        """Small-signal voltage gain dV_out/dV_in at ``vin`` (negative):
+        the devices' partials at the Brent-solved VTC point, by the
+        definition ``gain_batch`` uses."""
+        vout = self.vtc_point(vin, xtol=xtol)
+        zero = np.zeros(1)
+        system = _VtcSystem(self, np.array([float(vin)]), zero, zero,
+                            np.array([float(self.vdd)]))
+        return float(system.gain(np.array([vout]))[0])
 
     def switching_threshold(self, xtol: float = 1e-9) -> float:
         """Input voltage where ``V_out = V_in`` (the inverter trip point)."""

@@ -62,10 +62,11 @@ class NoiseMargins:
 
 def _unity_gain_points(inverter: Inverter, n_scan: int = 101,
                        xtol: float = XTOL_DEFAULT) -> tuple[float, float]:
-    """Locate the two gain = -1 inputs by scan + bisection refinement.
+    """Locate the two gain = -1 inputs by scan + brentq refinement.
 
-    The scan and the refinement use the *same* finite-difference gain
-    stencil, so brentq brackets are guaranteed consistent.
+    The scan and the refinement evaluate the *same* gain
+    (:meth:`Inverter.gain`, from the devices' partials at the solved
+    output), so brentq brackets are guaranteed consistent.
     """
     vdd = inverter.vdd
     margin = vdd * 1e-3

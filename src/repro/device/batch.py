@@ -4,17 +4,20 @@ The batch kernels in :mod:`repro.circuit.batch` vectorise the *bias*
 axis of one device; the scaling flows need the orthogonal axis: many
 (N_sub, N_p,halo, L_poly) parameter points evaluated at a few biases.
 :class:`ParameterStack` maps arrays of doping/geometry inputs through
-the same doping -> halo/depletion self-consistency -> threshold -> EKV
-chain as :class:`repro.device.iv.IVModel`, without constructing a
-per-point :class:`repro.device.mosfet.MOSFET`.
+the same doping -> halo/depletion self-consistency -> threshold chain
+as :class:`repro.device.iv.IVModel`, without constructing a per-point
+:class:`repro.device.mosfet.MOSFET`, and hands the resulting channel
+state to the same :meth:`repro.device.iv.IVParams.from_state` mapping;
+currents and V_th then come from the one kernel of
+:mod:`repro.device.iv`.
 
-The arithmetic replicates the scalar models term for term — same
-association order, same constants, same fixed-point iteration with each
-point frozen at its *first* converged iterate — so batched root-solves
-land on the same doping as the scalar `brentq` loops to well below the
-1e-9 relative agreement the equivalence tests enforce.  The only
-deliberate divergence is ``scipy.special.erf`` vs ``math.erf``
-(ulp-level).
+The channel-state arithmetic replicates the scalar models term for
+term — same association order, same constants, same fixed-point
+iteration with each point frozen at its *first* converged iterate — so
+batched root-solves land on the same doping as the scalar `brentq`
+loops to well below the 1e-9 relative agreement the equivalence tests
+enforce.  The only deliberate divergence is ``scipy.special.erf`` vs
+``math.erf`` (ulp-level).
 
 Used by :mod:`repro.scaling.batch` for the batched doping root-solves.
 """
@@ -22,6 +25,7 @@ Used by :mod:`repro.scaling.batch` for the batched doping root-solves.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.special import erf
@@ -43,7 +47,7 @@ from ..constants import (
     thermal_voltage,
 )
 from ..errors import ParameterError
-from ..materials.mobility import _MASETTI
+from ..materials.mobility import _MASETTI, UNIVERSAL_MOBILITY
 from ..materials.silicon import bandgap_ev, intrinsic_concentration
 from .doping import (
     _SQRT_2PI,
@@ -55,7 +59,7 @@ from . import geometry as geometry_mod
 from . import subthreshold as subthreshold_mod
 from . import threshold as threshold_mod
 from .geometry import JUNCTION_DEPTH_FRACTION
-from .iv import _ekv_f
+from .iv import IVParams, drain_current, threshold_voltage
 from .mosfet import VTH_CC_A, Polarity
 from .subthreshold import _EPS_RATIO
 from .threshold import N_SOURCE_DRAIN
@@ -160,6 +164,10 @@ class ParameterStack:
         self.ni = intrinsic_concentration(self.temperature_k)
         self.half_gap = bandgap_ev(self.temperature_k) / 2.0
         self.vsat = np.where(is_nfet, VSAT_ELECTRON, VSAT_HOLE)
+        (e0_n, nu_n), (e0_p, nu_p) = (UNIVERSAL_MOBILITY["electron"],
+                                      UNIVERSAL_MOBILITY["hole"])
+        self.e0_v_per_cm = np.where(is_nfet, e0_n, e0_p)
+        self.mobility_exponent = np.where(is_nfet, nu_n, nu_p)
         self._mu_temp = (self.temperature_k / 300.0) ** -2.2
 
     @classmethod
@@ -318,90 +326,62 @@ class ParameterStack:
         m = slope / (LN10 * self.vt)
 
         return BatchDeviceMetrics(
-            stack=self, n_eff_cm3=n_eff, w_dep_cm=w_dep, vth0_v=vth0,
-            sce_barrier_v=barrier, sce_e1=e1, sce_e2=e2, slope_factor=m,
-            mu_low=self._low_field_mobility(n_eff),
+            stack=self, n_eff_cm3=n_eff, w_dep_cm=w_dep,
+            params=IVParams.from_state(
+                vt_v=self.vt, slope_factor=m, vth0_v=vth0, vth_offset_v=0.0,
+                sce_barrier_v=barrier, sce_e1_factor=e1, sce_e2_factor=e2,
+                mu_low=self._low_field_mobility(n_eff),
+                cox_f_per_cm2=self.cox, aspect_ratio=self.aspect_ratio,
+                eot_cm=self.eot_cm, l_eff_cm=self.l_eff_cm,
+                vsat_cm_per_s=self.vsat, e0_v_per_cm=self.e0_v_per_cm,
+                exponent=self.mobility_exponent,
+            ),
         )
 
 
+@dataclass(slots=True)
 class BatchDeviceMetrics:
     """Vectorised device metrics at one (N_sub, N_p,halo) assignment.
 
-    Mirrors the cached state of :class:`repro.device.iv.IVModel`
-    (``n_eff``, ``w_dep``, ``vth0``, SCE coefficients, slope factor)
-    for every point of a :class:`ParameterStack` and evaluates the same
-    EKV current expression over the whole stack.
+    Carries the channel state (``n_eff``, ``w_dep``) of every point of
+    a :class:`ParameterStack` and the points' :class:`IVParams` columns,
+    built once per :meth:`ParameterStack.metrics` call; currents and
+    V_th evaluate the kernel of :mod:`repro.device.iv` over them.
     """
 
-    __slots__ = ("stack", "n_eff_cm3", "w_dep_cm", "vth0_v", "sce_barrier_v",
-                 "sce_e1", "sce_e2", "slope_factor", "mu_low")
-
-    def __init__(self, stack: ParameterStack, n_eff_cm3, w_dep_cm, vth0_v,
-                 sce_barrier_v, sce_e1, sce_e2, slope_factor, mu_low):
-        self.stack = stack
-        self.n_eff_cm3 = n_eff_cm3
-        self.w_dep_cm = w_dep_cm
-        self.vth0_v = vth0_v
-        self.sce_barrier_v = sce_barrier_v
-        self.sce_e1 = sce_e1
-        self.sce_e2 = sce_e2
-        self.slope_factor = slope_factor
-        self.mu_low = mu_low
+    stack: ParameterStack
+    n_eff_cm3: np.ndarray
+    w_dep_cm: np.ndarray
+    params: IVParams
 
     def take(self, idx) -> "BatchDeviceMetrics":
         """The metrics of flat lanes ``idx`` (gathered stack included)."""
         idx = np.asarray(idx)
+        shape = np.shape(self.n_eff_cm3)
 
-        def flat(values: np.ndarray) -> np.ndarray:
-            return np.ravel(values)[idx]
+        def flat(values):
+            return np.ravel(np.broadcast_to(values, shape))[idx]
 
         return BatchDeviceMetrics(
             stack=self.stack.take(idx),
             n_eff_cm3=flat(self.n_eff_cm3), w_dep_cm=flat(self.w_dep_cm),
-            vth0_v=flat(self.vth0_v), sce_barrier_v=flat(self.sce_barrier_v),
-            sce_e1=flat(self.sce_e1), sce_e2=flat(self.sce_e2),
-            slope_factor=flat(self.slope_factor), mu_low=flat(self.mu_low),
+            params=IVParams(**{f.name: flat(getattr(self.params, f.name))
+                               for f in fields(IVParams)}),
         )
 
     @property
     def ss_v_per_dec(self) -> np.ndarray:
         """Inverse subthreshold slope [V/dec] (equals Eq. 2(b))."""
         return LN10 * thermal_voltage(self.stack.temperature_k) \
-            * self.slope_factor
+            * self.params.slope_factor
 
     def vth(self, vds) -> np.ndarray:
         """Threshold voltage at drain bias ``vds`` [V] (DIBL included)."""
-        vds_arr = np.maximum(np.asarray(vds, dtype=float), 0.0)
-        b = self.sce_barrier_v
-        dv = ((2.0 * b + vds_arr) * self.sce_e1
-              + 2.0 * np.sqrt(b * (b + vds_arr)) * self.sce_e2)
-        return self.vth0_v - dv
+        return threshold_voltage(self.params, vds)
 
     def ids(self, vgs, vds) -> np.ndarray:
         """Drain current [A] for NFET-referenced terminal voltages."""
-        s = self.stack
-        vgs_arr = np.asarray(vgs, dtype=float)
-        vds_arr = np.maximum(np.asarray(vds, dtype=float), 0.0)
-        vt = s.vt
-        vth = self.vth(vds_arr)
-        vp = (vgs_arr - vth) / self.slope_factor
-        i_f = _ekv_f(vp / vt)
-        i_r = _ekv_f((vp - vds_arr) / vt)
-
-        e_eff = np.maximum(vgs_arr + self.vth0_v, 0.0) / (6.0 * s.eot_cm)
-        mu = self.mu_low / np.where(
-            s.is_nfet,
-            1.0 + (e_eff / 6.7e5) ** 1.6,
-            1.0 + (e_eff / 7.0e5) ** 1.0,
-        )
-        ispec = (2.0 * self.slope_factor * mu * s.cox * vt ** 2
-                 * s.aspect_ratio)
-        current = ispec * (i_f - i_r)
-        severity = i_f / (1.0 + i_f)
-        v_drive = np.maximum(vp, 2.0 * vt)
-        v_dsat = vds_arr * v_drive / (vds_arr + v_drive + 1e-12)
-        vsat_term = (self.mu_low * v_dsat) / (s.vsat * s.l_eff_cm)
-        return current / (1.0 + severity * vsat_term)
+        return drain_current(self.params, vgs, vds)
 
     def i_off_per_um(self, vdd) -> np.ndarray:
         """Leakage per µm of width at supply ``vdd`` [A/µm]."""

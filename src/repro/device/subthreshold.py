@@ -110,8 +110,8 @@ def subthreshold_current(i0_a: float, vgs: float, vds: float, vth: float,
 
     ``I = I_0 exp((V_gs - V_th)/(m v_T)) (1 - exp(-V_ds / v_T))``
 
-    where ``I_0 = (W/L) mu_eff C_dep v_T^2`` is pre-computed by the
-    caller (see :class:`repro.device.iv.IVModel.i0`).
+    where ``I_0 = (W/L) mu_eff C_dep v_T^2`` is pre-computed by the caller
+    (its compact-model analogue: :attr:`repro.device.iv.IVParams.i_spec_a`).
     """
     if i0_a < 0.0:
         raise ParameterError("I_0 must be >= 0")

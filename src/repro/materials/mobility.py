@@ -52,21 +52,26 @@ def masetti_mobility(doping_cm3: float, carrier: str = "electron") -> float:
     return max(mu, 10.0)
 
 
+#: Universal-mobility constants per carrier: ``(E_0 [V/cm], nu)`` of
+#: the degradation factor ``1 / (1 + (E_eff/E_0)^nu)``, read here and
+#: by :meth:`repro.device.iv.IVParams.from_state`.
+UNIVERSAL_MOBILITY = {"electron": (6.7e5, 1.6), "hole": (7.0e5, 1.0)}
+
+
 def vertical_field_factor(eff_field_v_per_cm: float, carrier: str = "electron") -> float:
     """Universal-mobility degradation factor (<= 1) vs effective field.
 
-    ``1 / (1 + (E_eff/E_0)^nu)`` with the usual electron/hole constants
-    (E_0 ~ 0.67 MV/cm, nu ~ 1.6 for electrons).
+    ``1 / (1 + (E_eff/E_0)^nu)`` with the carrier's
+    :data:`UNIVERSAL_MOBILITY` constants (E_0 ~ 0.67 MV/cm, nu ~ 1.6
+    for electrons).
     """
     if eff_field_v_per_cm < 0.0:
         raise ParameterError("effective field must be >= 0")
-    if carrier == "electron":
-        e0, nu = 6.7e5, 1.6
-    elif carrier == "hole":
-        e0, nu = 7.0e5, 1.0
-    else:
-        raise ParameterError(f"unknown carrier {carrier!r}")
-    return 1.0 / (1.0 + (eff_field_v_per_cm / e0) ** nu)
+    try:
+        e0_v_per_cm, nu = UNIVERSAL_MOBILITY[carrier]
+    except KeyError:
+        raise ParameterError(f"unknown carrier {carrier!r}") from None
+    return 1.0 / (1.0 + (eff_field_v_per_cm / e0_v_per_cm) ** nu)
 
 
 def saturation_velocity(carrier: str = "electron") -> float:

@@ -50,14 +50,39 @@ class TestVtcEquivalence:
         seq = np.array([inv.vtc_point(float(v), xtol=TIGHT) for v in vins])
         assert np.max(np.abs(batch - seq)) <= 1e-9 * vdd
 
-    def test_gain_stencil(self, nfet90, pfet90, vdd):
+    def test_gain(self, nfet90, pfet90, vdd):
         inv = Inverter(nfet=nfet90, pfet=pfet90, vdd=vdd)
         vins = np.linspace(0.1 * vdd, 0.9 * vdd, 9)
         batch = gain_batch(inv, vins, xtol=TIGHT)
         seq = np.array([inv.gain(float(v), xtol=TIGHT) for v in vins])
-        # The stencil divides VTC solver noise by 2h = 2e-4 vdd, so the
-        # gains themselves only agree to ~xtol / (2h).
-        assert np.allclose(batch, seq, rtol=1e-6, atol=TIGHT / (1e-4 * vdd))
+        assert _rel(batch, seq) <= 1e-9
+
+
+@pytest.mark.parametrize("case", ["inverter_sub", "inverter_nominal",
+                                  "sub_vth_32nm"])
+def test_gain_is_the_vtc_slope(case, request, sub_family):
+    """The partials gain -(g_m,N + g_m,P)/(g_ds,N + g_ds,P) is the
+    derivative of the solved VTC: a central difference of a tightly
+    solved VTC (h = 1e-5 V_dd) matches it to 1e-5 relative, with a
+    1e-3 floor on |gain| near the rails.  The difference is the
+    fourth-order five-point one: the three-point difference's own h^2
+    truncation reaches 1.1e-5 at the 1.2 V inverter's peak gain."""
+    if case == "sub_vth_32nm":
+        inv = sub_family.design("32nm").inverter(0.25)
+    else:
+        inv = request.getfixturevalue(case)
+    vdd = inv.vdd
+    vins = np.linspace(0.02 * vdd, 0.98 * vdd, 49)
+    h = 1e-5 * vdd
+
+    def step(k):
+        return (solve_vtc_batch(inv, vins + k * h, xtol=1e-14)
+                - solve_vtc_batch(inv, vins - k * h, xtol=1e-14))
+
+    slope = (8.0 * step(1) - step(2)) / (12.0 * h)
+    gain = gain_batch(inv, vins, xtol=1e-14)
+    assert np.all(np.abs(gain - slope)
+                  <= 1e-5 * np.maximum(np.abs(slope), 1e-3))
 
 
 class TestNoiseMarginEquivalence:

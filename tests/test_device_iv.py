@@ -112,9 +112,10 @@ class TestVthOffset:
 class TestIdsWithPartials:
     """The closed-form kernel the batched MNA engine stamps from.
 
-    Its current must reproduce :meth:`IVModel.ids`, and its partials
-    must match central differences of ``ids`` away from the model's
-    kinks (V_p = 2 v_T, V_gs = -V_th0, V_ds = 0).
+    Its current must be :meth:`IVModel.ids` bit for bit (one
+    expression), and its partials must match central differences of
+    ``ids`` away from the model's kinks (V_p = 2 v_T, V_gs = -V_th0,
+    V_ds = 0).
     """
 
     STEP_V = 1e-6
@@ -141,8 +142,8 @@ class TestIdsWithPartials:
         vgs, vds, shift = vgs[away], vds[away], shift[away]
         current, d_gs, d_ds = ids_with_partials(params, vgs, vds, shift)
         reference = iv.ids(vgs, vds, shift)
-        assert np.all(np.abs(current - reference)
-                      <= 1e-12 * np.abs(reference))
+        # One expression: the current is bitwise what ids returns.
+        assert np.array_equal(current, reference)
         fd_gs = (iv.ids(vgs + h, vds, shift)
                  - iv.ids(vgs - h, vds, shift)) / (2.0 * h)
         fd_ds = (iv.ids(vgs, vds + h, shift)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.device.batch import ParameterStack, device_metrics
+from repro.device.iv import threshold_voltage
 from repro.device.mosfet import Polarity, nfet, pfet
 from repro.scaling.roadmap import roadmap_nodes
 from repro.scaling.subvth import (
@@ -62,6 +63,17 @@ class TestDeviceLayer:
             assert ss[i] == pytest.approx(dev.ss_v_per_dec, rel=1e-12)
             assert ioff[i] == pytest.approx(dev.i_off_per_um(0.9), rel=1e-12)
             assert ion[i] == pytest.approx(dev.i_on_per_um(0.9), rel=1e-12)
+
+    def test_vth_is_the_kernels(self):
+        """The stack's V_th is the one kernel's V_th on the metrics'
+        own IVParams columns, bit for bit."""
+        stack = ParameterStack(l_poly_nm=[30.0, 65.0, 120.0],
+                               t_ox_nm=[1.2, 2.1, 3.0],
+                               is_nfet=[True, False, True])
+        metrics = stack.metrics([2e18, 1e18, 5e17], [3e18, 0.0, 1e18])
+        vds = np.linspace(-0.1, 1.2, 14)[:, None]
+        assert np.array_equal(metrics.vth(vds),
+                              threshold_voltage(metrics.params, vds))
 
     def test_vth_sat_cc_matches_scalar(self):
         dev = nfet(l_poly_nm=37, t_ox_nm=1.4, n_sub_cm3=4e18,
