@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from ..constants import thermal_voltage
 from ..circuit.inverter import Inverter
@@ -88,7 +88,7 @@ def timing_margin(inverter: Inverter, n_gates: int = 30,
     sigma_gate = gate_log_delay_sigma(inverter)
     sigma_path = path_log_delay_sigma(inverter, n_gates)
     per_path_quantile = yield_target ** (1.0 / n_paths)
-    z = float(norm.ppf(per_path_quantile))
+    z = float(ndtri(per_path_quantile))
     multiplier = math.exp(z * sigma_path)
     return TimingMarginReport(
         sigma_ln_gate=sigma_gate,

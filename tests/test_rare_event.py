@@ -8,9 +8,12 @@ drive the physical indicators on the shared inverter fixtures.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
+from scipy.stats import norm, qmc
 
 from repro import perf
 from repro.circuit import (analytic_delay_batch, noise_margins_batch,
@@ -31,11 +34,13 @@ from repro.variability import (
     find_failure_shift,
     qmc_vth_offsets,
     sigma_level,
+    timing_margin,
 )
 from repro.variability.importance import (estimate_failure_probabilities,
                                          find_failure_shifts)
 from repro.variability.rdf import rdf_sigma_vth
-from repro.variability.sampler import MC_BLOCK_TRIALS
+from repro.variability.sampler import (MC_BLOCK_TRIALS, SOBOL_BITS,
+                                      SOBOL_MAX_DIM)
 from repro.variability.tails import SNM_SCAN_DEFAULT, SNM_XTOL_DEFAULT
 
 
@@ -144,6 +149,63 @@ class TestStreams:
         assert 1e-4 < float(np.std(offs_n)) < 0.05
         with pytest.raises(ParameterError):
             qmc_vth_offsets(inverter_sub, 0)
+
+
+def scipy_sobol_take(seed, replicate, dim, start, count):
+    """Trials ``start .. start+count-1`` from scipy's own scrambled
+    Sobol' engine under the stream's seeding: the replicate's spawn
+    child seeds the Generator, the engine is fast-forwarded to
+    ``start``, and the clipped uniforms go through ``ndtri``."""
+    children = np.random.SeedSequence(seed).spawn(replicate + 1)
+    rng = np.random.default_rng(children[replicate])
+    engine = qmc.Sobol(d=dim, scramble=True, seed=rng)
+    if start:
+        engine.fast_forward(start)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        u = engine.random(count)
+    return ndtri(np.clip(u, 1e-16, 1.0 - 1e-16))
+
+
+class TestScipyStatsOracle:
+    """scipy.stats, kept in the tests only: the Sobol' stream and the
+    timing-margin quantile are bit for bit its values."""
+
+    @pytest.mark.parametrize("start,count", [(0, 1), (13, 51), (0, 4096),
+                                             (2 ** 20 - 3, 700)])
+    @pytest.mark.parametrize("dim", range(1, SOBOL_MAX_DIM + 1))
+    def test_take_is_scipys_stream(self, dim, start, count):
+        for seed in (0, 1, 11, 2007):
+            for replicate in (0, 1, 3):
+                stream = SobolNormalStream(seed=seed, replicate=replicate,
+                                           dim=dim)
+                np.testing.assert_array_equal(
+                    stream.take(start, count),
+                    scipy_sobol_take(seed, replicate, dim, start, count))
+
+    def test_dim_beyond_the_table_is_refused(self):
+        SobolNormalStream(dim=SOBOL_MAX_DIM)
+        with pytest.raises(ParameterError):
+            SobolNormalStream(dim=SOBOL_MAX_DIM + 1)
+
+    def test_range_beyond_the_sequence_is_refused(self):
+        stream = SobolNormalStream()
+        assert stream.take(2 ** SOBOL_BITS - 2, 2).shape == (2, 2)
+        with pytest.raises(ParameterError):
+            stream.take(2 ** SOBOL_BITS - 2, 3)
+        with pytest.raises(ParameterError):
+            stream.take(2 ** SOBOL_BITS, 1)
+
+    @pytest.mark.parametrize("n_paths,yield_target",
+                             [(1, 0.9), (1000, 0.999), (100000, 0.9999)])
+    def test_timing_margin_quantile_is_norm_ppf(self, inverter_sub,
+                                                n_paths, yield_target):
+        q = yield_target ** (1.0 / n_paths)
+        z = float(norm.ppf(q))
+        assert float(ndtri(q)) == z
+        report = timing_margin(inverter_sub, n_gates=1, n_paths=n_paths,
+                               yield_target=yield_target)
+        assert report.margin_multiplier == math.exp(z * report.sigma_ln_path)
 
 
 class TestSigmaLevel:
