@@ -1,6 +1,7 @@
 """Benches: the vectorised circuit-evaluation layer.
 
-Batched VTC/SNM extraction and array-native Monte Carlo, each paired
+Batched VTC/SNM extraction (one inverter, and a stack of designs) and
+array-native Monte Carlo, each paired
 with its sequential (scalar-oracle) counterpart so ``BENCH_circuits.json``
 records the before/after of the vectorisation.  The sequential Monte
 Carlo oracles are the slow half; set ``REPRO_BENCH_QUICK=1`` (the CI
@@ -14,12 +15,14 @@ import pytest
 from conftest import run_once
 
 from repro import perf
-from repro.circuit import Inverter, butterfly_snm, find_vmin, noise_margins
+from repro.circuit import (Inverter, butterfly_snm, find_vmin, noise_margins,
+                           noise_margins_batch)
 from repro.circuit.chain import InverterChain
 from repro.circuit.dvs import (chain_rate_hz, vdd_for_throughput,
                                vdd_for_throughput_batch)
 from repro.device import nfet, pfet
 from repro.device.corners import Corner, at_corner, corner_grid
+from repro.experiments.families import SUB_VTH_SUPPLY, super_vth_family
 from repro.variability import delay_distribution, snm_distribution
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK") == "1"
@@ -59,6 +62,35 @@ def test_bench_snm_sequential(benchmark):
     inv = _build_inverter()
     nm = run_once(benchmark, noise_margins, inv, "sequential")
     assert nm.snm > 0.0
+
+
+# -- stacked SNM extraction --------------------------------------------------
+#
+# fig4's eight inverters (the four super-V_th designs at nominal V_dd and
+# at 250 mV) in one stacked extraction, against the per-design loop it
+# replaced; every lane is bitwise the loop's.
+
+
+def _fig4_inverters():
+    designs = super_vth_family().designs
+    return ([d.inverter(d.node.vdd_nominal) for d in designs]
+            + [d.inverter(SUB_VTH_SUPPLY) for d in designs])
+
+
+def test_bench_snm_stacked_designs(benchmark):
+    inverters = _fig4_inverters()
+    margins = run_once(benchmark, noise_margins_batch, inverters)
+    assert not margins.lost.any()
+
+
+def test_bench_snm_per_design_loop(benchmark):
+    inverters = _fig4_inverters()
+
+    def loop():
+        return [noise_margins(inv).snm for inv in inverters]
+
+    snm = run_once(benchmark, loop)
+    assert np.array_equal(noise_margins_batch(inverters).snm, snm)
 
 
 def test_bench_snm_mc100_batch(benchmark):

@@ -140,7 +140,8 @@ def test_bench_sensitivity_rebuild_batch(benchmark):
 
 def _sensitivity_grid():
     """ext_sensitivity's doping and circuit work: the six-calibration
-    grid, its doping solves in lock-step."""
+    grid, its doping solves in lock-step and its SNMs in one
+    extraction."""
     from repro.experiments.ext_sensitivity import CALIBRATION_GRID
     return headlines_under_calibrations(
         [kwargs for _label, kwargs in CALIBRATION_GRID])

@@ -41,6 +41,18 @@ returns, lane for lane, the same bits as one call per supply — which
 is how the rare-event estimator solves a whole failure-rate-vs-V_dd
 curve in lock-step.
 
+The device pair is lane data too: every kernel's first argument is one
+inverter or a sequence of inverters, one per lane of the inputs' last
+axis.  The NFET/PFET constants travel as a ``(2, k)``
+:class:`~repro.device.iv.IVParams` record: one inverter's ``(2, 1)``
+columns broadcast over every point and are never gathered, while a
+stack carries one column per point, gathered with the root-solve
+core's active lanes.  A ``vdd`` of ``None`` then means each lane's
+own supply.  The kernel is elementwise, so one call over a family of
+designs returns, lane for lane, the same bits as one call per design:
+an experiment's SNMs are one extraction (fig4's eight, fig10's eight,
+ext_sensitivity's twelve).
+
 The scalar implementations remain available as correctness oracles
 behind each consumer's ``solver=`` switch (the same convention as
 :class:`repro.tcad.DeviceSimulator`); agreement to <= 1e-9 relative is
@@ -49,7 +61,8 @@ locked down by ``tests/test_circuit_batch_equivalence.py``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import Sequence
 
 import numpy as np
 
@@ -117,22 +130,54 @@ def solve_balance_batch(balance, lo, hi, xtol: float = XTOL_DEFAULT
                          sweep_counter="circuit.balance_bisection_sweeps")
 
 
+def _pair_columns(inverters: Sequence) -> IVParams:
+    """The NFET (row 0) and PFET (row 1) parameters of ``inverters``,
+    one column per inverter: ``(2, 1)`` columns for one inverter."""
+    return IVParams(**{
+        f.name: np.array([[float(getattr(inv.nfet.iv.params, f.name))
+                           for inv in inverters],
+                          [float(getattr(inv.pfet.iv.params, f.name))
+                           for inv in inverters]])
+        for f in fields(IVParams)})
+
+
+def _is_shared(pair: IVParams) -> bool:
+    """Whether ``pair`` is one inverter's ``(2, 1)`` record, which
+    broadcasts over every lane and is never gathered."""
+    return np.shape(pair.vth_v)[1] == 1
+
+
+def _columns(pair: IVParams, cols: np.ndarray) -> IVParams:
+    """The columns ``cols`` of a device-pair record.
+
+    Lane-shaped columns are gathered and shared ``(2, 1)`` columns are
+    kept, the rule :meth:`repro.device.batch.ParameterStack.take`
+    follows, so a record of one inverter comes back unchanged.
+    """
+    return IVParams(**{name: value if value.shape[1] == 1 else value[:, cols]
+                       for name, value in vars(pair).items()})
+
+
 class _VtcSystem:
     """NFET+PFET current balance of one batch of VTC points.
 
     Row 0 of each ``(2, n)`` array is the NFET, row 1 the PFET, whose
     source sits at the point's supply ``vdd``: its gate-source and
     drain-source magnitudes are ``V_dd - V_in`` and ``V_dd - V_out``.
-    One :func:`ids_with_partials` call over the stacked parameters
-    evaluates both devices of every gathered point; :meth:`solve` finds
-    every point's output and :meth:`gain` its small-signal gain there.
+    ``pair`` holds the devices as ``(2, k)`` parameter columns: ``k =
+    1`` when every point belongs to one inverter (the columns
+    broadcast and are never gathered), ``k = n`` for one column per
+    point.  One :func:`ids_with_partials` call over the stacked
+    parameters evaluates both devices of every gathered point;
+    :meth:`solve` finds every point's output and :meth:`gain` its
+    small-signal gain there.
     """
 
-    def __init__(self, inverter, vin: np.ndarray, dvth_n: np.ndarray,
+    def __init__(self, pair: IVParams, vin: np.ndarray, dvth_n: np.ndarray,
                  dvth_p: np.ndarray, vdd: np.ndarray) -> None:
         self.vdd = vdd
-        self.params = IVParams.stack([inverter.nfet.iv.params,
-                                      inverter.pfet.iv.params])
+        self.params = pair
+        self.shared = _is_shared(pair)
         self.vgs = np.stack([vin, vdd - vin])
         self.vth_shift = np.stack([dvth_n, dvth_p])
 
@@ -146,8 +191,9 @@ class _VtcSystem:
         gathered evaluation matches the same lanes of a full one
         bitwise.
         """
+        params = self.params if self.shared else _columns(self.params, idx)
         current, _, g_ds = ids_with_partials(
-            self.params, self.vgs[:, idx],
+            params, self.vgs[:, idx],
             np.stack([vout, self.vdd[idx] - vout]), self.vth_shift[:, idx])
         return current[0] - current[1], g_ds[0] + g_ds[1]
 
@@ -189,15 +235,32 @@ class _VtcSystem:
 def _broadcast_inputs(inverter, *inputs) -> list[np.ndarray]:
     """Broadcast the lane inputs together; the last is the supply.
 
-    ``None`` for the supply means the inverter's own ``vdd`` [V].
+    ``inverter`` is one inverter or a sequence of them, one per lane
+    of the inputs' last axis.  ``None`` for the supply means each
+    lane's own ``vdd`` [V].
     """
     *data, vdd = inputs
+    if isinstance(inverter, Sequence):
+        own = np.array([inv.vdd for inv in inverter], dtype=float)
+        lane_axis = [own]  # broadcast against, then dropped
+    else:
+        own, lane_axis = inverter.vdd, []
     arrays = np.broadcast_arrays(
         *(np.asarray(x, dtype=float) for x in data),
-        np.asarray(inverter.vdd if vdd is None else vdd, dtype=float))
+        np.asarray(own if vdd is None else vdd, dtype=float),
+        *lane_axis)[:len(inputs)]
     if np.any(arrays[-1] <= 0.0):
         raise ParameterError("vdd must be positive")
     return arrays
+
+
+def _lane_pairs(inverter, shape: tuple) -> IVParams:
+    """The device-pair record of every lane of ``shape``, flattened:
+    one shared column for one inverter, else one column per lane."""
+    if not isinstance(inverter, Sequence):
+        return _pair_columns([inverter])
+    lane = np.broadcast_to(np.arange(len(inverter)), shape)
+    return _columns(_pair_columns(inverter), lane.ravel())
 
 
 def solve_vtc_batch(inverter, vin, dvth_n=0.0, dvth_p=0.0,
@@ -209,12 +272,15 @@ def solve_vtc_batch(inverter, vin, dvth_n=0.0, dvth_p=0.0,
     broadcast together; ``vdd`` [V] defaults to the inverter's
     supply); each element is the batched equivalent of
     ``Inverter.vtc_point`` on a V_th-offset copy of the devices at
-    that supply.  Scalar inputs return a float.
+    that supply.  ``inverter`` may also be a sequence of inverters,
+    one per lane of the inputs' last axis.  Scalar inputs return a
+    float.
     """
     vin_arr, dn_arr, dp_arr, vdd_arr = _broadcast_inputs(
         inverter, vin, dvth_n, dvth_p, vdd)
-    system = _VtcSystem(inverter, vin_arr.ravel(), dn_arr.ravel(),
-                        dp_arr.ravel(), vdd_arr.ravel())
+    system = _VtcSystem(_lane_pairs(inverter, vin_arr.shape),
+                        vin_arr.ravel(), dn_arr.ravel(), dp_arr.ravel(),
+                        vdd_arr.ravel())
     vout = system.solve(xtol)
     if vin_arr.shape == ():
         return float(vout[0])
@@ -227,21 +293,22 @@ def gain_batch(inverter, vin, dvth_n=0.0, dvth_p=0.0,
 
     One batched VTC solve, then the devices' closed-form partials at
     every solved (V_in, V_out): ``-(g_m,N + g_m,P) / (g_ds,N +
-    g_ds,P)``, the same definition as ``Inverter.gain``.
+    g_ds,P)``, the same definition as ``Inverter.gain``.  ``inverter``
+    may be a sequence, as in :func:`solve_vtc_batch`.
     """
     vin_arr, dn_arr, dp_arr, vdd_arr = _broadcast_inputs(
         inverter, vin, dvth_n, dvth_p, None)
-    gains = _gain_flat(inverter, vin_arr.ravel(), dn_arr.ravel(),
-                       dp_arr.ravel(), vdd_arr.ravel(), xtol)
+    gains = _gain_flat(_lane_pairs(inverter, vin_arr.shape), vin_arr.ravel(),
+                       dn_arr.ravel(), dp_arr.ravel(), vdd_arr.ravel(), xtol)
     if vin_arr.shape == ():
         return float(gains[0])
     return gains.reshape(vin_arr.shape)
 
 
-def _gain_flat(inverter, vin: np.ndarray, dvth_n: np.ndarray,
+def _gain_flat(pair: IVParams, vin: np.ndarray, dvth_n: np.ndarray,
                dvth_p: np.ndarray, vdd: np.ndarray,
                xtol: float) -> np.ndarray:
-    system = _VtcSystem(inverter, vin, dvth_n, dvth_p, vdd)
+    system = _VtcSystem(pair, vin, dvth_n, dvth_p, vdd)
     return system.gain(system.solve(xtol))
 
 
@@ -282,7 +349,7 @@ class BatchNoiseMargins:
         return np.minimum(self.nm_low, self.nm_high)
 
 
-def _refine_crossings(inverter, a: np.ndarray, b: np.ndarray,
+def _refine_crossings(pair: IVParams, a: np.ndarray, b: np.ndarray,
                       gain_a: np.ndarray, gain_b: np.ndarray,
                       sign: np.ndarray, dvth_n: np.ndarray,
                       dvth_p: np.ndarray, vdd: np.ndarray,
@@ -295,15 +362,17 @@ def _refine_crossings(inverter, a: np.ndarray, b: np.ndarray,
     :func:`repro.numerics.bisect_illinois` stack solve, whose every
     residual pass is one batched gain evaluation, locates all
     crossings to ``xtol`` (the scalar oracle runs brentq on the same
-    function and brackets).  ``gain_a`` / ``gain_b`` are the scan's
-    gains at the bracket ends — the same ``vin`` floats on the same
-    lanes, so bitwise what the residual would recompute — and enter
-    the solve as its known end residuals.
+    function and brackets).  ``pair`` holds the crossings' devices
+    (one shared column, or one per crossing).  ``gain_a`` / ``gain_b``
+    are the scan's gains at the bracket ends — the same ``vin`` floats
+    on the same lanes, so bitwise what the residual would recompute —
+    and enter the solve as its known end residuals.
     """
+    shared = _is_shared(pair)
 
     def residual(vin: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        gains = _gain_flat(inverter, vin, dvth_n[idx], dvth_p[idx],
-                           vdd[idx], xtol)
+        gains = _gain_flat(pair if shared else _columns(pair, idx), vin,
+                           dvth_n[idx], dvth_p[idx], vdd[idx], xtol)
         return -sign[idx] * (gains + 1.0)
 
     ends = (-sign * (gain_a + 1.0), -sign * (gain_b + 1.0))
@@ -323,14 +392,19 @@ def noise_margins_batch(inverter, dvth_n=0.0, dvth_p=0.0, n_scan: int = 101,
     reaches gain -1 (or only at the sweep boundary) are flagged in
     ``lost_code`` instead of raising.
 
-    ``vdd`` [V] broadcasts with the offsets and defaults to the
-    inverter's supply; each trial's scan grid spans its own supply.
+    ``inverter`` is one inverter, or a sequence of inverters, one per
+    trial of the last axis: a whole family's SNMs are one extraction,
+    lane for lane bitwise the one-inverter calls.  ``vdd`` [V]
+    broadcasts with the offsets (and the sequence) and defaults to
+    each trial's own inverter's supply; each trial's scan grid spans
+    its own supply.
     """
     if n_scan < 5:
         raise ParameterError("need at least 5 scan points")
     dn_arr, dp_arr, vdd_arr = _broadcast_inputs(inverter, dvth_n, dvth_p,
                                                 vdd)
     shape = dn_arr.shape
+    pair = _lane_pairs(inverter, shape)
     dn = np.atleast_1d(dn_arr.ravel())
     dp = np.atleast_1d(dp_arr.ravel())
     supply = np.atleast_1d(vdd_arr.ravel())
@@ -338,7 +412,9 @@ def noise_margins_batch(inverter, dvth_n=0.0, dvth_p=0.0, n_scan: int = 101,
     margin = supply * 1e-3
     vins = np.linspace(margin, supply - margin, n_scan, axis=-1)
 
-    gains = _gain_flat(inverter, vins.ravel(),
+    scan_pair = (pair if _is_shared(pair) else
+                 _columns(pair, np.repeat(np.arange(trials), n_scan)))
+    gains = _gain_flat(scan_pair, vins.ravel(),
                        np.repeat(dn, n_scan), np.repeat(dp, n_scan),
                        np.repeat(supply, n_scan),
                        xtol).reshape(trials, n_scan)
@@ -362,18 +438,18 @@ def noise_margins_batch(inverter, dvth_n=0.0, dvth_p=0.0, n_scan: int = 101,
         lo_col = np.concatenate([first_ok - 1, last_ok])
         hi_col = np.concatenate([first_ok, last_ok + 1])
         rows2 = np.concatenate([rows, rows])
+        pair2 = _columns(pair, rows2)
         sign = np.concatenate([np.ones(k), -np.ones(k)])
         dn2 = np.concatenate([dn[ok], dn[ok]])
         dp2 = np.concatenate([dp[ok], dp[ok]])
         vdd2 = np.concatenate([supply[ok], supply[ok]])
         roots = _refine_crossings(
-            inverter, vins[rows2, lo_col], vins[rows2, hi_col],
+            pair2, vins[rows2, lo_col], vins[rows2, hi_col],
             gains[rows2, lo_col], gains[rows2, hi_col],
             sign, dn2, dp2, vdd2, xtol)
         v_il[ok] = roots[:k]
         v_ih[ok] = roots[k:]
-        vouts = solve_vtc_batch(inverter, roots, dn2, dp2, xtol=xtol,
-                                vdd=vdd2)
+        vouts = _VtcSystem(pair2, roots, dn2, dp2, vdd2).solve(xtol)
         v_oh[ok] = vouts[:k]
         v_ol[ok] = vouts[k:]
     perf.bump("circuit.snm_batch_extractions", trials)

@@ -21,7 +21,7 @@ from scipy.optimize import brentq
 from .. import perf
 from ..device.mosfet import MOSFET, Polarity
 from ..errors import ParameterError
-from .batch import _VtcSystem, solve_vtc_batch, validate_solver
+from .batch import _pair_columns, _VtcSystem, solve_vtc_batch, validate_solver
 
 
 @dataclass(frozen=True)
@@ -116,8 +116,8 @@ class Inverter:
         definition ``gain_batch`` uses."""
         vout = self.vtc_point(vin, xtol=xtol)
         zero = np.zeros(1)
-        system = _VtcSystem(self, np.array([float(vin)]), zero, zero,
-                            np.array([float(self.vdd)]))
+        system = _VtcSystem(_pair_columns([self]), np.array([float(vin)]),
+                            zero, zero, np.array([float(self.vdd)]))
         return float(system.gain(np.array([vout]))[0])
 
     def switching_threshold(self, xtol: float = 1e-9) -> float:

@@ -5,7 +5,9 @@ Two definitions are provided:
 * :func:`noise_margins` — the paper's definition for a single inverter
   (Section 2.3.2): noise margins measured at the two points where the
   VTC gain equals -1 (``NM_L = V_IL - V_OL``, ``NM_H = V_OH - V_IH``,
-  SNM = min of the two).
+  SNM = min of the two).  :func:`lane_noise_margins` reads one lane of
+  a stacked extraction the same way, so an experiment extracts all its
+  inverters' margins in one batched call.
 * :func:`butterfly_snm` — the classic largest-embedded-square SNM of a
   cross-coupled pair (used for the SRAM extension, ref [16]).
 
@@ -25,6 +27,7 @@ from .. import perf
 from ..errors import ParameterError
 from .batch import (
     XTOL_DEFAULT,
+    BatchNoiseMargins,
     lost_regeneration_error,
     noise_margins_batch,
     validate_solver,
@@ -107,22 +110,34 @@ def noise_margins(inverter: Inverter, solver: str = "batch",
     """
     validate_solver(solver)
     if solver == "batch":
-        batch = noise_margins_batch(inverter, 0.0, 0.0, n_scan=n_scan,
-                                    xtol=xtol)
-        code = int(batch.lost_code[0])
-        if code:
-            raise lost_regeneration_error(code)
-        return NoiseMargins(
-            v_il=float(batch.v_il[0]), v_ih=float(batch.v_ih[0]),
-            v_ol=float(batch.v_ol[0]), v_oh=float(batch.v_oh[0]),
-            nm_low=float(batch.nm_low[0]), nm_high=float(batch.nm_high[0]),
-        )
+        return lane_noise_margins(noise_margins_batch(
+            inverter, 0.0, 0.0, n_scan=n_scan, xtol=xtol), 0)
     v_il, v_ih = _unity_gain_points(inverter, n_scan=n_scan, xtol=xtol)
     v_oh = inverter.vtc_point(v_il, xtol=xtol)
     v_ol = inverter.vtc_point(v_ih, xtol=xtol)
     return NoiseMargins(
         v_il=v_il, v_ih=v_ih, v_ol=v_ol, v_oh=v_oh,
         nm_low=v_il - v_ol, nm_high=v_oh - v_ih,
+    )
+
+
+def lane_noise_margins(batch: BatchNoiseMargins, lane: int) -> NoiseMargins:
+    """Lane ``lane`` of a batched extraction, as :func:`noise_margins`
+    returns it for that lane's inverter.
+
+    Raises the lane's :class:`repro.errors.LostRegenerationError` when
+    it lost regeneration.  Reading the lanes of one stacked
+    :func:`repro.circuit.batch.noise_margins_batch` call in order
+    therefore raises what a per-inverter loop of :func:`noise_margins`
+    raises, at the same lane.
+    """
+    code = int(batch.lost_code[lane])
+    if code:
+        raise lost_regeneration_error(code)
+    return NoiseMargins(
+        v_il=float(batch.v_il[lane]), v_ih=float(batch.v_ih[lane]),
+        v_ol=float(batch.v_ol[lane]), v_oh=float(batch.v_oh[lane]),
+        nm_low=float(batch.nm_low[lane]), nm_high=float(batch.nm_high[lane]),
     )
 
 

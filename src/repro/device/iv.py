@@ -172,9 +172,12 @@ def _current(p: IVParams, vgs, vds, shift) -> tuple:
     fwd = _softplus(0.5 * (vp / vt))
     rev = _softplus(0.5 * ((vp - vds) / vt))
     f_fwd = fwd[0] * fwd[0]
-    # Vertical-field mobility degradation of the specific current.
+    # Vertical-field mobility degradation of the specific current.  The
+    # ufunc, not ``**``: on numpy scalars ``**`` runs C pow, whose last
+    # bit differs from the array loop's.
     overdrive = vgs + p.vth0_v
-    rk = (np.maximum(overdrive, 0.0) / p.v_field_v) ** p.mobility_exponent
+    rk = np.power(np.maximum(overdrive, 0.0) / p.v_field_v,
+                  p.mobility_exponent)
     ispec = p.i_spec_a / (1.0 + rk)
     # Velocity saturation, weighted by inversion level so that weak
     # inversion (diffusion-dominated) is unaffected.

@@ -11,7 +11,8 @@ import numpy as np
 
 from ..analysis.report import Comparison, ExperimentResult
 from ..analysis.series import Series
-from ..circuit.snm import noise_margins
+from ..circuit.batch import noise_margins_batch
+from ..circuit.snm import lane_noise_margins
 from .families import SUB_VTH_SUPPLY, sub_vth_family, super_vth_family
 from .registry import experiment
 
@@ -25,12 +26,12 @@ def run() -> ExperimentResult:
     sup = super_vth_family()
     sub = sub_vth_family()
     nodes = np.array([d.node.node_nm for d in sup.designs])
-    snm_sup = np.array([
-        noise_margins(d.inverter(SUB_VTH_SUPPLY)).snm for d in sup.designs
-    ])
-    snm_sub = np.array([
-        noise_margins(d.inverter(SUB_VTH_SUPPLY)).snm for d in sub.designs
-    ])
+    inverters = [d.inverter(SUB_VTH_SUPPLY)
+                 for d in sup.designs + sub.designs]
+    margins = noise_margins_batch(inverters)
+    snm = np.array([lane_noise_margins(margins, i).snm
+                    for i in range(len(inverters))])
+    snm_sup, snm_sub = snm[:len(sup.designs)], snm[len(sup.designs):]
 
     series = (
         Series(label="SNM super-vth @250mV", x=nodes, y=1000.0 * snm_sup,

@@ -11,7 +11,8 @@ import numpy as np
 
 from ..analysis.report import Comparison, ExperimentResult
 from ..analysis.series import Series
-from ..circuit.snm import noise_margins
+from ..circuit.batch import noise_margins_batch
+from ..circuit.snm import lane_noise_margins
 from .families import SUB_VTH_SUPPLY, super_vth_family
 from .registry import experiment
 
@@ -22,16 +23,14 @@ PAPER_SNM_DEGRADATION = 0.10
 @experiment("fig4", "Inverter SNM vs node (Fig. 4)")
 def run() -> ExperimentResult:
     """Reproduce Fig. 4 under the super-V_th strategy."""
-    family = super_vth_family()
-    nodes = np.array([d.node.node_nm for d in family.designs])
-    snm_nominal = np.array([
-        noise_margins(d.inverter(d.node.vdd_nominal)).snm
-        for d in family.designs
-    ])
-    snm_sub = np.array([
-        noise_margins(d.inverter(SUB_VTH_SUPPLY)).snm
-        for d in family.designs
-    ])
+    designs = super_vth_family().designs
+    nodes = np.array([d.node.node_nm for d in designs])
+    inverters = ([d.inverter(d.node.vdd_nominal) for d in designs]
+                 + [d.inverter(SUB_VTH_SUPPLY) for d in designs])
+    margins = noise_margins_batch(inverters)
+    snm = np.array([lane_noise_margins(margins, i).snm
+                    for i in range(len(inverters))])
+    snm_nominal, snm_sub = snm[:len(designs)], snm[len(designs):]
 
     nominal_series = Series(label="SNM @nominal Vdd", x=nodes,
                             y=1000.0 * snm_nominal, x_label="node [nm]",

@@ -17,7 +17,8 @@ import numpy as np
 from ..analysis.report import Comparison, ExperimentResult
 from ..circuit.chain import InverterChain
 from ..circuit.delay import fo1_delay
-from ..circuit.snm import noise_margins
+from ..circuit.batch import noise_margins_batch
+from ..circuit.snm import lane_noise_margins
 from .families import SUB_VTH_SUPPLY, sub_vth_family, super_vth_family
 from .registry import experiment
 
@@ -36,9 +37,10 @@ def run() -> ExperimentResult:
         / sup32.nfet.ids(0.0, SUB_VTH_SUPPLY)
     onoff_loss = 1.0 - ratio32 / ratio90
 
-    snm_sup90 = noise_margins(sup90.inverter(SUB_VTH_SUPPLY)).snm
-    snm_sup32 = noise_margins(sup32.inverter(SUB_VTH_SUPPLY)).snm
-    snm_sub32 = noise_margins(sub32.inverter(SUB_VTH_SUPPLY)).snm
+    margins = noise_margins_batch([d.inverter(SUB_VTH_SUPPLY)
+                                   for d in (sup90, sup32, sub32)])
+    snm_sup90, snm_sup32, snm_sub32 = (
+        lane_noise_margins(margins, i).snm for i in range(3))
     snm_loss = 1.0 - snm_sup32 / snm_sup90
     snm_gain = snm_sub32 / snm_sup32 - 1.0
 

@@ -8,8 +8,8 @@ package is the single implementation all batched engines now call:
 * :func:`bisect_masked` — pure masked bisection (the SRAM read
   balance and constant-current V_th solves),
 * :func:`bisect_illinois` — bisection warm-up plus safeguarded
-  Illinois polish (the doping solves, the DVS supply solve and the
-  SNM gain = -1 crossings),
+  Illinois polish with a tolerance-step endgame (the doping solves,
+  the DVS supply solve and the SNM gain = -1 crossings),
 * :func:`newton_safeguarded` — safeguarded Newton (``rtsafe``) that
   stops on step size (the inverter VTC balance, whose slope the
   closed-form device kernel returns with the currents).

@@ -24,7 +24,8 @@ Conventions
 
 Counters: each sweep bumps ``numerics.total_lanes`` by the stack width
 and ``numerics.active_lanes`` by the lanes actually evaluated; their
-ratio is the measured active-set compression.
+ratio is the measured active-set compression.  ``bisect_illinois``
+also counts its tolerance steps in ``numerics.tolerance_steps``.
 """
 
 from __future__ import annotations
@@ -120,9 +121,24 @@ def bisect_illinois(residual, lo, hi, *, xtol: float,
     are pure bisection — false position is badly skewed while the
     bracket still spans the residual's exponential tails — after which
     the Illinois (modified false position) proposal is used whenever it
-    lands strictly inside the bracket, falling back to the midpoint
-    otherwise, so the bracket shrinks every sweep and the result is
-    never worse than bisection.
+    lands strictly inside the bracket.
+
+    A rejected proposal usually means the lane has found its root: the
+    proposal rounded onto the bracket end whose residual is already
+    ~0, while the far end is still wide.  Such a lane takes a
+    *tolerance step* (Dekker's and Brent's endgame): it proposes the
+    point ``xtol/2`` inside the bracket from the end with the smaller
+    ``|residual|``, so a root within ``xtol/2`` of that end closes the
+    bracket on the next sweep instead of after a chain of midpoints.
+    The step is taken only where that point lies strictly inside the
+    bracket and the lane's previous step was not a tolerance step;
+    otherwise the lane falls back to the midpoint, and a lane whose
+    previous step was a tolerance step takes the midpoint whatever its
+    proposal.  So the bracket shrinks every sweep, a wasted tolerance
+    step is always followed by a halving, and lanes whose proposal is
+    never rejected iterate bitwise as plain Illinois.  The stopping
+    rule is the bracket width, ``hi - lo <= xtol``.  Counter
+    ``numerics.tolerance_steps`` counts the lanes that took one.
     """
     xp = array_namespace(lo, hi, xp=xp)
     lo = as_float_copy(xp, lo)
@@ -141,6 +157,8 @@ def bisect_illinois(residual, lo, hi, *, xtol: float,
     # Illinois side memory: +1 / -1 when the last two updates replaced
     # the same bracket end, which triggers the residual-halving trick.
     side = xp.zeros(n, dtype=xp.int8)
+    # Lanes whose last step was a tolerance step (never two in a row).
+    stepped = xp.zeros(n, dtype=bool)
     idx = flatnonzero(xp, feasible & ((hi - lo) > xtol))
     sweeps = 0
     while _lane_count(idx) and sweeps < max_sweeps:
@@ -156,7 +174,13 @@ def bisect_illinois(residual, lo, hi, *, xtol: float,
                      / xp.where(denom == 0, 1.0, denom))
             use = ((denom != 0) & xp.isfinite(falsi)
                    & (falsi > lo_a) & (falsi < hi_a))
-            x = xp.where(use, falsi, mid)
+            near = xp.where(xp.abs(rl_a) <= xp.abs(rh_a),
+                            lo_a + 0.5 * xtol, hi_a - 0.5 * xtol)
+            fresh = ~stepped[idx]  # no tolerance step on the last sweep
+            step = fresh & ~use & (near > lo_a) & (near < hi_a)
+            x = xp.where(use & fresh, falsi, xp.where(step, near, mid))
+            stepped = scatter(stepped, idx, step)
+            perf.bump("numerics.tolerance_steps", int(xp.sum(step)))
         r = residual(x, idx)
         move_lo = r < 0.0
         move_hi = ~move_lo

@@ -53,6 +53,10 @@ Counter names in use
     Lanes the shared root-solve core actually evaluated vs lanes
     carried, summed per sweep; their ratio is the measured active-set
     compression.
+``numerics.tolerance_steps``
+    Lanes of :func:`repro.numerics.bisect_illinois` that took a
+    tolerance step after a rejected Illinois proposal (the endgame
+    that retires a lane sitting on its root).
 ``service.grid.shards`` / ``service.grid.points``
     Design-space grid precompute: (node, L_poly) shards filled and the
     total (target, V_dd) metric points they produced.
@@ -130,6 +134,7 @@ KNOWN_COUNTERS: frozenset[str] = frozenset({
     "scaling.device_eval_points",
     "numerics.active_lanes",
     "numerics.total_lanes",
+    "numerics.tolerance_steps",
     "service.grid.shards",
     "service.grid.points",
     "service.queries",

@@ -183,10 +183,14 @@ def solve_log_doping(residual: Callable[[np.ndarray, np.ndarray], np.ndarray],
     point.  Every lane starts from ``[lo_bound, hi_bound]``.
 
     The iteration is :func:`repro.numerics.bisect_illinois` on the
-    negated (monotone-increasing) residual — IEEE negation is exact, so
-    the iterate sequence matches the retired in-module loop bitwise: a
+    negated (monotone-increasing) residual (IEEE negation is exact): a
     few pure-bisection sweeps shrink every bracket into the near-linear
     regime, then the safeguarded Illinois polish finishes superlinearly.
+    A lane whose iterate lands on its root, so that the next proposal
+    rounds onto that bracket end, takes the core's tolerance step and
+    retires on the next sweep instead of bisecting its far end down to
+    ``xtol`` while the rest of the stack waits.  Every lane still
+    retires on a bracket of width ``<= xtol`` around its sign change.
     """
     perf.bump("scaling.doping_batch_solves")
     perf.bump("scaling.doping_batch_points", n)

@@ -22,17 +22,20 @@ though: an optimiser records the calibration in force when it is made
 requests, which carry it per lane.  So the grid's optimisers are made
 inside their scopes, every calibration's families are optimised in
 one lock-step stack per flow (four root-solves for ext_sensitivity's
-grid), and only the circuit work runs again inside each scope.
+grid).  The devices carry their calibration too, so the whole grid's
+SNMs are one stacked extraction, and only the minimum-energy points
+run again inside each scope.
 """
 
 from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
+from ..circuit.batch import BatchNoiseMargins, noise_margins_batch
 from ..circuit.chain import InverterChain
-from ..circuit.snm import noise_margins
+from ..circuit.snm import lane_noise_margins
 from ..errors import OptimizationError, ParameterError
 from .batch import Calibration, optimize_super_vth_stack
 from .roadmap import roadmap_nodes
@@ -118,8 +121,9 @@ def headline_under_calibration(overlap_fraction: float | None = None,
         return headlines_under_calibrations([overrides])[0]
     with calibration(**overrides):
         sup = build_super_vth_family(solver=solver)
-        sub = build_sub_vth_family(solver=solver)
-        return _headline(sup.designs, sub.design("32nm"))
+        sub32 = build_sub_vth_family(solver=solver).design("32nm")
+        return _headline(sup.designs, sub32,
+                         _snm_extraction([(sup.designs, sub32)]), 0)
 
 
 def headlines_under_calibrations(grid: Sequence[Mapping[str, float | None]]
@@ -136,10 +140,15 @@ def headlines_under_calibrations(grid: Sequence[Mapping[str, float | None]]
     sub-V_th optimisers as one
     :func:`~repro.scaling.subvth.optimize_sub_vth_stack`: four doping
     root-solves for ext_sensitivity's grid.  Every lane solves cold, so
-    every device is bitwise the one a per-calibration rebuild returns.  The circuit work (SNM and
-    minimum-energy point) runs per calibration, inside its scope.
-    Errors are those of the per-calibration loop: when a stacked solve
-    fails, the calibrations run again one at a time, in grid order.
+    every device is bitwise the one a per-calibration rebuild returns.
+    The devices carry their calibration, so the SNMs of every
+    calibration are one stacked extraction, made before the
+    calibrations' circuit work; the minimum-energy points run per
+    calibration, inside its scope.  Errors are those of the
+    per-calibration loop: calibration ``k``'s lost-regeneration error
+    is raised after calibration ``k - 1``'s energy work and before its
+    own, and when a stacked solve fails, the calibrations run again
+    one at a time, in grid order.
     """
     resolved = []
     for overrides in grid:
@@ -172,21 +181,41 @@ def _headlines(cals: Sequence[Calibration]) -> list[HeadlineResult]:
         raise
 
     n = len(nodes)
+    sups = [pair_designs(nodes, devices[2 * k * n:2 * (k + 1) * n])
+            for k in range(len(cals))]
+    subs = [sub_designs[(k + 1) * n - 1] for k in range(len(cals))]
+    margins = _snm_extraction(zip(sups, subs))
     results = []
     for k, cal in enumerate(cals):
-        sup = pair_designs(nodes, devices[2 * k * n:2 * (k + 1) * n])
         with cal.scope():
-            results.append(_headline(sup, sub_designs[(k + 1) * n - 1]))
+            results.append(_headline(sups[k], subs[k], margins, k))
     return results
 
 
-def _headline(super_designs: Sequence[DeviceDesign],
-              sub32: DeviceDesign) -> HeadlineResult:
+def _snm_extraction(designs: Iterable[tuple[Sequence[DeviceDesign],
+                                            DeviceDesign]]
+                    ) -> BatchNoiseMargins:
+    """One stacked SNM extraction at 250 mV for each calibration's
+    (super-V_th designs, sub-V_th 32nm design): lanes ``2k`` and
+    ``2k + 1`` hold calibration ``k``'s two 32nm inverters.  The
+    devices carry their calibration from construction, so the
+    extraction needs no calibration scope."""
+    return noise_margins_batch([
+        design.inverter(0.25)
+        for super_designs, sub32 in designs
+        for design in (super_designs[-1], sub32)])
+
+
+def _headline(super_designs: Sequence[DeviceDesign], sub32: DeviceDesign,
+              margins: BatchNoiseMargins, k: int) -> HeadlineResult:
     """The headline comparisons for one calibration's designs (run in
-    that calibration's scope; the last super-V_th design is 32nm)."""
+    that calibration's scope; the last super-V_th design is 32nm).
+    ``margins`` is the :func:`_snm_extraction` that holds this
+    calibration as its ``k``-th; a lost lane raises here, before the
+    calibration's energy work, as a per-calibration loop would."""
     sup32 = super_designs[-1]
-    snm_sup = noise_margins(sup32.inverter(0.25)).snm
-    snm_sub = noise_margins(sub32.inverter(0.25)).snm
+    snm_sup = lane_noise_margins(margins, 2 * k).snm
+    snm_sub = lane_noise_margins(margins, 2 * k + 1).snm
     e_sup = InverterChain(sup32.inverter(0.3)) \
         .minimum_energy_point().energy.total_j
     e_sub = InverterChain(sub32.inverter(0.3)) \

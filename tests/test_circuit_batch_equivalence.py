@@ -277,3 +277,68 @@ class TestSeedStreamSplit:
         # is not a concern, but identical normalised sequences would be.
         assert not np.allclose(offs_n / offs_n.std(),
                                offs_p / offs_p.std())
+
+
+class TestStackedNoiseMargins:
+    """One extraction over a sequence of inverters is, lane for lane,
+    bitwise the one-inverter extraction of each."""
+
+    FIELDS = ("v_il", "v_ih", "v_ol", "v_oh", "lost_code")
+
+    @staticmethod
+    def _assert_lanes_match(stacked, ones):
+        for lane, one in enumerate(ones):
+            for field in TestStackedNoiseMargins.FIELDS:
+                assert np.array_equal(getattr(stacked, field)[lane],
+                                      getattr(one, field)[0],
+                                      equal_nan=field != "lost_code"), \
+                    (lane, field)
+
+    def test_lanes_match_one_inverter_calls(self, super_family, sub_family,
+                                            inverter_sub):
+        """Mixed supplies, V_th-offset lanes and, mid-stack, a lane too
+        low in supply to regenerate."""
+        sup, sub = super_family.designs, sub_family.designs
+        inverters = ([d.inverter(d.node.vdd_nominal) for d in sup]
+                     + [d.inverter(0.25) for d in sup + sub]
+                     + [inverter_sub])
+        inverters.insert(6, sub[1].inverter(0.04))
+        rng = np.random.default_rng(26)
+        dn, dp = 0.02 * rng.standard_normal((2, len(inverters)))
+        dn[:4] = dp[:4] = 0.0
+        stacked = noise_margins_batch(inverters, dn, dp)
+        assert int(stacked.lost_code[6]) == 1
+        assert not stacked.lost[:6].any() and not stacked.lost[7:].any()
+        self._assert_lanes_match(stacked, [
+            noise_margins_batch(inv, dn[i], dp[i])
+            for i, inv in enumerate(inverters)])
+
+    def test_supply_and_offsets_broadcast_against_the_lanes(
+            self, super_family):
+        """``vdd`` overrides each lane's own supply, and a 2-D offset
+        array puts the inverters on its last axis."""
+        inverters = [d.inverter(0.25) for d in super_family.designs[:3]]
+        vdd = np.array([0.2, 0.3, 0.25])
+        stacked = noise_margins_batch(inverters, vdd=vdd)
+        self._assert_lanes_match(stacked, [
+            noise_margins_batch(inv, vdd=v)
+            for inv, v in zip(inverters, vdd)])
+        dn = np.array([[0.0, 0.01, -0.02], [0.03, 0.0, 0.01]])
+        grid = noise_margins_batch(inverters, dn, -dn)
+        assert grid.v_il.shape == (2, 3)
+        for row in range(2):
+            for col, inv in enumerate(inverters):
+                one = noise_margins_batch(inv, dn[row, col], -dn[row, col])
+                for field in self.FIELDS:
+                    assert np.array_equal(getattr(grid, field)[row, col],
+                                          getattr(one, field)[0]), field
+
+    def test_vtc_and_gain_take_a_sequence(self, super_family, sub_family):
+        inverters = [super_family.design("32nm").inverter(0.25),
+                     sub_family.design("45nm").inverter(0.3)]
+        vin = np.array([0.11, 0.14])
+        vouts = solve_vtc_batch(inverters, vin)
+        gains = gain_batch(inverters, vin)
+        for lane, inv in enumerate(inverters):
+            assert vouts[lane] == solve_vtc_batch(inv, vin[lane])
+            assert gains[lane] == gain_batch(inv, vin[lane])

@@ -5,6 +5,7 @@ import pytest
 
 from repro.circuit import Inverter, butterfly_snm, noise_margins
 from repro.errors import ParameterError
+from repro.experiments.families import sub_vth_family, super_vth_family
 
 
 class TestNoiseMargins:
@@ -93,3 +94,102 @@ class TestButterflySnm:
     def test_too_few_samples_rejected(self):
         with pytest.raises(ParameterError):
             butterfly_snm((np.linspace(0, 1, 4), np.linspace(1, 0, 4)))
+
+
+def _starved(inv):
+    """No gain = -1 point left at 40 mV (lost_code 1)."""
+    return inv.with_vdd(0.04)
+
+
+def _boundary(inv):
+    """V_th offsets of +-0.1 V push the 32nm super-V_th inverter's
+    crossing at 250 mV onto the scan boundary (lost_code 2)."""
+    from repro.variability.montecarlo import _perturbed
+    return _perturbed(inv, 0.1, -0.1)
+
+
+#: Spoiler name -> (spoiler, the lost_code it produces).
+SPOILERS = {"starved": (_starved, 1), "boundary": (_boundary, 2)}
+
+
+class TestStackedExperimentErrors:
+    """fig4, fig10, headlines and ``headlines_under_calibrations`` each
+    extract their SNMs in one stacked call; a lost lane still raises the
+    error of the per-design loop, at the point where the loop raised it.
+    Lost lanes are injected through ``DeviceDesign.inverter``."""
+
+    @staticmethod
+    def _spoil(monkeypatch, lost):
+        """Route the inverters of ``lost``'s (strategy, node, V_dd)
+        keys through their spoilers, checking each spoiler's code."""
+        from repro.errors import LostRegenerationError
+        from repro.scaling.strategy import DeviceDesign
+
+        original = DeviceDesign.inverter
+        for (strategy, node, vdd), name in lost.items():
+            family = (super_vth_family() if strategy == "super-vth"
+                      else sub_vth_family())
+            spoil, code = SPOILERS[name]
+            with pytest.raises(LostRegenerationError) as err:
+                noise_margins(spoil(original(family.design(node), vdd)))
+            assert err.value.code == code
+
+        def inverter(design, vdd=None):
+            inv = original(design, vdd)
+            name = lost.get((design.strategy, design.node.name, inv.vdd))
+            return inv if name is None else SPOILERS[name][0](inv)
+
+        monkeypatch.setattr(DeviceDesign, "inverter", inverter)
+
+    @pytest.mark.parametrize("experiment, lost, code", [
+        # The loop's first lost lane is the earlier one in its order.
+        ("fig4", {("super-vth", "90nm", 0.25): "starved",
+                  ("super-vth", "32nm", 0.25): "boundary"}, 1),
+        ("fig10", {("super-vth", "32nm", 0.25): "boundary",
+                   ("sub-vth", "90nm", 0.25): "starved"}, 2),
+        ("headlines", {("super-vth", "32nm", 0.25): "boundary",
+                       ("sub-vth", "32nm", 0.25): "starved"}, 2),
+    ])
+    def test_experiments_raise_the_loop_error(self, monkeypatch,
+                                              experiment, lost, code):
+        from repro.errors import LostRegenerationError
+        from repro.experiments import run_experiment
+
+        self._spoil(monkeypatch, lost)
+        with pytest.raises(LostRegenerationError) as err:
+            run_experiment(experiment)
+        assert err.value.code == code
+
+    def test_calibration_error_after_the_previous_energy_work(
+            self, monkeypatch):
+        """Calibration 1's SNM error comes after calibration 0's two
+        minimum-energy points and before its own."""
+        from repro.circuit.chain import InverterChain
+        from repro.errors import LostRegenerationError
+        from repro.scaling.sensitivity import headlines_under_calibrations
+        from repro.scaling.strategy import DeviceDesign
+
+        original = DeviceDesign.inverter
+        snm_lanes = []
+
+        def inverter(design, vdd=None):
+            inv = original(design, vdd)
+            if vdd == 0.25:
+                snm_lanes.append(design)
+                if len(snm_lanes) == 3:  # calibration 1's super-V_th
+                    return _starved(inv)
+            return inv
+
+        energy_points = []
+        mep = InverterChain.minimum_energy_point
+
+        def counted(chain, *args, **kwargs):
+            energy_points.append(chain)
+            return mep(chain, *args, **kwargs)
+
+        monkeypatch.setattr(DeviceDesign, "inverter", inverter)
+        monkeypatch.setattr(InverterChain, "minimum_energy_point", counted)
+        with pytest.raises(LostRegenerationError) as err:
+            headlines_under_calibrations([{}, {"sce_prefactor": 6.0}])
+        assert err.value.code == 1
+        assert len(energy_points) == 2

@@ -5,7 +5,7 @@ import pytest
 
 from repro.constants import thermal_voltage
 from repro.device import nfet
-from repro.device.iv import IVParams, ids_with_partials
+from repro.device.iv import IVParams, drain_current, ids_with_partials
 from repro.errors import ParameterError
 
 
@@ -153,6 +153,20 @@ class TestIdsWithPartials:
         floor = 1e-8 * np.abs(reference)
         assert np.all(np.abs(d_gs - fd_gs) <= 1e-5 * np.abs(fd_gs) + floor)
         assert np.all(np.abs(d_ds - fd_ds) <= 1e-5 * np.abs(fd_ds) + floor)
+
+    @pytest.mark.parametrize("polarity", ["nfet", "pfet"])
+    def test_scalar_call_is_the_array_kernel_bitwise(self, design,
+                                                     polarity):
+        """A float ``ids`` call runs the same ufunc loops as an array
+        ``drain_current`` call; numpy-scalar ``**`` (C ``pow``) once
+        made ~2 % of these points differ in the last bit."""
+        iv = getattr(design, polarity).iv
+        rng = np.random.default_rng(2026)
+        vgs = rng.uniform(0.0, 1.2, 400)
+        vds = rng.uniform(0.0, 1.2, 400)
+        scalar = np.array([iv.ids(float(g), float(d))
+                           for g, d in zip(vgs, vds)])
+        assert np.array_equal(scalar, drain_current(iv.params, vgs, vds))
 
     def test_stacked_columns_match_single_records(self, dev, nfet90,
                                                   pfet90):

@@ -11,7 +11,10 @@ The invariants the three batched engines rely on (see
 * a bracket of width <= ``xtol`` retires before the first sweep with
   its midpoint, and end residuals handed in by the caller change no
   bit of the solve;
-* the compression counters tick per executed sweep.
+* the compression counters tick per executed sweep;
+* the Illinois endgame's tolerance step never costs a lane a residual
+  evaluation against the loop without it (kept below, verbatim), and
+  changes no bit where no proposal is rejected.
 """
 
 import numpy as np
@@ -26,6 +29,7 @@ from repro.numerics import (
     newton_safeguarded,
     scatter,
 )
+from repro.numerics.backend import as_float_copy, flatnonzero
 
 XTOL = 1e-10
 
@@ -209,6 +213,179 @@ class TestBisectIllinois:
         assert known.sweeps == plain.sweeps
         assert len(calls) == known.sweeps
         assert not bool(known.feasible[30])
+
+
+def _illinois_without_tolerance_step(residual, lo, hi, *, xtol: float,
+                                     ends=None, warmup_sweeps: int = 0,
+                                     max_sweeps: int = 80, xp=None):
+    """:func:`bisect_illinois` as it was before its tolerance step: the
+    iteration verbatim, without its perf counters.  Returns
+    ``(root, lo, hi, sweeps)``."""
+    xp = array_namespace(lo, hi, xp=xp)
+    lo = as_float_copy(xp, lo)
+    hi = as_float_copy(xp, hi)
+    n = int(lo.shape[0])
+    if ends is None:
+        all_lanes = xp.arange(n)
+        r_lo = residual(lo, all_lanes)
+        r_hi = residual(hi, all_lanes)
+    else:
+        r_lo, r_hi = ends
+    rl = as_float_copy(xp, r_lo)
+    rh = as_float_copy(xp, r_hi)
+
+    feasible = (rl <= 0.0) & (rh >= 0.0)
+    side = xp.zeros(n, dtype=xp.int8)
+    idx = flatnonzero(xp, feasible & ((hi - lo) > xtol))
+    sweeps = 0
+    while int(idx.shape[0]) and sweeps < max_sweeps:
+        lo_a, hi_a = lo[idx], hi[idx]
+        rl_a, rh_a = rl[idx], rh[idx]
+        side_a = side[idx]
+        mid = 0.5 * (lo_a + hi_a)
+        x = mid
+        if sweeps >= warmup_sweeps:
+            denom = rh_a - rl_a
+            falsi = ((lo_a * rh_a - hi_a * rl_a)
+                     / xp.where(denom == 0, 1.0, denom))
+            use = ((denom != 0) & xp.isfinite(falsi)
+                   & (falsi > lo_a) & (falsi < hi_a))
+            x = xp.where(use, falsi, mid)
+        r = residual(x, idx)
+        move_lo = r < 0.0
+        move_hi = ~move_lo
+        rh_a = xp.where(move_lo & (side_a == 1), 0.5 * rh_a, rh_a)
+        rl_a = xp.where(move_hi & (side_a == -1), 0.5 * rl_a, rl_a)
+        side_a = xp.astype(xp.where(move_lo, 1, -1), xp.int8)
+        lo_a = xp.where(move_lo, x, lo_a)
+        rl_a = xp.where(move_lo, r, rl_a)
+        hi_a = xp.where(move_hi, x, hi_a)
+        rh_a = xp.where(move_hi, r, rh_a)
+        lo = scatter(lo, idx, lo_a)
+        hi = scatter(hi, idx, hi_a)
+        rl = scatter(rl, idx, rl_a)
+        rh = scatter(rh, idx, rh_a)
+        side = scatter(side, idx, side_a)
+        idx = idx[flatnonzero(xp, (hi_a - lo_a) > xtol)]
+        sweeps += 1
+    return 0.5 * (lo + hi), lo, hi, sweeps
+
+
+def _lane_family(name: str, n: int, seed: int):
+    """``n`` monotone-increasing residual lanes on ``[-1, 1]``."""
+    rng = np.random.default_rng(seed)
+    roots = rng.uniform(-0.9, 0.9, n)
+    if name == "expm1":
+        return lambda x, idx: np.expm1(x - roots[idx])
+    if name == "steep":
+        return lambda x, idx: np.sinh(20.0 * (x - roots[idx]))
+    if name == "jump":
+        # A 1e-4 step 1e-7 above the linear root.
+        return lambda x, idx: ((x - roots[idx])
+                               + 1e-4 * (x >= roots[idx] + 1e-7))
+    # Roots within 3e-16 of a dyadic point, where midpoints land.
+    dyadic = np.round(roots * 2.0 ** 10) / 2.0 ** 10
+    offset = rng.uniform(-3e-16, 3e-16, n)
+    return lambda x, idx: (x - dyadic[idx]) - offset[idx]
+
+
+def _counted(residual, counts):
+    def counting(x, idx):
+        np.add.at(counts, idx, 1)
+        return residual(x, idx)
+    return counting
+
+
+class TestIllinoisEndgame:
+    def test_lane_on_its_root_retires_at_once(self):
+        """The state of ext_sensitivity's worst doping lane: its iterate
+        at log10 N ~ 18.1 has residual ~ -1e-15, its far end ~6e-6 away
+        is at ~+1e-4, and the root lies within an ulp of the iterate.
+        On dyadic values every Illinois proposal is exact and rounds
+        onto the near end, so without the tolerance step the lane
+        bisects its far end down to xtol (23 sweeps); with it the lane
+        retires on the next sweep."""
+        x0 = np.array([18.0625])
+
+        def residual(x, idx):
+            return 16.0 * (x - x0[idx]) - 2.0 ** -47
+
+        lo, hi = x0.copy(), x0 + 3 * 2.0 ** -19
+        ends = (residual(lo, [0]), residual(hi, [0]))
+        before = perf.get("numerics.tolerance_steps")
+        result = bisect_illinois(residual, lo, hi, xtol=1e-12, ends=ends)
+        assert result.sweeps <= 2
+        assert perf.get("numerics.tolerance_steps") - before == 1
+        assert result.hi[0] - result.lo[0] <= 1e-12
+        assert residual(result.lo, [0])[0] <= 0.0 <= residual(result.hi,
+                                                               [0])[0]
+        *_, sweeps = _illinois_without_tolerance_step(
+            residual, lo, hi, xtol=1e-12, ends=ends)
+        assert sweeps == 23
+
+    @pytest.mark.parametrize("warmup", (0, 3, 8))
+    @pytest.mark.parametrize("xtol", (1e-12, 1e-10, 1e-6))
+    @pytest.mark.parametrize("family", ("expm1", "steep", "jump", "dyadic"))
+    def test_never_costs_a_lane_an_evaluation(self, family, xtol, warmup):
+        """Seeded lanes of four residual families: no lane makes more
+        residual evaluations than without the tolerance step, and each
+        retires with ``hi - lo <= xtol`` around a sign change."""
+        n = 300
+        residual = _lane_family(family, n, seed=int(1e6 * xtol) + warmup)
+        lanes = np.arange(n)
+        with_step, without = np.zeros(n, int), np.zeros(n, int)
+        result = bisect_illinois(_counted(residual, with_step),
+                                 np.full(n, -1.0), np.full(n, 1.0),
+                                 xtol=xtol, warmup_sweeps=warmup)
+        _illinois_without_tolerance_step(
+            _counted(residual, without), np.full(n, -1.0),
+            np.full(n, 1.0), xtol=xtol, warmup_sweeps=warmup)
+        assert np.all(result.feasible)
+        assert np.all(with_step <= without)
+        assert np.all(result.hi - result.lo <= xtol)
+        assert np.all(residual(result.lo, lanes) <= 0.0)
+        assert np.all(residual(result.hi, lanes) >= 0.0)
+
+    def test_wasted_tolerance_step_is_followed_by_a_halving(self):
+        """A residual 1e30 times flatter below its root than above:
+        proposals round onto the flat end while the root is still far
+        away, so tolerance steps keep missing.  Each miss is followed by
+        a midpoint, so every lane converges, with at most twice the
+        evaluations of the loop without the step."""
+        n = 200
+        roots = np.random.default_rng(3).uniform(-0.5, 0.5, n)
+
+        def residual(x, idx):
+            d = x - roots[idx]
+            return np.where(d < 0.0, 1e-30 * d, d)
+
+        with_step, without = np.zeros(n, int), np.zeros(n, int)
+        result = bisect_illinois(_counted(residual, with_step),
+                                 np.full(n, -1.0), np.full(n, 1.0),
+                                 xtol=1e-10, warmup_sweeps=8)
+        _illinois_without_tolerance_step(
+            _counted(residual, without), np.full(n, -1.0),
+            np.full(n, 1.0), xtol=1e-10, warmup_sweeps=8)
+        assert np.all(result.hi - result.lo <= 1e-10)
+        assert np.all(with_step <= 2 * without)
+
+    @pytest.mark.parametrize("warmup", (0, 3, 8))
+    def test_no_rejected_proposal_changes_no_bit(self, warmup):
+        """At xtol 1e-6 no expm1 lane has a proposal rejected, so the
+        solve is bitwise the one without the tolerance step."""
+        residual = _lane_family("expm1", 300, seed=warmup)
+        before = perf.get("numerics.tolerance_steps")
+        result = bisect_illinois(residual, np.full(300, -1.0),
+                                 np.full(300, 1.0), xtol=1e-6,
+                                 warmup_sweeps=warmup)
+        assert perf.get("numerics.tolerance_steps") == before
+        root, lo, hi, sweeps = _illinois_without_tolerance_step(
+            residual, np.full(300, -1.0), np.full(300, 1.0), xtol=1e-6,
+            warmup_sweeps=warmup)
+        assert result.sweeps == sweeps
+        for got, want in ((result.root, root), (result.lo, lo),
+                          (result.hi, hi)):
+            assert np.array_equal(got, want)
 
 
 class TestNewtonSafeguarded:
