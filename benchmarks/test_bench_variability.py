@@ -19,12 +19,16 @@ import time
 from conftest import run_once
 
 from repro.experiments import run_experiment
-from repro.experiments.families import sub_vth_family
+from repro.experiments.ext_yield import R_MAX_SIGMA, SNM_VDD_GRID
+from repro.experiments.families import sub_vth_family, super_vth_family
 from repro.variability import (
     estimate_failure_probability,
     failure_indicator,
     find_failure_shift,
 )
+from repro.variability.importance import find_failure_shifts
+from repro.variability.tails import (SNM_SCAN_DEFAULT, SNM_XTOL_DEFAULT,
+                                     _snm_indicator)
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK") == "1"
 
@@ -131,3 +135,18 @@ def test_bench_ext_yield(benchmark):
     assert result.all_hold()
     sub_curve = result.get_series("delay-exceedance sigma, sub-vth")
     assert sub_curve.y[0] > 4.0
+
+
+def test_bench_yield_snm_shift_search(benchmark):
+    """The stacked SNM-mode failure-point search of ext_yield's
+    super-V_th 32nm curve: its four supplies in one search, each
+    indicator call one batched SNM extraction."""
+    design = super_vth_family().design("32nm")
+    indicator = _snm_indicator([design.inverter(v) for v in SNM_VDD_GRID],
+                               0.0, SNM_SCAN_DEFAULT, SNM_XTOL_DEFAULT)
+    shifts = run_once(benchmark, find_failure_shifts, indicator,
+                      len(SNM_VDD_GRID), r_max_sigma=R_MAX_SIGMA)
+    benchmark.extra_info["beta_sigma"] = [s.beta_sigma for s in shifts]
+    benchmark.extra_info["n_probes"] = [s.n_probes for s in shifts]
+    betas = [s.beta_sigma for s in shifts]
+    assert betas == sorted(betas)  # margins widen with the supply

@@ -31,7 +31,10 @@ the scalar oracle's brentq — so a whole Monte Carlo population costs
 a handful of batched VTC solves instead of thousands of scalar
 root-finds.  The scan already holds the gain at both ends of every
 bracket, so the solve takes them as its known end residuals instead
-of solving those VTC points again.
+of solving those VTC points again, and it holds the outputs there, so
+every VTC solve of the refinement starts Newton from an output
+interpolated between outputs already solved instead of from
+mid-supply.
 
 The supply is lane data, like the V_th offsets: every kernel takes an
 optional ``vdd`` [V] that broadcasts with ``dvth_n``/``dvth_p`` and
@@ -197,8 +200,20 @@ class _VtcSystem:
             np.stack([vout, self.vdd[idx] - vout]), self.vth_shift[:, idx])
         return current[0] - current[1], g_ds[0] + g_ds[1]
 
-    def solve(self, xtol: float) -> np.ndarray:
-        """Static output voltages [V] of every point."""
+    def solve(self, xtol: float, start: np.ndarray | None = None
+              ) -> np.ndarray:
+        """Static output voltages [V] of every point.
+
+        Without ``start`` every point starts at mid-supply, and one
+        kernel call over both rails first pins the points whose
+        balance is already signed at a rail.  ``start`` [V] holds one
+        starting output per point, for points that lie off the rails
+        (the gain = -1 crossings of :func:`noise_margins_batch`): the
+        solve then skips the rail call and Newton starts there,
+        safeguarded by the full supply ``[0, V_dd]``, which always
+        holds the root.  A start only sets where Newton begins, so a
+        poor one costs sweeps, never the root.
+        """
         if xtol <= 0.0:
             raise ParameterError("xtol must be positive")
         supply = self.vdd
@@ -206,18 +221,22 @@ class _VtcSystem:
         if np.any((vin < 0.0) | (vin > supply)):
             raise ParameterError("vin outside the supply range [0, V_dd]")
         n = vin.size
-        # Both rails of every point in one kernel call.
-        f_rails, _ = self.balance(np.concatenate([np.zeros(n), supply]),
-                                  np.tile(np.arange(n), 2))
-        at_lo = f_rails[:n] >= 0.0
-        at_hi = (f_rails[n:] <= 0.0) & ~at_lo
-        # Rail points are pinned by collapsing their bracket, which keeps
-        # them out of the Newton iteration's active set from sweep zero.
-        lo = np.where(at_hi, supply, 0.0)
-        hi = np.where(at_lo, 0.0, supply)
+        if start is None:
+            # Both rails of every point in one kernel call.
+            f_rails, _ = self.balance(np.concatenate([np.zeros(n), supply]),
+                                      np.tile(np.arange(n), 2))
+            at_lo = f_rails[:n] >= 0.0
+            at_hi = (f_rails[n:] <= 0.0) & ~at_lo
+            # Rail points are pinned by collapsing their bracket, which
+            # keeps them out of the Newton iteration's active set from
+            # sweep zero.
+            lo = np.where(at_hi, supply, 0.0)
+            hi = np.where(at_lo, 0.0, supply)
+        else:
+            lo, hi = np.zeros(n), supply
         perf.bump("circuit.vtc_batch_solves")
         perf.bump("circuit.vtc_batch_points", n)
-        return newton_safeguarded(self.balance, lo, hi, xtol=xtol,
+        return newton_safeguarded(self.balance, lo, hi, xtol=xtol, x0=start,
                                   sweep_counter="circuit.vtc_newton_sweeps")
 
     def gain(self, vout: np.ndarray) -> np.ndarray:
@@ -298,18 +317,23 @@ def gain_batch(inverter, vin, dvth_n=0.0, dvth_p=0.0,
     """
     vin_arr, dn_arr, dp_arr, vdd_arr = _broadcast_inputs(
         inverter, vin, dvth_n, dvth_p, None)
-    gains = _gain_flat(_lane_pairs(inverter, vin_arr.shape), vin_arr.ravel(),
-                       dn_arr.ravel(), dp_arr.ravel(), vdd_arr.ravel(), xtol)
+    _, gains = _gain_flat(_lane_pairs(inverter, vin_arr.shape),
+                          vin_arr.ravel(), dn_arr.ravel(), dp_arr.ravel(),
+                          vdd_arr.ravel(), xtol)
     if vin_arr.shape == ():
         return float(gains[0])
     return gains.reshape(vin_arr.shape)
 
 
 def _gain_flat(pair: IVParams, vin: np.ndarray, dvth_n: np.ndarray,
-               dvth_p: np.ndarray, vdd: np.ndarray,
-               xtol: float) -> np.ndarray:
+               dvth_p: np.ndarray, vdd: np.ndarray, xtol: float,
+               start: np.ndarray | None = None
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """The solved outputs [V] of flat VTC points and the gains there
+    (``start``: as :meth:`_VtcSystem.solve`)."""
     system = _VtcSystem(pair, vin, dvth_n, dvth_p, vdd)
-    return system.gain(system.solve(xtol))
+    vout = system.solve(xtol, start)
+    return vout, system.gain(vout)
 
 
 @dataclass(frozen=True)
@@ -350,11 +374,13 @@ class BatchNoiseMargins:
 
 
 def _refine_crossings(pair: IVParams, a: np.ndarray, b: np.ndarray,
-                      gain_a: np.ndarray, gain_b: np.ndarray,
+                      scan_a: tuple[np.ndarray, np.ndarray],
+                      scan_b: tuple[np.ndarray, np.ndarray],
                       sign: np.ndarray, dvth_n: np.ndarray,
                       dvth_p: np.ndarray, vdd: np.ndarray,
-                      xtol: float) -> np.ndarray:
-    """Solve each gain = -1 crossing inside its scan bracket ``[a, b]``.
+                      xtol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Solve each gain = -1 crossing inside its scan bracket ``[a, b]``,
+    and the VTC output there.
 
     ``sign`` is +1 where ``gain + 1`` crosses downwards inside the
     bracket (the V_IL side) and -1 where it crosses upwards (V_IH), so
@@ -363,20 +389,49 @@ def _refine_crossings(pair: IVParams, a: np.ndarray, b: np.ndarray,
     residual pass is one batched gain evaluation, locates all
     crossings to ``xtol`` (the scalar oracle runs brentq on the same
     function and brackets).  ``pair`` holds the crossings' devices
-    (one shared column, or one per crossing).  ``gain_a`` / ``gain_b``
-    are the scan's gains at the bracket ends — the same ``vin`` floats
-    on the same lanes, so bitwise what the residual would recompute —
-    and enter the solve as its known end residuals.
+    (one shared column, or one per crossing).  ``scan_a`` / ``scan_b``
+    are the scan's ``(output, gain)`` at the bracket ends — the same
+    ``vin`` floats on the same lanes, so bitwise what the residual
+    would recompute — and the gains enter the solve as its known end
+    residuals.
+
+    Every VTC solve here is seeded.  Each lane keeps the outputs
+    solved at its current bracket ends — the scan's two points at
+    first, then each point the Illinois solve evaluates, which
+    replaces ``lo`` where its residual is negative (numerics' rule)
+    and ``hi`` otherwise — and each solve starts from the output
+    interpolated linearly between them, within one scan step of the
+    root.  The outputs at the refined roots (V_OH on the V_IL side,
+    V_OL on the V_IH side) are seeded from the final bracket's ends.
+    A seed only moves Newton's starting point, and each lane's seed
+    comes from its own outputs alone.  Returns ``(roots, outputs)``.
     """
     shared = _is_shared(pair)
+    (out_a, gain_a), (out_b, gain_b) = scan_a, scan_b
+    # Each lane's current bracket ends and the outputs solved there.
+    v_lo, v_hi, out_lo, out_hi = a.copy(), b.copy(), out_a.copy(), out_b.copy()
+
+    def seed(vin: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        lo, hi = v_lo[idx], v_hi[idx]
+        return out_lo[idx] + ((vin - lo) / (hi - lo)
+                              * (out_hi[idx] - out_lo[idx]))
 
     def residual(vin: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        gains = _gain_flat(pair if shared else _columns(pair, idx), vin,
-                           dvth_n[idx], dvth_p[idx], vdd[idx], xtol)
-        return -sign[idx] * (gains + 1.0)
+        vout, gains = _gain_flat(pair if shared else _columns(pair, idx),
+                                 vin, dvth_n[idx], dvth_p[idx], vdd[idx],
+                                 xtol, seed(vin, idx))
+        r = -sign[idx] * (gains + 1.0)
+        new_lo = r < 0.0
+        new_hi = ~new_lo
+        v_lo[idx[new_lo]], out_lo[idx[new_lo]] = vin[new_lo], vout[new_lo]
+        v_hi[idx[new_hi]], out_hi[idx[new_hi]] = vin[new_hi], vout[new_hi]
+        return r
 
     ends = (-sign * (gain_a + 1.0), -sign * (gain_b + 1.0))
-    return bisect_illinois(residual, a, b, xtol=xtol, ends=ends).root
+    roots = bisect_illinois(residual, a, b, xtol=xtol, ends=ends).root
+    outputs = _VtcSystem(pair, roots, dvth_n, dvth_p, vdd).solve(
+        xtol, seed(roots, np.arange(roots.size)))
+    return roots, outputs
 
 
 def noise_margins_batch(inverter, dvth_n=0.0, dvth_p=0.0, n_scan: int = 101,
@@ -388,9 +443,13 @@ def noise_margins_batch(inverter, dvth_n=0.0, dvth_p=0.0, n_scan: int = 101,
     V_th-offset copy of the inverter per trial: the same ``n_scan``
     grid locates each trial's two sign-change brackets, one Illinois
     stack solve refines them below ``xtol``, and one more batched
-    solve reads off ``V_OL``/``V_OH``.  Trials whose VTC never
-    reaches gain -1 (or only at the sweep boundary) are flagged in
-    ``lost_code`` instead of raising.
+    solve reads off ``V_OL``/``V_OH``.  The scan's solve starts every
+    point at mid-supply; every later solve starts each point from the
+    output interpolated between the outputs its own lane has already
+    solved at the ends of its bracket (:func:`_refine_crossings`),
+    which moves only Newton's starting point.  Trials whose VTC never reaches gain -1
+    (or only at the sweep boundary) are flagged in ``lost_code``
+    instead of raising.
 
     ``inverter`` is one inverter, or a sequence of inverters, one per
     trial of the last axis: a whole family's SNMs are one extraction,
@@ -414,10 +473,10 @@ def noise_margins_batch(inverter, dvth_n=0.0, dvth_p=0.0, n_scan: int = 101,
 
     scan_pair = (pair if _is_shared(pair) else
                  _columns(pair, np.repeat(np.arange(trials), n_scan)))
-    gains = _gain_flat(scan_pair, vins.ravel(),
-                       np.repeat(dn, n_scan), np.repeat(dp, n_scan),
-                       np.repeat(supply, n_scan),
-                       xtol).reshape(trials, n_scan)
+    outs, gains = _gain_flat(scan_pair, vins.ravel(),
+                             np.repeat(dn, n_scan), np.repeat(dp, n_scan),
+                             np.repeat(supply, n_scan), xtol)
+    outs, gains = outs.reshape(trials, n_scan), gains.reshape(trials, n_scan)
     below = (gains + 1.0) < 0.0
     has_crossing = below.any(axis=1)
     first = np.argmax(below, axis=1)
@@ -443,13 +502,13 @@ def noise_margins_batch(inverter, dvth_n=0.0, dvth_p=0.0, n_scan: int = 101,
         dn2 = np.concatenate([dn[ok], dn[ok]])
         dp2 = np.concatenate([dp[ok], dp[ok]])
         vdd2 = np.concatenate([supply[ok], supply[ok]])
-        roots = _refine_crossings(
+        roots, vouts = _refine_crossings(
             pair2, vins[rows2, lo_col], vins[rows2, hi_col],
-            gains[rows2, lo_col], gains[rows2, hi_col],
+            (outs[rows2, lo_col], gains[rows2, lo_col]),
+            (outs[rows2, hi_col], gains[rows2, hi_col]),
             sign, dn2, dp2, vdd2, xtol)
         v_il[ok] = roots[:k]
         v_ih[ok] = roots[k:]
-        vouts = _VtcSystem(pair2, roots, dn2, dp2, vdd2).solve(xtol)
         v_oh[ok] = vouts[:k]
         v_ol[ok] = vouts[k:]
     perf.bump("circuit.snm_batch_extractions", trials)

@@ -14,7 +14,8 @@ Conventions
   negate at the call site; IEEE negation is exact, so the iterate
   sequence is bitwise unchanged.)
 * Lanes whose initial bracket is already at or below ``xtol`` never
-  enter the active set: their root is the bracket midpoint.
+  enter the active set: their root is the bracket midpoint (for
+  :func:`newton_safeguarded`, their start where one lies inside).
 * Every solve starts from the brackets it is handed; nothing is
   remembered between calls, so a lane's root is a pure function of its
   residual and bounds.
@@ -210,12 +211,18 @@ def bisect_illinois(residual, lo, hi, *, xtol: float,
 
 
 def newton_safeguarded(residual_jacobian, lo, hi, *, xtol: float,
-                       max_sweeps: int = MAX_SWEEPS_DEFAULT,
+                       x0=None, max_sweeps: int = MAX_SWEEPS_DEFAULT,
                        sweep_counter: str | None = None, xp=None):
     """Safeguarded Newton (``rtsafe``) over a stack of lanes.
 
     ``residual_jacobian(x, idx)`` returns ``(r, dr)`` for the gathered
-    lanes.  Each lane starts at its bracket midpoint.  A sweep makes
+    lanes.  Each lane starts at its bracket midpoint, or at its entry
+    of ``x0`` — per-lane starting iterates, data like ``lo`` and
+    ``hi`` — where that lies strictly inside the bracket; a start on
+    or outside a bracket end falls back to the midpoint, and without
+    ``x0`` the solve is bitwise the midpoint start.  A start only sets
+    where the iteration begins: the bracket still safeguards every
+    step, so a poor start costs sweeps, never the root.  A sweep makes
     one evaluation at the lane's current iterate, shrinks the bracket
     by the residual's sign, and keeps the Newton step only when it
     lands inside the shrunken bracket and is at most half the lane's
@@ -236,6 +243,9 @@ def newton_safeguarded(residual_jacobian, lo, hi, *, xtol: float,
     hi = as_float_copy(xp, hi)
     n = _lane_count(lo)
     x = 0.5 * (lo + hi)
+    if x0 is not None:
+        start = as_float_copy(xp, x0)
+        x = xp.where((start > lo) & (start < hi), start, x)
     step = hi - lo
     idx = flatnonzero(xp, (hi - lo) > xtol)
     for _ in range(max_sweeps):

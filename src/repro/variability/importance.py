@@ -97,7 +97,9 @@ class FailurePoint:
         Its norm — the design point's sigma distance, a first-order
         (FORM) estimate of the failure rate's sigma level.
     n_probes:
-        Failure-indicator evaluations the search spent.
+        Failure-indicator evaluations the search spent.  Rays that
+        cannot be the shortest leave the bisection early, so this is
+        not a fixed count per ray.
     """
 
     u_star: np.ndarray
@@ -125,9 +127,10 @@ def find_failure_shift(failure: Callable[[np.ndarray], np.ndarray],
 
     Probes ``n_directions`` unit rays from the origin of the
     standardised space; every ray that fails at radius ``r_max_sigma``
-    [sigma] is bisected to its first failing radius, all rays per step
-    in **one** call of ``failure`` (one batched kernel solve).  A
-    second fan around the winning ray refines the direction.  Returns
+    [sigma] is bisected towards its first failing radius, all rays per
+    step in **one** call of ``failure`` (one batched kernel solve),
+    until the ray provably cannot be the shortest.  A second fan around
+    the winning ray refines the direction.  Returns
     ``None`` when no probed ray fails within ``r_max_sigma`` — the
     failure set is beyond the search horizon (or empty).
 
@@ -153,8 +156,22 @@ def find_failure_shifts(failure: StackedIndicator, n_problems: int,
     live rays of all problems are bisected together, and each
     problem's best ray seeds its own fine fan, bisected together again
     — so the whole stack costs the indicator calls of one search.
-    Entry ``k`` (``n_probes`` included) equals the one-problem search
-    of problem ``k``.
+
+    **Exact pruning.**  Before each bisection level a ray leaves the
+    bisection once its ``lo`` is at or above the smallest verified
+    failing radius among its own problem's rays (for the fine fan, the
+    problem's coarse best counts too).  Its final radius would lie
+    strictly above that ``lo``, so it could never be the ``argmin``; it
+    keeps its current ``hi``, which is strictly above the winner too,
+    so the ``argmin`` and its first-index tie rule pick the same ray as
+    bisecting every ray through every level.  The winning ray keeps all
+    ``n_bisections`` levels, so ``beta_sigma`` and ``u_star`` are
+    bitwise unchanged and only ``n_probes`` (and
+    ``variability.shift_probes``) fall.  Each fan keeps its schedule
+    of ``n_bisections + 1`` indicator calls (a level whose rays have
+    all left makes its call with no rows).  Pruning is decided per
+    problem, so entry ``k`` (``n_probes`` included) equals the
+    one-problem search of problem ``k``.
     """
     if n_problems < 1:
         raise ParameterError("need at least one problem")
@@ -171,33 +188,39 @@ def find_failure_shifts(failure: StackedIndicator, n_problems: int,
         perf.bump("variability.shift_probes", points.shape[0])
         return np.asarray(failure(points, owner), dtype=bool)
 
-    def bisect_fans(angles: np.ndarray, problems: np.ndarray
-                    ) -> tuple[np.ndarray, np.ndarray]:
-        """First failing radius of each ray of each problem's fan
+    def bisect_fans(angles: np.ndarray, problems: np.ndarray,
+                    floor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Verified failing radius of each ray of each problem's fan
         (``angles`` row ``i`` belongs to ``problems[i]``); ``inf``
-        where the ray does not fail within the horizon."""
+        where the ray does not fail within the horizon.  ``floor[i]``
+        is a radius already verified to fail for ``problems[i]``
+        (``inf`` if none).  A ray whose ``lo`` reaches its row's
+        smallest verified failing radius leaves the bisection with its
+        current ``hi`` (the exact pruning above)."""
         rays = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
         flat = rays.reshape(-1, 2)
         owner = np.repeat(problems, n_directions)
         alive = fail_at(r_max_sigma * flat, owner)
-        radii = np.full(alive.shape, np.inf)
-        if alive.any():
-            rays_live, owner_live = flat[alive], owner[alive]
-            lo = np.zeros(rays_live.shape[0])
-            hi = np.full(rays_live.shape[0], r_max_sigma)
-            for _ in range(n_bisections):
-                mid = 0.5 * (lo + hi)
-                failed = fail_at(mid[:, None] * rays_live, owner_live)
-                hi = np.where(failed, mid, hi)
-                lo = np.where(failed, lo, mid)
-            radii[alive] = hi   # first radius verified to fail
-        return radii.reshape(angles.shape), rays
+        hi = np.where(alive, r_max_sigma, np.inf)  # verified to fail
+        lo = np.where(alive, 0.0, np.inf)  # only failing rays bisect
+        for _ in range(n_bisections if alive.any() else 0):
+            bound = np.minimum(hi.reshape(angles.shape).min(axis=1), floor)
+            bisected = np.flatnonzero(lo.reshape(angles.shape)
+                                      < bound[:, None])
+            lo_b, hi_b = lo[bisected], hi[bisected]
+            mid = 0.5 * (lo_b + hi_b)
+            failed = fail_at(mid[:, None] * flat[bisected], owner[bisected])
+            hi[bisected] = np.where(failed, mid, hi_b)
+            lo[bisected] = np.where(failed, lo_b, mid)
+        return hi.reshape(angles.shape), rays
 
     coarse = np.linspace(0.0, 2.0 * math.pi, n_directions, endpoint=False)
     problems = np.arange(n_problems)
-    radii, rays = bisect_fans(np.tile(coarse, (n_problems, 1)), problems)
+    radii, rays = bisect_fans(np.tile(coarse, (n_problems, 1)), problems,
+                              np.full(n_problems, np.inf))
     best = np.argmin(radii, axis=1)
-    found = np.isfinite(radii[problems, best])
+    coarse_best = radii[problems, best]
+    found = np.isfinite(coarse_best)
     shifts: list[FailurePoint | None] = [None] * n_problems
     if not found.any():
         return tuple(shifts)
@@ -207,7 +230,7 @@ def find_failure_shifts(failure: StackedIndicator, n_problems: int,
     live = problems[found]
     fine = coarse[best[found]][:, None] + np.linspace(-span, span,
                                                       n_directions)
-    fine_radii, fine_rays = bisect_fans(fine, live)
+    fine_radii, fine_rays = bisect_fans(fine, live, coarse_best[found])
     all_radii = np.concatenate([radii[found], fine_radii], axis=1)
     all_rays = np.concatenate([rays[found], fine_rays], axis=1)
     for row, k in enumerate(live):

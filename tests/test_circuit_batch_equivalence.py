@@ -11,6 +11,7 @@ the scalar path raises on, with the same message.
 import numpy as np
 import pytest
 
+from repro import perf
 from repro.circuit import (
     Inverter,
     LOST_REGENERATION_MESSAGES,
@@ -342,3 +343,17 @@ class TestStackedNoiseMargins:
         for lane, inv in enumerate(inverters):
             assert vouts[lane] == solve_vtc_batch(inv, vin[lane])
             assert gains[lane] == gain_batch(inv, vin[lane])
+
+
+class TestSeededRefinement:
+    def test_eq3_extraction_takes_at_most_35_sweeps(self, super_family):
+        """eq3's extraction: the super-V_th 90nm inverter at 250 mV, 101
+        scan points.  Every refinement solve and the V_OL/V_OH solve
+        start from an output interpolated between outputs already
+        solved, so the extraction takes at most 35 Newton sweeps in
+        all (65 when each of them started at mid-supply)."""
+        inv = super_family.design("90nm").inverter(0.25)
+        before = perf.get("circuit.vtc_newton_sweeps")
+        margins = noise_margins_batch(inv, n_scan=101)
+        assert perf.get("circuit.vtc_newton_sweeps") - before <= 35
+        assert not margins.lost.any()

@@ -14,7 +14,11 @@ The invariants the three batched engines rely on (see
 * the compression counters tick per executed sweep;
 * the Illinois endgame's tolerance step never costs a lane a residual
   evaluation against the loop without it (kept below, verbatim), and
-  changes no bit where no proposal is rejected.
+  changes no bit where no proposal is rejected;
+* a Newton start strictly inside the bracket reaches the midpoint
+  start's root within ``xtol``, a start on or outside a bracket end is
+  the midpoint start bitwise, and no start is bitwise the loop from
+  before starts existed (kept below, verbatim).
 """
 
 import numpy as np
@@ -388,6 +392,60 @@ class TestIllinoisEndgame:
             assert np.array_equal(got, want)
 
 
+def _newton_from_midpoint(residual_jacobian, lo, hi, *, xtol: float,
+                          max_sweeps: int = 80, xp=None):
+    """:func:`newton_safeguarded` as it was before it took a start: the
+    iteration verbatim, without its perf counters."""
+    xp = array_namespace(lo, hi, xp=xp)
+    lo = as_float_copy(xp, lo)
+    hi = as_float_copy(xp, hi)
+    x = 0.5 * (lo + hi)
+    step = hi - lo
+    idx = flatnonzero(xp, (hi - lo) > xtol)
+    for _ in range(max_sweeps):
+        if not int(idx.shape[0]):
+            break
+        x_a = x[idx]
+        r, dr = residual_jacobian(x_a, idx)
+        move_lo = r < 0.0
+        lo_a = xp.where(move_lo, x_a, lo[idx])
+        hi_a = xp.where(move_lo, hi[idx], x_a)
+        slope_ok = xp.isfinite(dr) & (dr != 0)
+        newton = x_a - r / xp.where(slope_ok, dr, 1.0)
+        use = (slope_ok & (newton >= lo_a) & (newton <= hi_a)
+               & (2.0 * xp.abs(newton - x_a) <= xp.abs(step[idx])))
+        x_new = xp.where(use, newton, 0.5 * (lo_a + hi_a))
+        step_a = x_new - x_a
+        x = scatter(x, idx, x_new)
+        step = scatter(step, idx, step_a)
+        lo = scatter(lo, idx, lo_a)
+        hi = scatter(hi, idx, hi_a)
+        idx = idx[flatnonzero(xp, (xp.abs(step_a) > xtol)
+                              & ((hi_a - lo_a) > xtol))]
+    return x
+
+
+def _with_slope(name: str, n: int, seed: int):
+    """The lanes of :func:`_lane_family` with their slopes, as a Newton
+    ``residual_jacobian`` (the jump lanes' slope ignores the jump)."""
+    residual = _lane_family(name, n, seed)
+    roots = np.random.default_rng(seed).uniform(-0.9, 0.9, n)
+
+    def residual_jacobian(x, idx):
+        if name == "expm1":
+            slope = np.exp(x - roots[idx])
+        elif name == "steep":
+            slope = 20.0 * np.cosh(20.0 * (x - roots[idx]))
+        else:
+            slope = np.ones_like(x)
+        return residual(x, idx), slope
+
+    return residual_jacobian, roots
+
+
+FAMILIES = ("expm1", "steep", "jump", "dyadic")
+
+
 class TestNewtonSafeguarded:
     def test_quadratic_convergence_on_smooth_residual(self):
         roots = _roots(20)
@@ -424,3 +482,48 @@ class TestNewtonSafeguarded:
         solved = newton_safeguarded(residual_jacobian, np.full(8, -1.0),
                                     np.full(8, 1.0), xtol=1e-9)
         assert solved == pytest.approx(roots, abs=1e-8)
+
+    @pytest.mark.parametrize("xtol", (1e-12, 1e-10, 1e-6))
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_start_inside_reaches_the_midpoint_root(self, family, xtol):
+        """Starts anywhere strictly inside the bracket, and starts near
+        the root (what an interpolated seed gives): every lane reaches
+        the midpoint start's root within ``xtol``."""
+        n = 300
+        residual_jacobian, roots = _with_slope(family, n,
+                                               seed=int(1e6 * xtol))
+        rng = np.random.default_rng(int(1e6 * xtol) + 1)
+        lo, hi = np.full(n, -1.0), np.full(n, 1.0)
+        plain = newton_safeguarded(residual_jacobian, lo, hi, xtol=xtol)
+        for start in (rng.uniform(-1.0, 1.0, n),
+                      roots + rng.uniform(-1e-3, 1e-3, n)):
+            assert np.all((start > lo) & (start < hi))
+            seeded = newton_safeguarded(residual_jacobian, lo, hi,
+                                        xtol=xtol, x0=start)
+            assert np.all(np.abs(seeded - plain) <= xtol)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_start_outside_the_open_bracket_is_the_midpoint_run(self,
+                                                                family):
+        """Starts on either bracket end, beyond it, or not a number
+        fall back to the midpoint, bitwise."""
+        n = 300
+        residual_jacobian, _ = _with_slope(family, n, seed=11)
+        lo = np.full(n, -1.0)
+        hi = np.full(n, 1.0)
+        start = np.resize([-1.0, 1.0, -1.5, 3.0, np.nan, np.inf, -np.inf],
+                          n)
+        seeded = newton_safeguarded(residual_jacobian, lo, hi, xtol=1e-12,
+                                    x0=start)
+        plain = newton_safeguarded(residual_jacobian, lo, hi, xtol=1e-12)
+        assert np.array_equal(seeded, plain)
+
+    @pytest.mark.parametrize("xtol", (1e-12, 1e-10, 1e-6))
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_no_start_is_the_loop_without_one(self, family, xtol):
+        n = 300
+        residual_jacobian, _ = _with_slope(family, n, seed=int(1e6 * xtol))
+        lo, hi = np.full(n, -1.0), np.full(n, 1.0)
+        assert np.array_equal(
+            newton_safeguarded(residual_jacobian, lo, hi, xtol=xtol),
+            _newton_from_midpoint(residual_jacobian, lo, hi, xtol=xtol))

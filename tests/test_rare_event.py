@@ -4,7 +4,10 @@ The estimator-level tests run on *analytic* failure sets (half-planes
 in the standardised offset space) whose probabilities are exact normal
 tail masses, so unbiasedness and chunk-invariance are checked against
 ground truth rather than against another sampler.  A handful of tests
-drive the physical indicators on the shared inverter fixtures.
+drive the physical indicators on the shared inverter fixtures.  The
+failure-point search, which drops rays that cannot win, is checked
+bitwise against the search without dropping (kept below, verbatim) on
+seeded stacks of half-planes, discs and annuli.
 """
 
 import math
@@ -94,6 +97,84 @@ def assert_same_estimate(a, b):
     if a.shift is not None:
         np.testing.assert_array_equal(a.shift.u_star, b.shift.u_star)
         assert a.shift.n_probes == b.shift.n_probes
+
+
+def _search_without_pruning(failure, n_problems, n_directions=16,
+                            r_max_sigma=8.0, n_bisections=16):
+    """:func:`find_failure_shifts` as it was before it dropped rays that
+    cannot win: every live ray bisects through every level.  The search
+    verbatim, without its input checks and perf counter; one
+    ``(u_star, beta_sigma, n_probes)`` or ``None`` per problem."""
+    n_probes = np.zeros(n_problems, dtype=int)
+
+    def fail_at(points, owner):
+        n_probes[:] += np.bincount(owner, minlength=n_problems)
+        return np.asarray(failure(points, owner), dtype=bool)
+
+    def bisect_fans(angles, problems):
+        rays = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+        flat = rays.reshape(-1, 2)
+        owner = np.repeat(problems, n_directions)
+        alive = fail_at(r_max_sigma * flat, owner)
+        radii = np.full(alive.shape, np.inf)
+        if alive.any():
+            rays_live, owner_live = flat[alive], owner[alive]
+            lo = np.zeros(rays_live.shape[0])
+            hi = np.full(rays_live.shape[0], r_max_sigma)
+            for _ in range(n_bisections):
+                mid = 0.5 * (lo + hi)
+                failed = fail_at(mid[:, None] * rays_live, owner_live)
+                hi = np.where(failed, mid, hi)
+                lo = np.where(failed, lo, mid)
+            radii[alive] = hi   # first radius verified to fail
+        return radii.reshape(angles.shape), rays
+
+    coarse = np.linspace(0.0, 2.0 * math.pi, n_directions, endpoint=False)
+    problems = np.arange(n_problems)
+    radii, rays = bisect_fans(np.tile(coarse, (n_problems, 1)), problems)
+    best = np.argmin(radii, axis=1)
+    found = np.isfinite(radii[problems, best])
+    shifts = [None] * n_problems
+    if not found.any():
+        return shifts
+    span = 2.0 * math.pi / n_directions
+    live = problems[found]
+    fine = coarse[best[found]][:, None] + np.linspace(-span, span,
+                                                      n_directions)
+    fine_radii, fine_rays = bisect_fans(fine, live)
+    all_radii = np.concatenate([radii[found], fine_radii], axis=1)
+    all_rays = np.concatenate([rays[found], fine_rays], axis=1)
+    for row, k in enumerate(live):
+        best_k = int(np.argmin(all_radii[row]))
+        beta = float(all_radii[row, best_k])
+        shifts[k] = (beta * all_rays[row, best_k], beta, int(n_probes[k]))
+    return shifts
+
+
+def random_sets(rng, n):
+    """A stacked indicator over ``n`` seeded failure sets.  Each is a
+    half-plane, some beyond the 8-sigma horizon and a quarter of them
+    normal to a coarse search ray, joined in two of three problems by
+    a disc or an annulus: rays through a disc or annulus fail, pass
+    and fail again on their way out.  Written elementwise, so a row's
+    answer does not depend on which rows share its call."""
+    theta = rng.uniform(0.0, 2.0 * math.pi, n)
+    on_grid = rng.random(n) < 0.25
+    theta[on_grid] = rng.integers(0, 16, on_grid.sum()) * (math.pi / 8.0)
+    dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    beta = rng.uniform(1.0, 10.0, n)
+    kind = rng.integers(0, 3, n)          # 0 plane, 1 + disc, 2 + annulus
+    centre = rng.uniform(-6.0, 6.0, (n, 2))
+    r_in = np.where(kind == 2, rng.uniform(0.5, 2.0, n), 0.0)
+    r_out = np.where(kind > 0, r_in + rng.uniform(0.3, 2.5, n), 0.0)
+
+    def failure(u, k):
+        plane = u[:, 0] * dirs[k, 0] + u[:, 1] * dirs[k, 1] > beta[k]
+        dx, dy = u[:, 0] - centre[k, 0], u[:, 1] - centre[k, 1]
+        dist2 = dx * dx + dy * dy
+        return plane | ((r_in[k] ** 2 <= dist2) & (dist2 < r_out[k] ** 2))
+
+    return failure
 
 
 class TestStreams:
@@ -263,6 +344,30 @@ class TestFindFailureShift:
             assert shift.n_probes == ref.n_probes
             assert len(solo_calls) == 34
         assert shifts[2] is None
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_dropping_rays_changes_no_failure_point(self, seed):
+        """Seeded stacks of 1-4 problems: every failure point is bitwise
+        the search's without dropped rays, and no problem spends more
+        probes."""
+        rng = np.random.default_rng(seed)
+        spent, oracle_spent = 0, 0
+        for _ in range(25):
+            n = int(rng.integers(1, 5))
+            failure = random_sets(rng, n)
+            shifts = find_failure_shifts(failure, n, r_max_sigma=8.0)
+            for shift, ref in zip(shifts,
+                                  _search_without_pruning(failure, n)):
+                assert (shift is None) == (ref is None)
+                if ref is None:
+                    continue
+                u_star, beta, n_probes = ref
+                assert shift.beta_sigma == beta
+                np.testing.assert_array_equal(shift.u_star, u_star)
+                assert shift.n_probes <= n_probes
+                spent += shift.n_probes
+                oracle_spent += n_probes
+        assert spent < oracle_spent
 
     def test_validates_inputs(self):
         with pytest.raises(ParameterError):
