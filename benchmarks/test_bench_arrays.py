@@ -10,7 +10,8 @@ The oracle is timed on a lane subset (it is three decades slower; a
 full 512-lane oracle run would dominate the suite), which is exactly
 the per-lane comparison the gate is stated over.  Set
 ``REPRO_BENCH_QUICK=1`` (the CI quick mode) to shrink the oracle
-subset and skip the speedup gate (equivalence is always asserted).
+subset and skip the speedup gate (equivalence is always asserted),
+and to shrink the write study.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from conftest import run_once
 
 from repro.circuit.mna_batch import solve_dc_batch
 from repro.circuit.sram import SramCell
-from repro.circuit.sram_array import build_column, min_write_pulse
+from repro.circuit.sram_array import (build_column, min_write_pulse,
+                                      write_trip_voltage)
 from repro.device.mosfet import nfet, pfet
 from repro.experiments import run_experiment
 
@@ -44,6 +46,12 @@ EQUIV_GATE_V = 1e-9
 #: every 32nd x last-only (2 lanes) in quick mode.
 ORACLE_STIM_STRIDE = 16
 ORACLE_CORNER_STRIDE = 4
+
+#: The write study: both write margins on a 32-row column (the array
+#: workload's height) at four access corners, with default probes and
+#: steps; quick mode keeps the outer two corners and five probes.
+WRITE_ROWS = 32
+WRITE_CORNERS_V = (-0.02, -0.0075, 0.0075, 0.02)
 
 
 def _cell() -> SramCell:
@@ -137,6 +145,30 @@ def test_bench_array_write_search(benchmark):
         benchmark, lambda: min_write_pulse(cell, 4, dvth_n_v=corners,
                                            n_probes=5, n_steps=48))
     benchmark.extra_info["pulse_widths_s"] = [float(w) for w in widths]
+    assert np.all(np.isfinite(widths))
+    assert np.all(np.diff(widths) >= 0.0)
+
+
+def test_bench_array_write_study(benchmark):
+    """Write trip plus the minimum write pulse on a 32-row column.
+
+    Both solve the written row alone (the driven bitlines decouple the
+    other rows), and the pulse search probes three bisection levels
+    per transient behind its exactness certificate.
+    """
+    cell = _cell()
+    corners = np.array(WRITE_CORNERS_V[::3] if QUICK else WRITE_CORNERS_V)
+    probes = {"n_probes": 5} if QUICK else {}
+
+    def study():
+        return (write_trip_voltage(cell, WRITE_ROWS, dvth_n_v=corners),
+                min_write_pulse(cell, WRITE_ROWS, dvth_n_v=corners,
+                                **probes))
+
+    trip, widths = run_once(benchmark, study)
+    benchmark.extra_info["trip_v"] = [float(v) for v in trip]
+    benchmark.extra_info["pulse_widths_s"] = [float(w) for w in widths]
+    assert np.all(np.isfinite(trip)) and np.all(np.diff(trip) < 0.0)
     assert np.all(np.isfinite(widths))
     assert np.all(np.diff(widths) >= 0.0)
 

@@ -107,11 +107,20 @@ class BatchTransientResult:
         same grid).
     voltages:
         node name -> waveforms [V], shape ``(t,) + batch_shape``.
+    rejected_steps:
+        Steps the shared controller rejected: a lane's Newton failed
+        (no convergence in ``max_iter`` sweeps, or a singular stacked
+        solve) or ``max_change_v`` tripped.  With none, the grid
+        depends only on ``t_stop_s`` and ``dt_s``, and every lane's
+        waveform is bitwise what it would be solved alone.  The
+        sequential oracle reports 0: its per-lane scalar controllers
+        share no grid.
     """
 
     time_s: FloatArray
     voltages: dict[str, FloatArray]
     batch_shape: tuple[int, ...]
+    rejected_steps: int = 0
 
     def at(self, node: str, time_s: float) -> FloatArray:
         """Linearly interpolated node voltages at ``time_s`` [s],
@@ -518,7 +527,8 @@ def solve_transient_batch(circuit: Circuit, t_stop_s: float, dt_s: float,
     the Newton step; ``stimulus``, ``initial`` and ``solver`` behave
     as in :func:`solve_dc_batch` (waveform stimuli may return per-lane
     arrays, which is how a binary search probes many pulse widths in
-    one transient).
+    one transient).  The result counts the rejected steps; with none,
+    every lane's waveform is bitwise what that lane gives solved alone.
     """
     validate_solver(solver)
     if t_stop_s <= 0.0 or dt_s <= 0.0:
@@ -559,6 +569,7 @@ def solve_transient_batch(circuit: Circuit, t_stop_s: float, dt_s: float,
     t = 0.0
     step = dt_s
     min_step = dt_s * dt_min_factor
+    rejected = 0
     while t < t_stop_s - 1e-18:
         step = min(step, t_stop_s - t)
         fixed = plan.at(t + step)
@@ -566,19 +577,20 @@ def solve_transient_batch(circuit: Circuit, t_stop_s: float, dt_s: float,
         x_try, conv, _ = _newton_batch(
             compiled, x.copy(), fixed, shift_n, shift_p, 0.0, prev_full,
             1.0 / step, rail, tol_v, max_iter)
-        if not bool(np.all(conv)):
-            if step <= min_step:
-                raise ConvergenceError(
-                    f"batched transient Newton left "
-                    f"{int(np.sum(~conv))} lane(s) unconverged at the "
-                    f"minimum step", iterations=len(times))
+        reject = not bool(np.all(conv))
+        if reject and step <= min_step:
+            raise ConvergenceError(
+                f"batched transient Newton left "
+                f"{int(np.sum(~conv))} lane(s) unconverged at the "
+                f"minimum step", iterations=len(times))
+        if not reject and max_change_v is not None and step > min_step:
+            change = float(np.max(np.abs(x_try - prev_full[:n])))
+            reject = change > max_change_v
+        if reject:
+            rejected += 1
+            perf.bump("circuit.mna.rejected_steps")
             step *= 0.5
             continue
-        if max_change_v is not None and step > min_step:
-            change = float(np.max(np.abs(x_try - prev_full[:n])))
-            if change > max_change_v:
-                step *= 0.5
-                continue
         t += step
         x = x_try
         prev_full = np.concatenate([x, fixed], axis=0)
@@ -594,6 +606,7 @@ def solve_transient_batch(circuit: Circuit, t_stop_s: float, dt_s: float,
         voltages={name: stacked[:, i].reshape(shape)
                   for i, name in enumerate(names)},
         batch_shape=batch_shape,
+        rejected_steps=rejected,
     )
 
 

@@ -18,8 +18,12 @@ compiled batched MNA engine:
   with height toward the pinned-bitline limit.
 * **write margins** — the DC bitline trip voltage, and an
   OpenNVRAM-style binary search for the minimum wordline pulse that
-  flips the cell, where every probe is one batched transient over all
-  variation corners.
+  flips the cell, where each transient probes up to three bisection
+  levels over all variation corners.  Ideal drivers pin both
+  bitlines during a write, so no other row shares an unknown with the
+  written one: write margins do not depend on the column height, and
+  both studies solve the written row alone.  The loading effect lives
+  in the leakage and read studies, whose bitlines float.
 
 Every solve runs through :func:`repro.circuit.mna_batch.solve_dc_batch`
 / :func:`solve_transient_batch`, so (ΔV_th,n, ΔV_th,p) corners are a
@@ -34,7 +38,7 @@ from typing import Sequence
 import numpy as np
 import numpy.typing as npt
 
-from ..errors import ParameterError
+from ..errors import ConvergenceError, ParameterError
 from .batch import validate_solver
 from .compile import CompiledCircuit, compile_circuit
 from .mna_batch import solve_dc_batch, solve_transient_batch
@@ -56,6 +60,12 @@ C_BL_PER_CELL_F = 0.2e-15
 #: of V_dd per leaking cell at the nominal access leakage, so a
 #: 32-row column shows a deep (strongly sub-linear) sag.
 KEEPER_DROP_PER_CELL = 0.02
+
+#: Bisection levels :func:`min_write_pulse` probes per transient: one
+#: lane per width those levels could ask for, 2**3 - 1 = 7 per corner.
+#: Two, three and four levels measured within noise of each other on
+#: the 32-row write study.
+_LEVELS_PER_TRANSIENT = 3
 
 
 @dataclass(frozen=True)
@@ -340,6 +350,67 @@ def read_snm_vs_height(cell: SramCell, heights: Sequence[int], *,
 # write margins
 
 
+def _written_row(cell: SramCell, n_rows: int) -> SramColumn:
+    """The one-row driven column a write study solves.
+
+    In the driven ``n_rows`` column, ``vbl``, ``vblb``, ``vdd``,
+    ground and every ``wl{i}`` are fixed nodes, and the keeper
+    resistors join two fixed nodes.  Row i's elements therefore touch
+    no unknown but ``q{i}`` and ``qb{i}``: the Jacobian is
+    block-diagonal by row, and only the written row's block reaches
+    the answer, so the other ``n_rows - 1`` rows are left out.  (A
+    full-column solve couples the rows only through Newton's step
+    norm, taken over all of a lane's unknowns; the idle rows hold
+    still, and tests/test_circuit_sram_array.py finds the full column
+    bitwise equal at 2, 4 and 32 rows.)  ``n_rows`` is still
+    validated as :func:`build_column` does.
+    """
+    if n_rows < 1:
+        raise ParameterError("need at least one row")
+    return build_column(cell, 1, stored=1, drive_bitlines=True)
+
+
+def _bisection_widths(lo: FloatArray, hi: FloatArray, levels: int
+                      ) -> FloatArray:
+    """Every width the next ``levels`` bisection levels could probe.
+
+    Shaped ``(2**levels - 1,) + lo.shape`` in heap order: node ``j``'s
+    children are ``2j + 1`` (the cell flipped, so the bracket keeps
+    its lower half) and ``2j + 2``.  Each width is the search's own
+    ``0.5 * (lo + hi)`` on its path's bracket, so it is bitwise the
+    width a one-level-per-transient search would probe there.
+    """
+    brackets = [(lo, hi)]
+    widths = []
+    for _ in range(levels):
+        below = []
+        for b_lo, b_hi in brackets:
+            mid = 0.5 * (b_lo + b_hi)
+            widths.append(mid)
+            below += [(b_lo, mid), (mid, b_hi)]
+        brackets = below
+    return np.stack(widths) if widths else np.empty((0,) + lo.shape)
+
+
+def _descend(lo: FloatArray, hi: FloatArray, widths: FloatArray,
+             flipped: npt.NDArray[np.bool_], levels: int
+             ) -> tuple[FloatArray, FloatArray]:
+    """Walk ``levels`` bisection levels through probed outcomes.
+
+    Each corner follows its own path through the heap of
+    :func:`_bisection_widths`, reading the outcome at every node it
+    reaches; nothing assumes the outcome is monotone in width.
+    """
+    node = np.zeros(np.shape(lo), dtype=np.intp)
+    for _ in range(levels):
+        mid = np.take_along_axis(widths, node[None], axis=0)[0]
+        went = np.take_along_axis(flipped, node[None], axis=0)[0]
+        hi = np.where(went, mid, hi)
+        lo = np.where(went, lo, mid)
+        node = 2 * node + np.where(went, 1, 2)
+    return lo, hi
+
+
 def write_trip_voltage(cell: SramCell, n_rows: int, *,
                        ramp_taus: float = 80.0, n_steps: int = 240,
                        dvth_n_v: object = 0.0, dvth_p_v: object = 0.0,
@@ -357,10 +428,15 @@ def write_trip_voltage(cell: SramCell, n_rows: int, *,
     voltage means an easier write.  ``dvth_n_v`` / ``dvth_p_v`` [v]
     broadcast as corners; lanes whose cell never flips report
     ``nan``.
+
+    The answer does not depend on ``n_rows`` (>= 1): both bitlines,
+    the rail, ground and every wordline are driven, so no other row
+    shares an unknown with the written one, and the written row is
+    solved alone.
     """
     validate_solver(solver)
     vdd = cell.vdd
-    column = build_column(cell, n_rows, stored=1, drive_bitlines=True)
+    column = _written_row(cell, n_rows)
     t_ramp = ramp_taus * flip_time_scale_s(cell)
 
     def vbl_ramp(t: float) -> float:
@@ -381,16 +457,34 @@ def min_write_pulse(cell: SramCell, n_rows: int, *,
                     dvth_p_v: object = 0.0, solver: str = "batch"
                     ) -> FloatArray:
     """Minimum wordline pulse width [s] that writes the cell, per
-    variation corner — an OpenNVRAM-style binary search where every
-    probe is **one** batched transient.
+    variation corner — an OpenNVRAM-style binary search over batched
+    transients.
 
     The cell stores '1', the bitline is driven low, and the selected
     wordline pulses high for a per-lane width; a lane succeeds when
     its cell has flipped once the pulse is gone.  ``t_max_s`` [s] is
     the search ceiling, defaulting to 40 flip time scales (lanes that
     cannot flip report ``nan``); ``dvth_n_v`` / ``dvth_p_v`` [v]
-    broadcast as corners.  The result is the surviving upper bracket,
-    within ``t_max_s / 2**n_probes`` of the true minimum.
+    broadcast as corners.  The result is the surviving upper bracket
+    after ``n_probes`` bisection levels.
+
+    Resolution: the wordline is sampled only at the backward-Euler
+    step ends, ``dt = 1.6 * t_max_s / n_steps``, so every width
+    between two step edges gives the same transient.  The answer is
+    therefore resolved to one step, not to ``t_max_s / 2**n_probes``:
+    where the bisection is finer than ``dt``, it is the first point
+    of the dyadic grid above the step edge that first writes the cell.
+
+    The answer does not depend on ``n_rows`` (>= 1), for the reason
+    :func:`write_trip_voltage` gives: the written row is solved alone.
+
+    Each transient probes up to three bisection levels: per corner,
+    every width those levels could ask for, one lane each (the first
+    also carries the ``t_max_s`` ceiling).  It is trusted only when
+    its shared step controller rejected no step; otherwise its levels
+    are probed again one transient each, as a one-level search would.
+    Either way every width and outcome, and so the result, is bitwise
+    the one-level-per-transient search's.
     """
     validate_solver(solver)
     if t_max_s is None:
@@ -398,32 +492,73 @@ def min_write_pulse(cell: SramCell, n_rows: int, *,
     if t_max_s <= 0.0:
         raise ParameterError("t_max_s must be positive")
     vdd = cell.vdd
-    column = build_column(cell, n_rows, stored=1, drive_bitlines=True)
+    column = _written_row(cell, n_rows)
     compiled = compile_circuit(column.circuit)
     shape = np.broadcast_shapes(np.shape(dvth_n_v), np.shape(dvth_p_v))
     t_start = 0.05 * t_max_s
     t_stop = 1.6 * t_max_s
     dt = t_stop / n_steps
 
-    def probe(widths: FloatArray) -> FloatArray:
+    def probe(widths: FloatArray) -> npt.NDArray[np.bool_] | None:
+        """Flipped per lane of ``widths`` (one row per probed width),
+        or None when a transient of several widths is not exact."""
         def wordline(t: float) -> FloatArray:
             on = (t >= t_start) & (t < t_start + widths)
             return np.where(on, vdd, 0.0)
 
-        result = solve_transient_batch(
-            column.circuit, t_stop, dt,
-            stimulus={"wl0": wordline, "vbl": 0.0},
-            dvth_n_v=dvth_n_v, dvth_p_v=dvth_p_v,
-            initial=column.seed(bl_v=0.0), solver=solver,
-            compiled=compiled)
+        speculative = widths.shape[0] > 1
+        try:
+            result = solve_transient_batch(
+                column.circuit, t_stop, dt,
+                stimulus={"wl0": wordline, "vbl": 0.0},
+                dvth_n_v=dvth_n_v, dvth_p_v=dvth_p_v,
+                initial=column.seed(bl_v=0.0), solver=solver,
+                compiled=compiled)
+        except ConvergenceError:
+            if speculative:
+                return None
+            raise
+        if speculative and result.rejected_steps:
+            return None
         return result.voltages["q0"][-1] < 0.5 * vdd
 
     lo = np.zeros(shape)
     hi = np.full(shape, t_max_s)
-    writable = probe(hi)
-    for _ in range(n_probes):
-        mid = 0.5 * (lo + hi)
-        flipped = probe(mid)
-        hi = np.where(flipped, mid, hi)
-        lo = np.where(flipped, lo, mid)
+    writable = None
+    level = 0
+    singles = 0  # steps left to probe one transient each
+    while writable is None or level < n_probes:
+        ceiling = writable is None
+        if singles:
+            levels = 0 if ceiling else 1
+        else:
+            levels = min(_LEVELS_PER_TRANSIENT, n_probes - level)
+        widths = _bisection_widths(lo, hi, levels)
+        if ceiling:
+            widths = np.concatenate([hi[None], widths])
+        flipped = probe(widths)
+        if flipped is None:
+            # A rejected step (or a Newton failure at the minimum step)
+            # cut the grid for every lane, so one lane may have moved
+            # another's outcome: redo these steps (the ceiling, then
+            # each level) one transient each.
+            singles = int(ceiling) + levels
+            continue
+        # No step was rejected, so the grid is the fixed one every
+        # one-level probe of these levels runs on.  Each lane's
+        # arithmetic is then its own: the device kernel is elementwise,
+        # the sparse stamps act column by column, the stacked LU
+        # factors each lane's matrix alone, and damping, the
+        # convergence test and the active set are per lane.  The t = 0
+        # hold state does not depend on the width (the pulse starts at
+        # 0.05 t_max > 0), so its DC solve raises alike either way.  A
+        # one-level probe runs a subset of these lanes on the same
+        # grid, so by induction over steps it rejects nothing either,
+        # and its outcomes are bitwise the ones read here.
+        if ceiling:
+            writable, flipped = flipped[0], flipped[1:]
+            widths = widths[1:]
+        lo, hi = _descend(lo, hi, widths, flipped, levels)
+        level += levels
+        singles = max(singles - 1, 0)
     return np.asarray(np.where(writable, hi, np.nan))

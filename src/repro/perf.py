@@ -96,6 +96,10 @@ Counter names in use
     together.
 ``circuit.mna.transient_steps``
     Accepted backward-Euler steps of the batched transient engine.
+``circuit.mna.rejected_steps``
+    Steps the batched transient's shared controller rejected and
+    halved (a lane's Newton failed, or ``max_change_v`` tripped) —
+    how often one lane cut the grid for every lane.
 ``circuit.mna.sequential_solves``
     Per-lane scalar NodalSolver solves run by the sequential oracle.
 
@@ -156,6 +160,7 @@ KNOWN_COUNTERS: frozenset[str] = frozenset({
     "circuit.mna.total_lanes",
     "circuit.mna.device_evals",
     "circuit.mna.transient_steps",
+    "circuit.mna.rejected_steps",
     "circuit.mna.sequential_solves",
 })
 

@@ -64,5 +64,31 @@ def test_untracked_files_count(bench_record, repo):
     assert bench_record.git_sha(repo) != first
 
 
+def test_recorder_outputs_are_not_dirt(bench_record, repo):
+    def git(*args):
+        subprocess.run(["git", *args], cwd=repo, check=True,
+                       capture_output=True)
+    (repo / "BENCH_kernels.json").write_text("{}\n")
+    (repo / "BENCH_history.jsonl").write_text("{}\n")
+    git("add", "BENCH_kernels.json", "BENCH_history.jsonl")
+    git("commit", "-q", "-m", "record")
+    clean = bench_record.git_sha(repo)
+    assert "-dirty-" not in clean
+    # A recording run rewrites its summary, appends to the history and
+    # may write a new suite's summary: the stamp stays the bare SHA.
+    (repo / "BENCH_kernels.json").write_text('{"mean_s": 1}\n')
+    (repo / "BENCH_history.jsonl").write_text("{}\n{}\n")
+    (repo / "BENCH_arrays.json").write_text("{}\n")
+    assert bench_record.git_sha(repo) == clean
+    # Any other edit still stamps dirty, with a digest the recorder's
+    # outputs do not enter.
+    (repo / "bench.py").write_text("x = 2\n")
+    edited = bench_record.git_sha(repo)
+    assert edited.startswith(f"{clean}-dirty-")
+    (repo / "BENCH_kernels.json").write_text("{}\n")
+    (repo / "BENCH_arrays.json").unlink()
+    assert bench_record.git_sha(repo) == edited
+
+
 def test_outside_a_checkout_is_none(bench_record, tmp_path):
     assert bench_record.git_sha(tmp_path) is None

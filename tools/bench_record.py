@@ -99,6 +99,10 @@ REGRESSION_FACTOR = 2.0
 #: Rolling trajectory log appended to by ``--history``.
 HISTORY_FILE = "BENCH_history.jsonl"
 
+#: git pathspecs leaving out the recorder's own outputs, which every
+#: recording run rewrites: they are not edits to the code it measured.
+OWN_OUTPUTS = (":(exclude)BENCH_*.json", f":(exclude){HISTORY_FILE}")
+
 
 def run_benches(json_path: pathlib.Path, targets: tuple[str, ...]) -> None:
     """Run the bench selection, writing pytest-benchmark JSON."""
@@ -184,7 +188,10 @@ def git_sha(root: pathlib.Path = REPO_ROOT) -> str | None:
     numbers then belong to that commit plus the working-tree edits, and
     the digest (of ``git diff HEAD`` plus the untracked files' names
     and contents) tells runs on different edits of one commit apart.
-    A clean tree keeps the bare SHA.
+    A clean tree keeps the bare SHA.  The recorder's own outputs
+    (``BENCH_*.json``, ``BENCH_history.jsonl``) count as neither dirt
+    nor digest, so suites recorded back to back on one clean checkout
+    all stamp the bare SHA.
     """
     def git(*args: str) -> bytes:
         return subprocess.run(["git", *args], cwd=root, check=True,
@@ -192,8 +199,9 @@ def git_sha(root: pathlib.Path = REPO_ROOT) -> str | None:
 
     try:
         sha = git("describe", "--always", "--abbrev=7").decode().strip()
-        diff = git("diff", "HEAD", "--binary")
-        untracked = git("ls-files", "--others", "--exclude-standard", "-z")
+        diff = git("diff", "HEAD", "--binary", "--", ".", *OWN_OUTPUTS)
+        untracked = git("ls-files", "--others", "--exclude-standard", "-z",
+                        "--", ".", *OWN_OUTPUTS)
     except (OSError, subprocess.CalledProcessError):
         return None
     if not sha or not (diff or untracked):
