@@ -1,17 +1,12 @@
 """Benches: the vectorised circuit-evaluation layer.
 
-Batched VTC/SNM extraction (one inverter, and a stack of designs) and
-array-native Monte Carlo, each paired
-with its sequential (scalar-oracle) counterpart so ``BENCH_circuits.json``
-records the before/after of the vectorisation.  The sequential Monte
-Carlo oracles are the slow half; set ``REPRO_BENCH_QUICK=1`` (the CI
-quick mode) to skip them.
+Batched VTC/SNM extraction (one inverter, and a stack of designs), the
+tail-heavy DVS supply solve and the skewed-corner device stack, each
+paired with its sequential (scalar-oracle) counterpart so
+``BENCH_circuits.json`` records the before/after of the vectorisation.
 """
 
-import os
-
 import numpy as np
-import pytest
 from conftest import run_once
 
 from repro import perf
@@ -23,11 +18,6 @@ from repro.circuit.dvs import (chain_rate_hz, vdd_for_throughput,
 from repro.device import nfet, pfet
 from repro.device.corners import Corner, at_corner, corner_grid
 from repro.experiments.families import SUB_VTH_SUPPLY, super_vth_family
-from repro.variability import delay_distribution, snm_distribution
-
-QUICK = os.environ.get("REPRO_BENCH_QUICK") == "1"
-slow = pytest.mark.skipif(
-    QUICK, reason="sequential oracle skipped in quick mode")
 
 
 def _build_inverter(vdd=0.25):
@@ -91,34 +81,6 @@ def test_bench_snm_per_design_loop(benchmark):
 
     snm = run_once(benchmark, loop)
     assert np.array_equal(noise_margins_batch(inverters).snm, snm)
-
-
-def test_bench_snm_mc100_batch(benchmark):
-    inv = _build_inverter()
-    mc = run_once(benchmark, snm_distribution, inv, 100)
-    assert mc.mean > 0.0
-
-
-@slow
-def test_bench_snm_mc100_sequential(benchmark):
-    inv = _build_inverter()
-    mc = run_once(benchmark, snm_distribution, inv, 100,
-                  solver="sequential")
-    assert mc.mean > 0.0
-
-
-def test_bench_delay_mc200_batch(benchmark):
-    inv = _build_inverter()
-    mc = run_once(benchmark, delay_distribution, inv, 200)
-    assert mc.mean > 0.0
-
-
-@slow
-def test_bench_delay_mc200_sequential(benchmark):
-    inv = _build_inverter()
-    mc = run_once(benchmark, delay_distribution, inv, 200,
-                  solver="sequential")
-    assert mc.mean > 0.0
 
 
 # -- tail-heavy DVS supply solve --------------------------------------------

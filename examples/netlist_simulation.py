@@ -1,23 +1,20 @@
 """SPICE-style netlist simulation with the built-in nodal solver.
 
-Three mini-studies on the 32nm sub-V_th devices, all through the
+Two mini-studies on the 32nm sub-V_th devices, both through the
 general-purpose netlist/MNA engine (rather than the specialised
 inverter solvers):
 
 1. a 5-stage ring oscillator — transient simulation, measured
    frequency vs the analytic estimate;
 2. an SRAM latch write — drive the cell to the opposite state through
-   an access transistor and watch it regenerate;
-3. a logical-effort-sized buffer chain driving a large load — the
-   sized chain beats the naive single-gate driver.
+   an access transistor and watch it regenerate.
 
 Run:  python examples/netlist_simulation.py   (~30 s)
 """
 
 import numpy as np
 
-from repro.circuit import Circuit, NodalSolver, RingOscillator
-from repro.circuit.logical_effort import best_stage_count, size_path
+from repro.circuit import Circuit, NodalSolver, analytic_delay
 from repro.scaling import build_sub_vth_family
 from repro.units import format_quantity
 
@@ -36,8 +33,10 @@ def ring_oscillator_study(design) -> None:
                        n_dev, p_dev)
         c.add_capacitor(f"cl{i}", nodes[(i + 1) % 5], "0", c_load)
 
-    estimate = RingOscillator(design.inverter(VDD), n_stages=5)
-    t_est = 1.0 / estimate.frequency_hz()
+    inv = design.inverter(VDD)
+    # 1 / (2 N t_p) with the analytic FO1 stage delay.
+    f_est = 1.0 / (2 * 5 * analytic_delay(inv, inv.load_capacitance(fanout=1)))
+    t_est = 1.0 / f_est
     seed = {f"n{i}": (0.0 if i % 2 == 0 else VDD) for i in range(5)}
     result = NodalSolver(c).solve_transient(
         6.0 * t_est, t_est / 60.0, initial=seed,
@@ -51,7 +50,7 @@ def ring_oscillator_study(design) -> None:
         print(f"measured frequency : "
               f"{format_quantity(1.0 / period, 'Hz')}")
     print(f"analytic estimate  : "
-          f"{format_quantity(estimate.frequency_hz(), 'Hz')} "
+          f"{format_quantity(f_est, 'Hz')} "
           "(FO1 model; the netlist adds explicit wire load)")
     print()
 
@@ -87,26 +86,10 @@ def sram_write_study(design) -> None:
     print()
 
 
-def buffer_sizing_study(design) -> None:
-    print("== Driving a 100x load: logical-effort sizing ==")
-    inv = design.inverter(VDD)
-    total_effort = 100.0
-    naive = size_path(inv, ["inv"], total_effort)
-    n_opt, _delay = best_stage_count(inv, total_effort)
-    sized = size_path(inv, ["inv"] * n_opt, total_effort)
-    print(f"single stage       : {format_quantity(naive.delay_s, 's')}")
-    print(f"{n_opt}-stage sized chain: "
-          f"{format_quantity(sized.delay_s, 's')} "
-          f"({naive.delay_s / sized.delay_s:.1f}x faster)")
-    print(f"stage sizes        : "
-          + " : ".join(f"{s:.1f}" for s in sized.relative_sizes))
-
-
 def main() -> None:
     design = build_sub_vth_family().design("32nm")
     ring_oscillator_study(design)
     sram_write_study(design)
-    buffer_sizing_study(design)
 
 
 if __name__ == "__main__":

@@ -1,7 +1,6 @@
-"""Analysis utilities: sweeps, series, tables, reports and provenance."""
+"""Analysis utilities: series, tables, reports and provenance."""
 
 from .series import Series
-from .sweep import sweep_1d, sweep_grid
 from .tables import render_table, format_sig
 from .report import Comparison, ExperimentResult
 from .plotting import render_ascii_chart, sparkline
@@ -9,8 +8,6 @@ from .manifest import RunManifest, RunRecord, current_git_sha
 
 __all__ = [
     "Series",
-    "sweep_1d",
-    "sweep_grid",
     "render_table",
     "format_sig",
     "Comparison",

@@ -4,8 +4,8 @@ The paper's circuit evidence is built from CMOS inverters: a single
 inverter for static noise margins (Fig. 4/10), an FO1-loaded inverter
 for delay (Fig. 5/11), and a 30-stage inverter chain with activity
 factor 0.1 for energy and V_min (Fig. 6/12).  This package implements
-those testbenches on top of the compact device models, plus SRAM and
-ring-oscillator extensions.
+those testbenches on top of the compact device models, plus SRAM,
+gate-netlist and DVS extensions.
 """
 
 from .batch import (
@@ -29,17 +29,10 @@ from .energy import (
     find_vmin,
 )
 from .chain import InverterChain
-from .ring_oscillator import RingOscillator
 from .sram import SramCell, hold_snm, read_snm
-from .gates import EquivalentGate, nand2, nor2
-from .vmin_model import vmin_closed_form, k_vmin
 from .netlist import Circuit, GROUND
 from .mna import NodalSolver, DCResult, TransientResult
 from .analytic_vtc import vin_of_vout_matched, analytic_snm_matched
-from .wires import WireModel
-from .logical_effort import size_path, best_stage_count
-from .level_shifter import LevelShifter, min_convertible_vdd
-from .cell_library import CellLibrary, characterise_design
 from .dvs import energy_per_cycle_at_throughput, dvs_range
 
 __all__ = [
@@ -65,15 +58,9 @@ __all__ = [
     "find_vmin",
     "VminResult",
     "InverterChain",
-    "RingOscillator",
     "SramCell",
     "hold_snm",
     "read_snm",
-    "EquivalentGate",
-    "nand2",
-    "nor2",
-    "vmin_closed_form",
-    "k_vmin",
     "Circuit",
     "GROUND",
     "NodalSolver",
@@ -81,13 +68,6 @@ __all__ = [
     "TransientResult",
     "vin_of_vout_matched",
     "analytic_snm_matched",
-    "WireModel",
-    "size_path",
-    "best_stage_count",
-    "LevelShifter",
-    "min_convertible_vdd",
-    "CellLibrary",
-    "characterise_design",
     "energy_per_cycle_at_throughput",
     "dvs_range",
 ]

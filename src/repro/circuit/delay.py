@@ -82,11 +82,10 @@ def analytic_delay_batch(inverter: Inverter, dvth_n=0.0, dvth_p=0.0,
     ``vdd`` [V] broadcasts with the offsets and defaults to the
     inverter's supply.  The load is the *unperturbed* inverter's FO1
     load at each element's supply unless ``c_load_f`` [f] (a scalar or
-    an array broadcasting likewise) overrides it (matching
-    ``delay_distribution``).  The supply enters Eq. 4 only through
-    ``V_gs = V_ds = V_dd`` and the load, so each distinct supply is one
-    scalar-supply I-V evaluation over its elements' offsets.  Scalar
-    inputs return a float.
+    an array broadcasting likewise) overrides it.  The supply enters
+    Eq. 4 only through ``V_gs = V_ds = V_dd`` and the load, so each
+    distinct supply is one scalar-supply I-V evaluation over its
+    elements' offsets.  Scalar inputs return a float.
     """
     if k_d <= 0.0:
         raise ParameterError("k_d must be positive")

@@ -1,8 +1,7 @@
 """Transistor-level gate netlists for the batched MNA engine.
 
-:mod:`repro.circuit.gates` reduces NAND/NOR to an *equivalent
-inverter* — a first-order analytic stand-in.  This module builds the
-real topologies (series stacks, parallel pull-ups, transmission-gate
+An *equivalent inverter* is only a first-order analytic stand-in for
+a NAND or NOR gate.  This module builds the real topologies (series stacks, parallel pull-ups, transmission-gate
 muxes) as :class:`~repro.circuit.netlist.Circuit` objects and
 characterises them with :mod:`repro.circuit.mna_batch`, so input
 vectors and (ΔV_th,n, ΔV_th,p) variation corners are batch lanes of

@@ -18,8 +18,7 @@ columns and transistor-level gates for both 32nm scaling flows:
   every corner one batch lane;
 * **the stacking effect** at the gate level: a NAND2 with both inputs
   low leaks less than with either input alone, a second-order effect
-  the equivalent-inverter reduction of :mod:`repro.circuit.gates`
-  cannot represent.
+  an equivalent-inverter reduction cannot represent.
 """
 
 from __future__ import annotations

@@ -38,9 +38,8 @@ from ..findings import Finding
 _VOLTAGE_RE = VOLTAGE_NAME_RE
 
 #: Bare names that are genuinely dimensionless or solver plumbing.
-#: ``margin`` is dimensionless at both call sites (a current ratio in
-#: sram, a fraction of the rail in level_shifter); ``m`` is the paper's
-#: body-effect/slope coefficient.
+#: ``margin`` is dimensionless at its call site (a current ratio in
+#: sram); ``m`` is the paper's body-effect/slope coefficient.
 DIMENSIONLESS = frozenset({
     "activity", "fanout", "fanin", "gain", "xtol", "rtol", "atol", "tol",
     "alpha", "beta", "gamma", "eta", "weight", "q", "u",

@@ -14,18 +14,13 @@ package is the single implementation all batched engines now call:
   stops on step size (the inverter VTC balance, whose slope the
   closed-form device kernel returns with the currents).
 
-Two properties distinguish it from the loops it replaced:
-
-1. **Active-set compression**: each sweep *gathers* the unconverged
-   lanes (``numpy.flatnonzero``) and hands the residual callback only
-   the live subset, instead of evaluating every lane under a mask.
-   On tail-heavy stacks most lanes retire early and stop costing
-   device physics.  Per-lane arithmetic is unchanged — every residual
-   in this repository is elementwise — so gathered and masked paths
-   agree bitwise.
-2. **Array-namespace seam**: the solvers resolve their array module
-   from the operands (``__array_namespace__`` duck typing, numpy
-   default) so a cupy/jax backend drops in without touching callers.
+What distinguishes it from the loops it replaced is **active-set
+compression**: each sweep *gathers* the unconverged lanes
+(``numpy.flatnonzero``) and hands the residual callback only the live
+subset, instead of evaluating every lane under a mask.  On tail-heavy
+stacks most lanes retire early and stop costing device physics.
+Per-lane arithmetic is unchanged — every residual in this repository
+is elementwise — so gathered and masked paths agree bitwise.
 
 Residual callbacks receive ``(x, idx)``: the gathered abscissae and
 the integer indices of the lanes they belong to, so closures can slice
@@ -36,7 +31,6 @@ record lanes evaluated vs lanes carried per sweep; their ratio is the
 measured compression (see the provenance footers in docs/RESULTS.md).
 """
 
-from .backend import array_namespace, gather, scatter
 from .rootsolve import (
     BracketResult,
     bisect_illinois,
@@ -45,9 +39,6 @@ from .rootsolve import (
 )
 
 __all__ = [
-    "array_namespace",
-    "gather",
-    "scatter",
     "BracketResult",
     "bisect_illinois",
     "bisect_masked",

@@ -34,8 +34,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .. import perf
-from .backend import array_namespace, as_float_copy, flatnonzero, scatter
 
 __all__ = ["BracketResult", "bisect_masked", "bisect_illinois",
            "newton_safeguarded"]
@@ -68,8 +69,8 @@ def _lane_count(idx) -> int:
 
 
 def bisect_masked(residual, lo, hi, *, xtol: float,
-                  max_sweeps: int | None = None, sweep_counter: str | None = None,
-                  xp=None):
+                  max_sweeps: int | None = None,
+                  sweep_counter: str | None = None):
     """Gathered bisection on monotone-increasing per-lane residuals.
 
     ``lo`` / ``hi`` are 1-D bracket arrays; each bracket must contain
@@ -79,26 +80,25 @@ def bisect_masked(residual, lo, hi, *, xtol: float,
     ``sweep_counter`` names an optional perf counter bumped once per
     executed sweep, preserving the retired callers' counter semantics.
     """
-    xp = array_namespace(lo, hi, xp=xp)
-    lo = as_float_copy(xp, lo)
-    hi = as_float_copy(xp, hi)
+    lo = np.array(lo, dtype=float, copy=True)
+    hi = np.array(hi, dtype=float, copy=True)
     n = _lane_count(lo)
     if max_sweeps is None:
-        max_width = float(xp.max(hi - lo)) if n else 0.0
+        max_width = float(np.max(hi - lo)) if n else 0.0
         max_sweeps = max(int(math.ceil(math.log2(
             max(max_width, xtol) / xtol))) + 2, 1)
-    idx = flatnonzero(xp, (hi - lo) > xtol)
+    idx = np.flatnonzero((hi - lo) > xtol)
     for _ in range(max_sweeps):
         live = _lane_count(idx)
         if not live:
             break
         mid = 0.5 * (lo[idx] + hi[idx])
         neg = residual(mid, idx) < 0.0
-        neg_i = flatnonzero(xp, neg)
-        pos_i = flatnonzero(xp, ~neg)
-        lo = scatter(lo, idx[neg_i], mid[neg_i])
-        hi = scatter(hi, idx[pos_i], mid[pos_i])
-        idx = idx[flatnonzero(xp, (hi[idx] - lo[idx]) > xtol)]
+        neg_i = np.flatnonzero(neg)
+        pos_i = np.flatnonzero(~neg)
+        lo[idx[neg_i]] = mid[neg_i]
+        hi[idx[pos_i]] = mid[pos_i]
+        idx = idx[np.flatnonzero((hi[idx] - lo[idx]) > xtol)]
         perf.bump("numerics.total_lanes", n)
         perf.bump("numerics.active_lanes", live)
         if sweep_counter is not None:
@@ -110,7 +110,7 @@ def bisect_illinois(residual, lo, hi, *, xtol: float,
                     ends: tuple | None = None,
                     warmup_sweeps: int = 0,
                     max_sweeps: int = MAX_SWEEPS_DEFAULT,
-                    sweep_counter: str | None = None, xp=None
+                    sweep_counter: str | None = None
                     ) -> BracketResult:
     """Bracketing solve: bisection, then Illinois polish.
 
@@ -141,26 +141,25 @@ def bisect_illinois(residual, lo, hi, *, xtol: float,
     rule is the bracket width, ``hi - lo <= xtol``.  Counter
     ``numerics.tolerance_steps`` counts the lanes that took one.
     """
-    xp = array_namespace(lo, hi, xp=xp)
-    lo = as_float_copy(xp, lo)
-    hi = as_float_copy(xp, hi)
+    lo = np.array(lo, dtype=float, copy=True)
+    hi = np.array(hi, dtype=float, copy=True)
     n = _lane_count(lo)
     if ends is None:
-        all_lanes = xp.arange(n)
+        all_lanes = np.arange(n)
         r_lo = residual(lo, all_lanes)
         r_hi = residual(hi, all_lanes)
     else:
         r_lo, r_hi = ends
-    rl = as_float_copy(xp, r_lo)
-    rh = as_float_copy(xp, r_hi)
+    rl = np.array(r_lo, dtype=float, copy=True)
+    rh = np.array(r_hi, dtype=float, copy=True)
 
     feasible = (rl <= 0.0) & (rh >= 0.0)
     # Illinois side memory: +1 / -1 when the last two updates replaced
     # the same bracket end, which triggers the residual-halving trick.
-    side = xp.zeros(n, dtype=xp.int8)
+    side = np.zeros(n, dtype=np.int8)
     # Lanes whose last step was a tolerance step (never two in a row).
-    stepped = xp.zeros(n, dtype=bool)
-    idx = flatnonzero(xp, feasible & ((hi - lo) > xtol))
+    stepped = np.zeros(n, dtype=bool)
+    idx = np.flatnonzero(feasible & ((hi - lo) > xtol))
     sweeps = 0
     while _lane_count(idx) and sweeps < max_sweeps:
         live = _lane_count(idx)
@@ -172,34 +171,34 @@ def bisect_illinois(residual, lo, hi, *, xtol: float,
         if sweeps >= warmup_sweeps:
             denom = rh_a - rl_a
             falsi = ((lo_a * rh_a - hi_a * rl_a)
-                     / xp.where(denom == 0, 1.0, denom))
-            use = ((denom != 0) & xp.isfinite(falsi)
+                     / np.where(denom == 0, 1.0, denom))
+            use = ((denom != 0) & np.isfinite(falsi)
                    & (falsi > lo_a) & (falsi < hi_a))
-            near = xp.where(xp.abs(rl_a) <= xp.abs(rh_a),
+            near = np.where(np.abs(rl_a) <= np.abs(rh_a),
                             lo_a + 0.5 * xtol, hi_a - 0.5 * xtol)
             fresh = ~stepped[idx]  # no tolerance step on the last sweep
             step = fresh & ~use & (near > lo_a) & (near < hi_a)
-            x = xp.where(use & fresh, falsi, xp.where(step, near, mid))
-            stepped = scatter(stepped, idx, step)
-            perf.bump("numerics.tolerance_steps", int(xp.sum(step)))
+            x = np.where(use & fresh, falsi, np.where(step, near, mid))
+            stepped[idx] = step
+            perf.bump("numerics.tolerance_steps", int(np.sum(step)))
         r = residual(x, idx)
         move_lo = r < 0.0
         move_hi = ~move_lo
         # Illinois: halve the retained end's residual when the same end
         # survives twice in a row, preventing false-position stagnation.
-        rh_a = xp.where(move_lo & (side_a == 1), 0.5 * rh_a, rh_a)
-        rl_a = xp.where(move_hi & (side_a == -1), 0.5 * rl_a, rl_a)
-        side_a = xp.astype(xp.where(move_lo, 1, -1), xp.int8)
-        lo_a = xp.where(move_lo, x, lo_a)
-        rl_a = xp.where(move_lo, r, rl_a)
-        hi_a = xp.where(move_hi, x, hi_a)
-        rh_a = xp.where(move_hi, r, rh_a)
-        lo = scatter(lo, idx, lo_a)
-        hi = scatter(hi, idx, hi_a)
-        rl = scatter(rl, idx, rl_a)
-        rh = scatter(rh, idx, rh_a)
-        side = scatter(side, idx, side_a)
-        idx = idx[flatnonzero(xp, (hi_a - lo_a) > xtol)]
+        rh_a = np.where(move_lo & (side_a == 1), 0.5 * rh_a, rh_a)
+        rl_a = np.where(move_hi & (side_a == -1), 0.5 * rl_a, rl_a)
+        side_a = np.where(move_lo, 1, -1).astype(np.int8)
+        lo_a = np.where(move_lo, x, lo_a)
+        rl_a = np.where(move_lo, r, rl_a)
+        hi_a = np.where(move_hi, x, hi_a)
+        rh_a = np.where(move_hi, r, rh_a)
+        lo[idx] = lo_a
+        hi[idx] = hi_a
+        rl[idx] = rl_a
+        rh[idx] = rh_a
+        side[idx] = side_a
+        idx = idx[np.flatnonzero((hi_a - lo_a) > xtol)]
         sweeps += 1
         perf.bump("numerics.total_lanes", n)
         perf.bump("numerics.active_lanes", live)
@@ -212,7 +211,7 @@ def bisect_illinois(residual, lo, hi, *, xtol: float,
 
 def newton_safeguarded(residual_jacobian, lo, hi, *, xtol: float,
                        x0=None, max_sweeps: int = MAX_SWEEPS_DEFAULT,
-                       sweep_counter: str | None = None, xp=None):
+                       sweep_counter: str | None = None):
     """Safeguarded Newton (``rtsafe``) over a stack of lanes.
 
     ``residual_jacobian(x, idx)`` returns ``(r, dr)`` for the gathered
@@ -238,16 +237,15 @@ def newton_safeguarded(residual_jacobian, lo, hi, *, xtol: float,
     balance of :func:`repro.circuit.solve_vtc_batch`); the bisection
     solvers remain the right tool for derivative-free residuals.
     """
-    xp = array_namespace(lo, hi, xp=xp)
-    lo = as_float_copy(xp, lo)
-    hi = as_float_copy(xp, hi)
+    lo = np.array(lo, dtype=float, copy=True)
+    hi = np.array(hi, dtype=float, copy=True)
     n = _lane_count(lo)
     x = 0.5 * (lo + hi)
     if x0 is not None:
-        start = as_float_copy(xp, x0)
-        x = xp.where((start > lo) & (start < hi), start, x)
+        start = np.array(x0, dtype=float, copy=True)
+        x = np.where((start > lo) & (start < hi), start, x)
     step = hi - lo
-    idx = flatnonzero(xp, (hi - lo) > xtol)
+    idx = np.flatnonzero((hi - lo) > xtol)
     for _ in range(max_sweeps):
         live = _lane_count(idx)
         if not live:
@@ -255,20 +253,20 @@ def newton_safeguarded(residual_jacobian, lo, hi, *, xtol: float,
         x_a = x[idx]
         r, dr = residual_jacobian(x_a, idx)
         move_lo = r < 0.0
-        lo_a = xp.where(move_lo, x_a, lo[idx])
-        hi_a = xp.where(move_lo, hi[idx], x_a)
-        slope_ok = xp.isfinite(dr) & (dr != 0)
-        newton = x_a - r / xp.where(slope_ok, dr, 1.0)
+        lo_a = np.where(move_lo, x_a, lo[idx])
+        hi_a = np.where(move_lo, hi[idx], x_a)
+        slope_ok = np.isfinite(dr) & (dr != 0)
+        newton = x_a - r / np.where(slope_ok, dr, 1.0)
         use = (slope_ok & (newton >= lo_a) & (newton <= hi_a)
-               & (2.0 * xp.abs(newton - x_a) <= xp.abs(step[idx])))
-        x_new = xp.where(use, newton, 0.5 * (lo_a + hi_a))
+               & (2.0 * np.abs(newton - x_a) <= np.abs(step[idx])))
+        x_new = np.where(use, newton, 0.5 * (lo_a + hi_a))
         step_a = x_new - x_a
-        x = scatter(x, idx, x_new)
-        step = scatter(step, idx, step_a)
-        lo = scatter(lo, idx, lo_a)
-        hi = scatter(hi, idx, hi_a)
-        idx = idx[flatnonzero(xp, (xp.abs(step_a) > xtol)
-                              & ((hi_a - lo_a) > xtol))]
+        x[idx] = x_new
+        step[idx] = step_a
+        lo[idx] = lo_a
+        hi[idx] = hi_a
+        idx = idx[np.flatnonzero((np.abs(step_a) > xtol)
+                                 & ((hi_a - lo_a) > xtol))]
         perf.bump("numerics.total_lanes", n)
         perf.bump("numerics.active_lanes", live)
         if sweep_counter is not None:

@@ -1,25 +1,14 @@
-"""Variability extension: random dopant fluctuation and Monte Carlo.
+"""Variability extension: random dopant fluctuation and rare-event yield.
 
 The paper's introduction notes that "timing variability grows
 dramatically as V_dd reduces, forcing the adoption of pessimistic
 design practices".  This extension quantifies that observation for
-both scaling strategies: RDF-induced sigma(V_th) per device, and Monte
-Carlo distributions of sub-V_th delay and SNM.
+both scaling strategies: RDF-induced sigma(V_th) per device, and
+rare-event cell failure rates (delay exceedance and SNM collapse)
+from scrambled-Sobol' QMC and importance sampling.
 """
 
 from .rdf import rdf_sigma_vth, avt_coefficient
-from .montecarlo import (
-    MonteCarloResult,
-    sample_vth_offsets,
-    delay_distribution,
-    snm_distribution,
-)
-from .yield_model import (
-    TimingMarginReport,
-    timing_margin,
-    gate_log_delay_sigma,
-    path_log_delay_sigma,
-)
 from .sampler import (
     SobolNormalStream,
     PseudoNormalStream,
@@ -43,14 +32,6 @@ from .tails import (
 __all__ = [
     "rdf_sigma_vth",
     "avt_coefficient",
-    "MonteCarloResult",
-    "sample_vth_offsets",
-    "delay_distribution",
-    "snm_distribution",
-    "TimingMarginReport",
-    "timing_margin",
-    "gate_log_delay_sigma",
-    "path_log_delay_sigma",
     "SobolNormalStream",
     "PseudoNormalStream",
     "qmc_vth_offsets",

@@ -1,7 +1,7 @@
 """Seeded, chunk-invariant V_th offset sample streams (MC and QMC).
 
-The rare-event estimator needs two properties the ad-hoc
-``sample_vth_offsets`` helper cannot give it:
+The rare-event estimator needs two properties that one seeded
+``rng.normal`` draw per device cannot give it:
 
 * **index addressing** — trial ``i`` of a stream must be the same
   numbers whether the stream is evaluated in one array of 10^5 trials
@@ -22,8 +22,7 @@ block, so block ``k`` is independent of how many trials were drawn
 before it.
 
 Scrambling/entropy flows are all spawned from one root seed
-(``np.random.SeedSequence(seed).spawn(...)``), mirroring the
-per-device split of :func:`repro.variability.montecarlo.sample_vth_offsets`.
+(``np.random.SeedSequence(seed).spawn(...)``).
 """
 
 from __future__ import annotations
@@ -221,10 +220,8 @@ def qmc_vth_offsets(inverter: Inverter, n_trials: int, seed: int = 2007,
                     replicate: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Scrambled-Sobol' (NFET, PFET) V_th offset pairs [V].
 
-    Drop-in alternative to
-    :func:`repro.variability.montecarlo.sample_vth_offsets`: the same
-    ``(offs_n, offs_p)`` contract, but the pairs are a low-discrepancy
-    set, so Monte Carlo summaries converge faster in ``n_trials``
+    The pairs are a low-discrepancy set, so Monte Carlo summaries
+    converge faster in ``n_trials`` than with pseudo-random draws
     (keep it a power of two for the Sobol' balance guarantee).  The
     offsets scale the devices' RDF sigmas; the underlying
     standard-normal stream is :class:`SobolNormalStream`.

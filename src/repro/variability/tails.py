@@ -2,8 +2,8 @@
 
 This is the product-facing face of the rare-event engine: a
 million-cell subthreshold memory ships on its *per-cell* failure
-probability at 5-6 sigma, far beyond what the brute-force Monte Carlo
-of :mod:`repro.variability.montecarlo` can resolve.  The module wires
+probability at 5-6 sigma, far beyond what brute-force Monte Carlo
+can resolve.  The module wires
 the two physical failure modes of the paper's variability story into
 the importance-sampling estimator of
 :mod:`repro.variability.importance`:

@@ -1,13 +1,15 @@
-"""Quasi-static MOS C-V simulation.
+"""Quasi-static MOS C-V simulation: the test oracle for gate capacitance.
 
 The low-frequency gate capacitance is the derivative of the total
 semiconductor sheet charge with respect to gate voltage, in series with
 nothing (the oxide is included through the boundary condition).  This
 module computes C_gg(V_g) numerically from the Poisson solver and is
-the library's ground truth for the *weak-inversion capacitance
-collapse* — the effect that makes the sub-V_th strategy's longer gates
-cheap (see :meth:`repro.device.capacitance.CapacitanceModel.c_gate_weak`)
-and therefore underpins the Fig. 12 energy result.
+the numeric ground truth that ``tests/test_tcad_moscap.py`` holds the
+compact model's *weak-inversion capacitance collapse* against — the
+effect that makes the sub-V_th strategy's longer gates cheap (see
+:meth:`repro.device.capacitance.CapacitanceModel.c_gate_weak`) and
+therefore underpins the Fig. 12 energy result.  No experiment calls it,
+so it lives with the tests rather than in the library.
 
 The classic low-frequency C-V shape emerges: accumulation at C_ox,
 a depletion minimum, and recovery to C_ox in strong inversion.
@@ -19,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ParameterError
-from .charge import sheet_charges
-from .simulator import DeviceSimulator
+from repro.errors import ParameterError
+from repro.tcad.charge import sheet_charges
+from repro.tcad.simulator import DeviceSimulator
 
 
 @dataclass(frozen=True)

@@ -28,8 +28,6 @@ from repro.circuit import (
 from repro.circuit.energy import chain_energy_per_cycle, chain_energy_sweep
 from repro.circuit.sram import SramCell
 from repro.errors import LostRegenerationError, ParameterError
-from repro.variability import sample_vth_offsets, snm_distribution
-from repro.variability.montecarlo import _perturbed
 from repro.variability.rdf import rdf_sigma_vth
 
 #: Tight solve tolerance for the <= 1e-9 relative equivalence checks.
@@ -40,6 +38,19 @@ SUPPLIES = (0.15, 0.25, 0.40)
 def _rel(a, b, floor=1e-30):
     return np.max(np.abs(np.asarray(a) - np.asarray(b))
                   / np.maximum(np.abs(np.asarray(b)), floor))
+
+
+def _perturbed(inv, dn, dp):
+    """The scalar inverter with its thresholds shifted by (dn, dp)."""
+    return Inverter(nfet=inv.nfet.with_vth_offset(float(dn)),
+                    pfet=inv.pfet.with_vth_offset(float(dp)), vdd=inv.vdd)
+
+
+def _rdf_offsets(inv, n_trials, seed=2007):
+    """Seeded (NFET, PFET) V_th offsets with each device's RDF sigma."""
+    rng = np.random.default_rng(seed)
+    return (rng.normal(0.0, rdf_sigma_vth(inv.nfet), n_trials),
+            rng.normal(0.0, rdf_sigma_vth(inv.pfet), n_trials))
 
 
 @pytest.mark.parametrize("vdd", SUPPLIES)
@@ -160,7 +171,7 @@ class TestNoiseMarginEquivalence:
 
 class TestMonteCarloEquivalence:
     def test_delay_batch_matches_perturbed_scalar(self, inverter_sub):
-        dn, dp = sample_vth_offsets(inverter_sub, 64)
+        dn, dp = _rdf_offsets(inverter_sub, 64)
         c_load = inverter_sub.load_capacitance(fanout=1)
         batch = analytic_delay_batch(inverter_sub, dn, dp, c_load)
         seq = np.array([
@@ -170,12 +181,20 @@ class TestMonteCarloEquivalence:
         assert _rel(batch, seq) <= 1e-9
 
     def test_snm_distribution_solvers_agree(self, inverter_sub):
-        batch = snm_distribution(inverter_sub, n_trials=24)
-        seq = snm_distribution(inverter_sub, n_trials=24,
-                               solver="sequential")
+        """RDF-perturbed SNMs, lost regeneration read as 0 on both
+        paths: the batched kernel against per-trial scalar solves."""
+        dn, dp = _rdf_offsets(inverter_sub, 24)
+        nm = noise_margins_batch(inverter_sub, dn, dp)
+        batch = np.where(nm.lost, 0.0, nm.snm)
+        seq = np.empty(dn.size)
+        for i, (a, b) in enumerate(zip(dn, dp)):
+            try:
+                seq[i] = noise_margins(_perturbed(inverter_sub, a, b),
+                                       solver="sequential").snm
+            except LostRegenerationError:
+                seq[i] = 0.0
         # Default (loose) tolerances: the paths agree to solver noise.
-        assert np.allclose(batch.samples, seq.samples,
-                           rtol=1e-5, atol=1e-8)
+        assert np.allclose(batch, seq, rtol=1e-5, atol=1e-8)
 
 
 class TestEnergyEquivalence:
@@ -217,67 +236,9 @@ class TestButterflyEquivalence:
 
 
 class TestLostRegenerationNarrowing:
-    """Satellite: only the structured error maps to SNM = 0."""
-
-    @pytest.mark.parametrize("code", (1, 2))
-    def test_structured_error_becomes_zero(self, inverter_sub, monkeypatch,
-                                           code):
-        import repro.variability.montecarlo as mc
-
-        def fake_noise_margins(inverter, solver="batch"):
-            raise lost_regeneration_error(code)
-
-        monkeypatch.setattr(mc, "noise_margins", fake_noise_margins)
-        result = mc.snm_distribution(inverter_sub, n_trials=5,
-                                     solver="sequential")
-        assert np.all(result.samples == 0.0)
-
-    def test_genuine_bug_propagates(self, inverter_sub, monkeypatch):
-        import repro.variability.montecarlo as mc
-
-        def fake_noise_margins(inverter, solver="batch"):
-            raise ParameterError("boom: not a regeneration loss")
-
-        monkeypatch.setattr(mc, "noise_margins", fake_noise_margins)
-        with pytest.raises(ParameterError, match="boom"):
-            mc.snm_distribution(inverter_sub, n_trials=5,
-                                solver="sequential")
-
-    def test_same_message_plain_error_still_propagates(self, inverter_sub,
-                                                       monkeypatch):
-        """The old string-matching contract is gone: a plain
-        ParameterError no longer silences as SNM = 0 even when its
-        message happens to equal a canonical lost message."""
-        import repro.variability.montecarlo as mc
-
-        def fake_noise_margins(inverter, solver="batch"):
-            raise ParameterError(LOST_REGENERATION_MESSAGES[0])
-
-        monkeypatch.setattr(mc, "noise_margins", fake_noise_margins)
-        with pytest.raises(ParameterError, match="never reaches"):
-            mc.snm_distribution(inverter_sub, n_trials=5,
-                                solver="sequential")
-
     def test_factory_rejects_unknown_code(self):
         with pytest.raises(ParameterError, match="must be 1 or 2"):
             lost_regeneration_error(3)
-
-
-class TestSeedStreamSplit:
-    """Satellite: NFET/PFET offsets come from independent child streams."""
-
-    def test_pfet_draws_stable_under_trial_count(self, inverter_sub):
-        short = sample_vth_offsets(inverter_sub, 50)
-        long = sample_vth_offsets(inverter_sub, 100)
-        assert np.array_equal(short[0], long[0][:50])
-        assert np.array_equal(short[1], long[1][:50])
-
-    def test_streams_independent(self, inverter_sub):
-        offs_n, offs_p = sample_vth_offsets(inverter_sub, 200)
-        # A shared stream would interleave: correlation of sorted halves
-        # is not a concern, but identical normalised sequences would be.
-        assert not np.allclose(offs_n / offs_n.std(),
-                               offs_p / offs_p.std())
 
 
 class TestStackedNoiseMargins:

@@ -104,8 +104,8 @@ def _starved(inv):
 def _boundary(inv):
     """V_th offsets of +-0.1 V push the 32nm super-V_th inverter's
     crossing at 250 mV onto the scan boundary (lost_code 2)."""
-    from repro.variability.montecarlo import _perturbed
-    return _perturbed(inv, 0.1, -0.1)
+    return Inverter(nfet=inv.nfet.with_vth_offset(0.1),
+                    pfet=inv.pfet.with_vth_offset(-0.1), vdd=inv.vdd)
 
 
 #: Spoiler name -> (spoiler, the lost_code it produces).

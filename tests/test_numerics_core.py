@@ -25,15 +25,7 @@ import numpy as np
 import pytest
 
 from repro import perf
-from repro.numerics import (
-    array_namespace,
-    bisect_illinois,
-    bisect_masked,
-    gather,
-    newton_safeguarded,
-    scatter,
-)
-from repro.numerics.backend import as_float_copy, flatnonzero
+from repro.numerics import bisect_illinois, bisect_masked, newton_safeguarded
 
 XTOL = 1e-10
 
@@ -41,25 +33,6 @@ XTOL = 1e-10
 def _roots(n, lo=-0.9, hi=0.9, seed=7):
     rng = np.random.default_rng(seed)
     return rng.uniform(lo, hi, size=n)
-
-
-class TestBackend:
-    def test_array_namespace_defaults_to_numpy(self):
-        xp = array_namespace(np.arange(3.0))
-        assert xp.asarray is np.asarray or xp is np
-
-    def test_explicit_namespace_wins(self):
-        assert array_namespace(np.arange(3.0), xp=np) is np
-
-    def test_gather_scatter_roundtrip_preserves_order(self):
-        arr = np.arange(10.0)
-        idx = np.array([7, 2, 5])
-        taken = gather(arr, idx)
-        assert np.array_equal(taken, [7.0, 2.0, 5.0])
-        out = scatter(arr.copy(), idx, -taken)
-        assert np.array_equal(out[idx], [-7.0, -2.0, -5.0])
-        untouched = np.setdiff1d(np.arange(10), idx)
-        assert np.array_equal(out[untouched], arr[untouched])
 
 
 class TestBisectMasked:
@@ -221,26 +194,25 @@ class TestBisectIllinois:
 
 def _illinois_without_tolerance_step(residual, lo, hi, *, xtol: float,
                                      ends=None, warmup_sweeps: int = 0,
-                                     max_sweeps: int = 80, xp=None):
+                                     max_sweeps: int = 80):
     """:func:`bisect_illinois` as it was before its tolerance step: the
     iteration verbatim, without its perf counters.  Returns
     ``(root, lo, hi, sweeps)``."""
-    xp = array_namespace(lo, hi, xp=xp)
-    lo = as_float_copy(xp, lo)
-    hi = as_float_copy(xp, hi)
+    lo = np.array(lo, dtype=float, copy=True)
+    hi = np.array(hi, dtype=float, copy=True)
     n = int(lo.shape[0])
     if ends is None:
-        all_lanes = xp.arange(n)
+        all_lanes = np.arange(n)
         r_lo = residual(lo, all_lanes)
         r_hi = residual(hi, all_lanes)
     else:
         r_lo, r_hi = ends
-    rl = as_float_copy(xp, r_lo)
-    rh = as_float_copy(xp, r_hi)
+    rl = np.array(r_lo, dtype=float, copy=True)
+    rh = np.array(r_hi, dtype=float, copy=True)
 
     feasible = (rl <= 0.0) & (rh >= 0.0)
-    side = xp.zeros(n, dtype=xp.int8)
-    idx = flatnonzero(xp, feasible & ((hi - lo) > xtol))
+    side = np.zeros(n, dtype=np.int8)
+    idx = np.flatnonzero(feasible & ((hi - lo) > xtol))
     sweeps = 0
     while int(idx.shape[0]) and sweeps < max_sweeps:
         lo_a, hi_a = lo[idx], hi[idx]
@@ -251,26 +223,26 @@ def _illinois_without_tolerance_step(residual, lo, hi, *, xtol: float,
         if sweeps >= warmup_sweeps:
             denom = rh_a - rl_a
             falsi = ((lo_a * rh_a - hi_a * rl_a)
-                     / xp.where(denom == 0, 1.0, denom))
-            use = ((denom != 0) & xp.isfinite(falsi)
+                     / np.where(denom == 0, 1.0, denom))
+            use = ((denom != 0) & np.isfinite(falsi)
                    & (falsi > lo_a) & (falsi < hi_a))
-            x = xp.where(use, falsi, mid)
+            x = np.where(use, falsi, mid)
         r = residual(x, idx)
         move_lo = r < 0.0
         move_hi = ~move_lo
-        rh_a = xp.where(move_lo & (side_a == 1), 0.5 * rh_a, rh_a)
-        rl_a = xp.where(move_hi & (side_a == -1), 0.5 * rl_a, rl_a)
-        side_a = xp.astype(xp.where(move_lo, 1, -1), xp.int8)
-        lo_a = xp.where(move_lo, x, lo_a)
-        rl_a = xp.where(move_lo, r, rl_a)
-        hi_a = xp.where(move_hi, x, hi_a)
-        rh_a = xp.where(move_hi, r, rh_a)
-        lo = scatter(lo, idx, lo_a)
-        hi = scatter(hi, idx, hi_a)
-        rl = scatter(rl, idx, rl_a)
-        rh = scatter(rh, idx, rh_a)
-        side = scatter(side, idx, side_a)
-        idx = idx[flatnonzero(xp, (hi_a - lo_a) > xtol)]
+        rh_a = np.where(move_lo & (side_a == 1), 0.5 * rh_a, rh_a)
+        rl_a = np.where(move_hi & (side_a == -1), 0.5 * rl_a, rl_a)
+        side_a = np.where(move_lo, 1, -1).astype(np.int8)
+        lo_a = np.where(move_lo, x, lo_a)
+        rl_a = np.where(move_lo, r, rl_a)
+        hi_a = np.where(move_hi, x, hi_a)
+        rh_a = np.where(move_hi, r, rh_a)
+        lo[idx] = lo_a
+        hi[idx] = hi_a
+        rl[idx] = rl_a
+        rh[idx] = rh_a
+        side[idx] = side_a
+        idx = idx[np.flatnonzero((hi_a - lo_a) > xtol)]
         sweeps += 1
     return 0.5 * (lo + hi), lo, hi, sweeps
 
@@ -393,35 +365,34 @@ class TestIllinoisEndgame:
 
 
 def _newton_from_midpoint(residual_jacobian, lo, hi, *, xtol: float,
-                          max_sweeps: int = 80, xp=None):
+                          max_sweeps: int = 80):
     """:func:`newton_safeguarded` as it was before it took a start: the
     iteration verbatim, without its perf counters."""
-    xp = array_namespace(lo, hi, xp=xp)
-    lo = as_float_copy(xp, lo)
-    hi = as_float_copy(xp, hi)
+    lo = np.array(lo, dtype=float, copy=True)
+    hi = np.array(hi, dtype=float, copy=True)
     x = 0.5 * (lo + hi)
     step = hi - lo
-    idx = flatnonzero(xp, (hi - lo) > xtol)
+    idx = np.flatnonzero((hi - lo) > xtol)
     for _ in range(max_sweeps):
         if not int(idx.shape[0]):
             break
         x_a = x[idx]
         r, dr = residual_jacobian(x_a, idx)
         move_lo = r < 0.0
-        lo_a = xp.where(move_lo, x_a, lo[idx])
-        hi_a = xp.where(move_lo, hi[idx], x_a)
-        slope_ok = xp.isfinite(dr) & (dr != 0)
-        newton = x_a - r / xp.where(slope_ok, dr, 1.0)
+        lo_a = np.where(move_lo, x_a, lo[idx])
+        hi_a = np.where(move_lo, hi[idx], x_a)
+        slope_ok = np.isfinite(dr) & (dr != 0)
+        newton = x_a - r / np.where(slope_ok, dr, 1.0)
         use = (slope_ok & (newton >= lo_a) & (newton <= hi_a)
-               & (2.0 * xp.abs(newton - x_a) <= xp.abs(step[idx])))
-        x_new = xp.where(use, newton, 0.5 * (lo_a + hi_a))
+               & (2.0 * np.abs(newton - x_a) <= np.abs(step[idx])))
+        x_new = np.where(use, newton, 0.5 * (lo_a + hi_a))
         step_a = x_new - x_a
-        x = scatter(x, idx, x_new)
-        step = scatter(step, idx, step_a)
-        lo = scatter(lo, idx, lo_a)
-        hi = scatter(hi, idx, hi_a)
-        idx = idx[flatnonzero(xp, (xp.abs(step_a) > xtol)
-                              & ((hi_a - lo_a) > xtol))]
+        x[idx] = x_new
+        step[idx] = step_a
+        lo[idx] = lo_a
+        hi[idx] = hi_a
+        idx = idx[np.flatnonzero((np.abs(step_a) > xtol)
+                                 & ((hi_a - lo_a) > xtol))]
     return x
 
 

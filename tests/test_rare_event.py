@@ -16,7 +16,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.special import ndtri
-from scipy.stats import norm, qmc
+from scipy.stats import qmc
 
 from repro import perf
 from repro.circuit import (analytic_delay_batch, noise_margins_batch,
@@ -37,7 +37,6 @@ from repro.variability import (
     find_failure_shift,
     qmc_vth_offsets,
     sigma_level,
-    timing_margin,
 )
 from repro.variability.importance import (estimate_failure_probabilities,
                                          find_failure_shifts)
@@ -249,8 +248,8 @@ def scipy_sobol_take(seed, replicate, dim, start, count):
 
 
 class TestScipyStatsOracle:
-    """scipy.stats, kept in the tests only: the Sobol' stream and the
-    timing-margin quantile are bit for bit its values."""
+    """scipy.stats, kept in the tests only: the Sobol' stream is bit for
+    bit its values."""
 
     @pytest.mark.parametrize("start,count", [(0, 1), (13, 51), (0, 4096),
                                              (2 ** 20 - 3, 700)])
@@ -276,17 +275,6 @@ class TestScipyStatsOracle:
             stream.take(2 ** SOBOL_BITS - 2, 3)
         with pytest.raises(ParameterError):
             stream.take(2 ** SOBOL_BITS, 1)
-
-    @pytest.mark.parametrize("n_paths,yield_target",
-                             [(1, 0.9), (1000, 0.999), (100000, 0.9999)])
-    def test_timing_margin_quantile_is_norm_ppf(self, inverter_sub,
-                                                n_paths, yield_target):
-        q = yield_target ** (1.0 / n_paths)
-        z = float(norm.ppf(q))
-        assert float(ndtri(q)) == z
-        report = timing_margin(inverter_sub, n_gates=1, n_paths=n_paths,
-                               yield_target=yield_target)
-        assert report.margin_multiplier == math.exp(z * report.sigma_ln_path)
 
 
 class TestSigmaLevel:

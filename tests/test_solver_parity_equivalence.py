@@ -3,14 +3,13 @@
 PRs 1-4 proved the batched *kernels* against their scalar oracles;
 this suite closes the contract for the remaining public callables that
 expose a ``solver=`` switch: the SRAM butterfly SNMs, the chain
-minimum-energy point, the RDF delay distribution, the per-length and
-per-flavour doping solves, the two super-V_th root solves, and the
-calibration-perturbed headline rebuild.  ``repro lint`` statically
+minimum-energy point, the per-length and per-flavour doping solves,
+the two super-V_th root solves, and the calibration-perturbed headline
+rebuild.  ``repro lint`` statically
 requires every such callable to appear here (or in a sibling
 ``test_*equivalence*`` suite).
 """
 
-import numpy as np
 import pytest
 
 from repro.circuit.chain import InverterChain
@@ -22,7 +21,6 @@ from repro.scaling.roadmap import node_by_name
 from repro.scaling.sensitivity import headline_under_calibration
 from repro.scaling.subvth import SubVthOptimizer
 from repro.scaling.supervth import SuperVthOptimizer, build_super_vth_design
-from repro.variability.montecarlo import delay_distribution
 
 RTOL = 1e-9
 
@@ -64,15 +62,6 @@ class TestCircuitFlowParity:
         assert batch.vmin == pytest.approx(seq.vmin, rel=RTOL)
         assert batch.energy.total_j == pytest.approx(
             seq.energy.total_j, rel=RTOL)
-
-    def test_delay_distribution(self, inverter_sub):
-        batch = delay_distribution(inverter_sub, n_trials=64, seed=11,
-                                   solver="batch")
-        seq = delay_distribution(inverter_sub, n_trials=64, seed=11,
-                                 solver="sequential")
-        assert np.allclose(batch.samples, seq.samples, rtol=1e-12)
-        assert batch.sigma_over_mean == pytest.approx(
-            seq.sigma_over_mean, rel=1e-9)
 
 
 class TestScalingFlowParity:

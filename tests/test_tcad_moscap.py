@@ -1,16 +1,17 @@
-"""Tests for the quasi-static C-V simulation."""
+"""Tests for the quasi-static C-V simulation (the numeric oracle in
+``tests/oracles/moscap.py``) and the compact C_g it checks."""
 
 import numpy as np
 import pytest
 
 from repro.device import nfet
 from repro.errors import ParameterError
-from repro.tcad.moscap import (
+from repro.tcad.simulator import DeviceSimulator
+from tests.oracles.moscap import (
     compare_with_compact,
     simulate_cv,
     weak_inversion_capacitance_ratio,
 )
-from repro.tcad.simulator import DeviceSimulator
 
 
 @pytest.fixture(scope="module")

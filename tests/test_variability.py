@@ -1,19 +1,10 @@
-"""Tests for the RDF / Monte-Carlo variability extension."""
+"""Tests for the RDF threshold-variability model."""
 
-import numpy as np
 import pytest
 
-from repro.circuit import Inverter
 from repro.device import nfet
-from repro.variability import (
-    MonteCarloResult,
-    delay_distribution,
-    rdf_sigma_vth,
-    sample_vth_offsets,
-    snm_distribution,
-)
+from repro.variability import rdf_sigma_vth
 from repro.variability.rdf import avt_coefficient, avt_mv_um
-from repro.errors import ParameterError
 
 
 class TestRdf:
@@ -39,57 +30,3 @@ class TestRdf:
     def test_avt_conventional_units(self, nfet90):
         # Bulk technologies: a few mV*um.
         assert 0.5 < avt_mv_um(nfet90) < 15.0
-
-
-class TestMonteCarloResult:
-    def test_from_samples(self):
-        samples = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-        r = MonteCarloResult.from_samples(samples)
-        assert r.mean == pytest.approx(3.0)
-        assert r.p50 == pytest.approx(3.0)
-        assert r.p05 < r.p50 < r.p95
-
-    def test_sigma_over_mean(self):
-        r = MonteCarloResult.from_samples(np.array([1.0, 3.0]))
-        assert r.sigma_over_mean == pytest.approx(r.std / 2.0)
-
-    def test_needs_two_samples(self):
-        with pytest.raises(ParameterError):
-            MonteCarloResult.from_samples(np.array([1.0]))
-
-
-class TestSampling:
-    def test_deterministic_seed(self, inverter_sub):
-        a = sample_vth_offsets(inverter_sub, 50, seed=7)
-        b = sample_vth_offsets(inverter_sub, 50, seed=7)
-        assert np.allclose(a[0], b[0])
-        assert np.allclose(a[1], b[1])
-
-    def test_different_seeds_differ(self, inverter_sub):
-        a = sample_vth_offsets(inverter_sub, 50, seed=7)
-        b = sample_vth_offsets(inverter_sub, 50, seed=8)
-        assert not np.allclose(a[0], b[0])
-
-    def test_rejects_zero_trials(self, inverter_sub):
-        with pytest.raises(ParameterError):
-            sample_vth_offsets(inverter_sub, 0)
-
-
-class TestCircuitDistributions:
-    def test_delay_spread_substantial_in_subthreshold(self, inverter_sub):
-        result = delay_distribution(inverter_sub, n_trials=120)
-        # Exponential sensitivity: sigma/mu of several percent even for
-        # this 1 um-wide (low-RDF) device.
-        assert result.sigma_over_mean > 0.04
-        assert result.p95 > result.p05
-
-    def test_delay_spread_smaller_at_nominal(self, inverter_sub,
-                                             inverter_nominal):
-        sub = delay_distribution(inverter_sub, n_trials=120)
-        nom = delay_distribution(inverter_nominal, n_trials=120)
-        assert nom.sigma_over_mean < sub.sigma_over_mean
-
-    def test_snm_distribution(self, inverter_sub):
-        result = snm_distribution(inverter_sub, n_trials=40)
-        assert result.mean > 0.0
-        assert result.std > 0.0

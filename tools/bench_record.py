@@ -8,8 +8,9 @@ The suites:
   (``benchmarks/test_bench_kernels.py`` plus the raw super-V_th
   optimiser bench) -> ``BENCH_kernels.json``;
 * ``circuits`` — the vectorised circuit-evaluation layer
-  (``benchmarks/test_bench_circuits.py``: batched VTC/SNM, array-native
-  Monte Carlo, and their sequential oracles) -> ``BENCH_circuits.json``;
+  (``benchmarks/test_bench_circuits.py``: batched VTC/SNM, the stacked
+  SNM extraction, the DVS supply solve and the corner device stack, and
+  their sequential oracles) -> ``BENCH_circuits.json``;
 * ``flows`` — the batched design-space engine
   (``benchmarks/test_bench_flows.py``: cold-cache super/sub-V_th family
   builds, the multi-V_th menu, the calibration-sensitivity rebuild, and

@@ -52,10 +52,10 @@ The numerical hot paths are batched and cached at three layers:
   `repro.circuit.analytic_delay_batch` /
   `repro.circuit.chain_energy_sweep` vectorise the Eq. 4/7 paths.
   Every consumer (`noise_margins`, `butterfly_snm`, `Inverter.vtc`,
-  `SramCell.read_vtc`, `find_vmin`, the Monte Carlo distributions)
-  takes the same ``solver="batch"`` / ``"sequential"`` switch as
-  `DeviceSimulator`, with the scalar implementations kept as
-  correctness oracles (see `tests/test_circuit_batch_equivalence.py`).
+  `SramCell.read_vtc`, `find_vmin`) takes the same
+  ``solver="batch"`` / ``"sequential"`` switch as `DeviceSimulator`,
+  with the scalar implementations kept as correctness oracles (see
+  `tests/test_circuit_batch_equivalence.py`).
 - **Batched design-space engine.** `repro.scaling.batch` replaces the
   per-(length, halo-ratio, polarity) scalar `brentq` loops of the
   scaling flows with one masked vectorised bracketing solve in
