@@ -4,8 +4,9 @@ The headline gate is the **tentpole speedup**: a 16-row SRAM column's
 DC characterisation — 64 wordline stimulus points x 8 variation
 corners, 512 lanes of a 35-unknown nodal system — must run >= 10x
 faster *per lane* through the compiled batched engine than through
-the looped scalar :class:`~repro.circuit.mna.NodalSolver` oracle,
-while agreeing to <= 1e-9 V on every node of the lanes both solved.
+the looped scalar :class:`~repro.circuit.mna.NodalSolver` oracle of
+``tests/oracles/mna.py``, while agreeing to <= 1e-9 V on every node of
+the lanes both solved.
 The oracle is timed on a lane subset (it is three decades slower; a
 full 512-lane oracle run would dominate the suite), which is exactly
 the per-lane comparison the gate is stated over.  Set
@@ -28,6 +29,7 @@ from repro.circuit.sram_array import (build_column, min_write_pulse,
                                       write_trip_voltage)
 from repro.device.mosfet import nfet, pfet
 from repro.experiments import run_experiment
+from tests.oracles import mna as mna_oracle
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK") == "1"
 
@@ -105,11 +107,10 @@ def test_bench_array_dc_speedup_vs_sequential(benchmark):
                                dvth_n_v=corners, initial=column.seed())
         t_batch = time.perf_counter() - start
         start = time.perf_counter()
-        oracle = solve_dc_batch(column.circuit,
-                                stimulus={"wl0": wl[::stim_stride]},
-                                dvth_n_v=corners[corner_sel],
-                                initial=column.seed(),
-                                solver="sequential")
+        oracle = mna_oracle.solve_dc(column.circuit,
+                                     stimulus={"wl0": wl[::stim_stride]},
+                                     dvth_n_v=corners[corner_sel],
+                                     initial=column.seed())
         t_oracle = time.perf_counter() - start
         lanes_batch = N_STIMULUS * N_CORNERS
         lanes_oracle = int(np.prod(oracle.batch_shape))

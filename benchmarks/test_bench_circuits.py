@@ -2,7 +2,8 @@
 
 Batched VTC/SNM extraction (one inverter, and a stack of designs), the
 tail-heavy DVS supply solve and the skewed-corner device stack, each
-paired with its sequential (scalar-oracle) counterpart so
+paired with its sequential counterpart (the scalar oracles of
+``tests/oracles/circuit.py`` or a per-design loop) so
 ``BENCH_circuits.json`` records the before/after of the vectorisation.
 """
 
@@ -18,6 +19,7 @@ from repro.circuit.dvs import (chain_rate_hz, vdd_for_throughput,
 from repro.device import nfet, pfet
 from repro.device.corners import Corner, at_corner, corner_grid
 from repro.experiments.families import SUB_VTH_SUPPLY, super_vth_family
+from tests.oracles import circuit as oracle
 
 
 def _build_inverter(vdd=0.25):
@@ -38,7 +40,7 @@ def test_bench_vtc_batch(benchmark):
 
 def test_bench_vtc_sequential(benchmark):
     inv = _build_inverter()
-    vins, vouts = run_once(benchmark, inv.vtc, 121, "sequential")
+    vins, vouts = run_once(benchmark, oracle.vtc, inv, 121)
     assert vouts[0] > vouts[-1]
 
 
@@ -50,7 +52,7 @@ def test_bench_snm_batch(benchmark):
 
 def test_bench_snm_sequential(benchmark):
     inv = _build_inverter()
-    nm = run_once(benchmark, noise_margins, inv, "sequential")
+    nm = run_once(benchmark, oracle.noise_margins, inv)
     assert nm.snm > 0.0
 
 

@@ -1,7 +1,8 @@
 """Benches: the batched design-space engine (scaling flows).
 
 Each optimiser flow is timed cold — the device-construction memo is
-cleared before every round — and paired with its sequential (scalar-oracle) counterpart so
+cleared before every round — and paired with its sequential counterpart
+(the scalar oracles of ``tests/oracles/scaling.py``) so
 ``BENCH_flows.json`` records the before/after of the vectorisation.
 The sequential sub-V_th sweeps are the slow half; set
 ``REPRO_BENCH_QUICK=1`` (the CI quick mode) to skip them.
@@ -21,9 +22,9 @@ from repro.scaling.roadmap import node_by_name
 from repro.scaling.sensitivity import (headline_under_calibration,
                                       headlines_under_calibrations)
 from repro.scaling.subvth import (HALO_RATIO_GRID, SS_TIE_TOLERANCE,
-                                  build_sub_vth_family,
-                                  optimize_doping_for_length)
+                                  build_sub_vth_family)
 from repro.scaling.supervth import build_super_vth_family
+from tests.oracles import scaling as oracle
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK") == "1"
 slow = pytest.mark.skipif(
@@ -47,8 +48,7 @@ def test_bench_super_family_batch(benchmark):
 
 
 def test_bench_super_family_sequential(benchmark):
-    family = run_cold(benchmark, build_super_vth_family,
-                      solver="sequential")
+    family = run_cold(benchmark, oracle.build_super_vth_family)
     assert family.node_names() == ("90nm", "65nm", "45nm", "32nm")
 
 
@@ -59,8 +59,7 @@ def test_bench_sub_family_batch(benchmark):
 
 @slow
 def test_bench_sub_family_sequential(benchmark):
-    family = run_cold(benchmark, build_sub_vth_family,
-                      solver="sequential")
+    family = run_cold(benchmark, oracle.build_sub_vth_family)
     assert family.node_names() == ("90nm", "65nm", "45nm", "32nm")
 
 
@@ -71,8 +70,8 @@ def test_bench_multivth_menu_batch(benchmark):
 
 @slow
 def test_bench_multivth_menu_sequential(benchmark):
-    menu = run_cold(benchmark, derive_flavours, node_by_name("45nm"), 47.0,
-                    solver="sequential")
+    menu = run_cold(benchmark, oracle.derive_flavours, node_by_name("45nm"),
+                    47.0)
     assert menu["lvt"].vth_mv() < menu["hvt"].vth_mv()
 
 
@@ -104,9 +103,9 @@ def _tail_sweep_batch():
 
 
 def _tail_sweep_sequential():
-    return [optimize_doping_for_length(
+    return [oracle.optimize_doping_for_length(
                 _tail_node(), float(l), ioff_target=TAIL_IOFF_A_PER_UM,
-                vdd_leak=TAIL_VDD_LEAK, solver="sequential")
+                vdd_leak=TAIL_VDD_LEAK)
             for l in TAIL_LENGTHS_NM]
 
 
@@ -155,6 +154,6 @@ def test_bench_sensitivity_grid_batch(benchmark):
 
 @slow
 def test_bench_sensitivity_rebuild_sequential(benchmark):
-    result = run_cold(benchmark, headline_under_calibration,
-                      sce_prefactor=2.2, solver="sequential")
+    result = run_cold(benchmark, oracle.headline_under_calibration,
+                      sce_prefactor=2.2)
     assert result.snm_advantage > 0.0

@@ -11,7 +11,6 @@ gate-netlist and DVS extensions.
 from .batch import (
     BatchNoiseMargins,
     LOST_REGENERATION_MESSAGES,
-    SOLVER_MODES,
     gain_batch,
     lost_regeneration_error,
     noise_margins_batch,
@@ -38,7 +37,6 @@ from .dvs import energy_per_cycle_at_throughput, dvs_range
 __all__ = [
     "BatchNoiseMargins",
     "LOST_REGENERATION_MESSAGES",
-    "SOLVER_MODES",
     "gain_batch",
     "lost_regeneration_error",
     "noise_margins_batch",

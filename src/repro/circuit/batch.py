@@ -56,10 +56,10 @@ designs returns, lane for lane, the same bits as one call per design:
 an experiment's SNMs are one extraction (fig4's eight, fig10's eight,
 ext_sensitivity's twelve).
 
-The scalar implementations remain available as correctness oracles
-behind each consumer's ``solver=`` switch (the same convention as
-:class:`repro.tcad.DeviceSimulator`); agreement to <= 1e-9 relative is
-locked down by ``tests/test_circuit_batch_equivalence.py``.
+These kernels are the only production path.  The scalar per-point
+implementations they replaced live in ``tests/oracles/circuit.py`` as
+correctness oracles; agreement to <= 1e-9 relative is locked down by
+``tests/test_circuit_batch_equivalence.py``.
 """
 
 from __future__ import annotations
@@ -74,14 +74,11 @@ from ..device.iv import IVParams, ids_with_partials
 from ..errors import LostRegenerationError, ParameterError
 from ..numerics import bisect_illinois, bisect_masked, newton_safeguarded
 
-#: Solver switch values shared by every batched/scalar consumer pair.
-SOLVER_MODES = ("batch", "sequential")
-
 #: Default step/bracket tolerance of the batched root-solves [V].
 XTOL_DEFAULT = 1e-10
 
 #: Canonical lost-regeneration messages, indexed by ``lost_code - 1``.
-#: The scalar SNM extraction raises them wrapped in the structured
+#: The per-inverter SNM readout raises them wrapped in the structured
 #: :class:`repro.errors.LostRegenerationError` (via
 #: :func:`lost_regeneration_error`), which is what Monte Carlo and the
 #: service layer catch; every other :class:`ParameterError` is a
@@ -97,21 +94,13 @@ def lost_regeneration_error(code: int) -> LostRegenerationError:
 
     Pairs each code (``1`` — no gain = -1 point, ``2`` — crossing on
     the sweep boundary) with its canonical message from
-    :data:`LOST_REGENERATION_MESSAGES`, so the batch and scalar paths
-    share one error contract.
+    :data:`LOST_REGENERATION_MESSAGES`, so the batch kernel and its
+    per-inverter readout share one error contract.
     """
     if code not in (1, 2):
         raise ParameterError("lost-regeneration code must be 1 or 2")
     return LostRegenerationError(LOST_REGENERATION_MESSAGES[code - 1],
                                  code=code)
-
-
-def validate_solver(solver: str) -> None:  # repro: noqa[RPR004] the switch's own validator, not a dual-backend API
-    """Raise :class:`ParameterError` unless ``solver`` is a known mode."""
-    if solver not in SOLVER_MODES:
-        raise ParameterError(
-            f"unknown solver {solver!r}; choose one of {SOLVER_MODES}"
-        )
 
 
 def solve_balance_batch(balance, lo, hi, xtol: float = XTOL_DEFAULT

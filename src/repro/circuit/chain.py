@@ -62,12 +62,11 @@ class InverterChain:
 
     def minimum_energy_point(self, transient: bool = False,
                              vdd_lo: float = 0.08, vdd_hi: float = 0.70,
-                             k_d: float = K_D_DEFAULT,
-                             solver: str = "batch") -> VminResult:
+                             k_d: float = K_D_DEFAULT) -> VminResult:
         """V_min and the energy there (the Fig. 6/12 measurement)."""
         return find_vmin(self.stage, self.n_stages, self.activity,
                          vdd_lo=vdd_lo, vdd_hi=vdd_hi,
-                         transient=transient, k_d=k_d, solver=solver)
+                         transient=transient, k_d=k_d)
 
     def at_vdd(self, vdd: float) -> "InverterChain":
         """Copy of this chain re-biased to a different supply."""

@@ -4,11 +4,11 @@ The VTC is obtained exactly as the paper's Eq. 3(a) prescribes — by
 equating the NFET and PFET drain currents at the output node — except
 numerically and with the full weak-to-strong-inversion model, so the
 same code serves both the sub-V_th (250 mV) and nominal-V_dd analyses.
-Whole input grids default to the vectorised Newton kernel of
-:mod:`repro.circuit.batch`; the per-point Brent solve remains as the
-scalar oracle (``solver="sequential"``).  The small-signal gain is the
-implicit derivative of the same current balance, read off the devices'
-closed-form partials at the solved output.
+Whole input grids go through the vectorised Newton kernel of
+:mod:`repro.circuit.batch`; the per-point Brent solve
+(:meth:`Inverter.vtc_point`) serves single points.  The small-signal
+gain is the implicit derivative of the same current balance, read off
+the devices' closed-form partials at the solved output.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from scipy.optimize import brentq
 from .. import perf
 from ..device.mosfet import MOSFET, Polarity
 from ..errors import ParameterError
-from .batch import _pair_columns, _VtcSystem, solve_vtc_batch, validate_solver
+from .batch import _pair_columns, _VtcSystem, solve_vtc_batch
 
 
 @dataclass(frozen=True)
@@ -93,22 +93,16 @@ class Inverter:
             return hi
         return float(brentq(balance, lo, hi, xtol=xtol))
 
-    def vtc(self, n_points: int = 121, solver: str = "batch",
+    def vtc(self, n_points: int = 121,
             xtol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
         """Full VTC on a uniform input grid: ``(vin, vout)`` arrays.
 
-        ``solver="batch"`` (default) solves every input point in one
-        vectorised Newton solve; ``solver="sequential"`` keeps the scalar
-        per-point Brent solve as the correctness oracle.
+        Every input point is solved in one vectorised Newton solve.
         """
         if n_points < 5:
             raise ParameterError("need at least 5 VTC points")
-        validate_solver(solver)
         vins = np.linspace(0.0, self.vdd, n_points)
-        if solver == "batch":
-            return vins, solve_vtc_batch(self, vins, xtol=xtol)
-        vouts = np.array([self.vtc_point(float(v), xtol=xtol) for v in vins])
-        return vins, vouts
+        return vins, solve_vtc_batch(self, vins, xtol=xtol)
 
     def gain(self, vin: float, xtol: float = 1e-9) -> float:
         """Small-signal voltage gain dV_out/dV_in at ``vin`` (negative):

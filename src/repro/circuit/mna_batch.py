@@ -23,28 +23,26 @@ the same equations over a trailing **lane** axis:
 
 Batch semantics: ``stimulus`` values, variation shifts and initial
 seeds broadcast to a common batch shape; results carry that shape per
-node.  ``solver="sequential"`` routes every lane through the scalar
-:class:`NodalSolver` on a per-lane rebuilt circuit (shifted devices
-via ``with_vth_offset``) — the correctness oracle the equivalence
-tests compare against.  Its finite-difference Jacobian shares nothing
-with the closed-form one here.
+node.  The equivalence tests hold this engine against
+``tests/oracles/mna.py``, which routes every lane through the scalar
+:class:`~repro.circuit.mna.NodalSolver` on a per-lane rebuilt circuit
+(shifted devices via ``with_vth_offset``).  Its finite-difference
+Jacobian shares nothing with the closed-form one here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 import numpy.typing as npt
 
 from .. import perf
 from ..device.iv import ids_with_partials
-from ..device.mosfet import Polarity
 from ..errors import ConvergenceError, ParameterError
-from .batch import validate_solver
 from .compile import CompiledCircuit, compile_circuit
-from .mna import NodalSolver, _GMIN_START
+from .mna import _GMIN_START
 from .netlist import Circuit
 
 __all__ = ["BatchDCResult", "BatchTransientResult", "solve_dc_batch",
@@ -58,7 +56,7 @@ IntArray = npt.NDArray[np.intp]
 Stimulus = Mapping[str, object]
 
 #: gmin continuation ladder of the scalar solver's fallback phase,
-#: reproduced rung for rung so the sequential oracle stays bitwise
+#: reproduced rung for rung so the scalar oracle stays bitwise
 #: comparable: 1e-6 relaxed by 1e-3 until < 1e-12, then released.
 _GMIN_LADDER: tuple[float, ...] = (_GMIN_START, 1e-9, 1e-12, 1e-15, 0.0)
 
@@ -82,8 +80,7 @@ class BatchDCResult:
         circuit, shaped ``batch_shape`` (supply leakage reads
         straight off the rail source).
     iterations:
-        Newton sweeps executed (batch) or summed scalar iterations
-        (sequential).
+        Newton sweeps executed.
     """
 
     batch_shape: tuple[int, ...]
@@ -112,9 +109,7 @@ class BatchTransientResult:
         (no convergence in ``max_iter`` sweeps, or a singular stacked
         solve) or ``max_change_v`` tripped.  With none, the grid
         depends only on ``t_stop_s`` and ``dt_s``, and every lane's
-        waveform is bitwise what it would be solved alone.  The
-        sequential oracle reports 0: its per-lane scalar controllers
-        share no grid.
+        waveform is bitwise what it would be solved alone.
     """
 
     time_s: FloatArray
@@ -242,18 +237,6 @@ class _FixedPlan:
             resolved = value(time_s) if callable(value) else value
             fixed[pos] = _as_lanes(resolved, self.batch_shape)
         return fixed
-
-    def lane_waveform(self, pos: int, lane: int
-                      ) -> Callable[[float], float] | None:
-        """A scalar waveform for one lane of one override (oracle path)."""
-        for p, value in self.overrides:
-            if p == pos:
-                if callable(value):
-                    return lambda t, f=value: float(
-                        _as_lanes(f(t), self.batch_shape)[lane])
-                return lambda _t, v=float(_as_lanes(
-                    value, self.batch_shape)[lane]): v
-        return None
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +430,7 @@ def solve_dc_batch(circuit: Circuit, *, stimulus: Stimulus | None = None,
                    dvth_n_v: object = 0.0, dvth_p_v: object = 0.0,
                    initial: Mapping[str, object] | None = None,
                    time_s: float = 0.0, tol_v: float = 1e-9,
-                   max_iter: int = 80, solver: str = "batch",
+                   max_iter: int = 80,
                    compiled: CompiledCircuit | None = None
                    ) -> BatchDCResult:
     """Batched DC operating points of ``circuit``.
@@ -469,22 +452,15 @@ def solve_dc_batch(circuit: Circuit, *, stimulus: Stimulus | None = None,
         Waveform evaluation time [s] for sources not overridden.
     tol_v:
         Newton step-size convergence bound [v].
-    solver:
-        ``"batch"`` (default) or ``"sequential"`` — the per-lane
-        scalar-oracle path used by the equivalence tests.
     compiled:
         Optional pre-lowered netlist (skips recompilation in sweeps
         that reuse one topology).
     """
-    validate_solver(solver)
     compiled = compiled or compile_circuit(circuit)
     batch_shape = _batch_shape(stimulus, dvth_n_v, dvth_p_v, initial,
                                time_s)
     lanes = int(np.prod(batch_shape)) if batch_shape else 1
     plan = _FixedPlan(compiled, stimulus, batch_shape)
-    if solver == "sequential":
-        return _solve_dc_sequential(circuit, compiled, plan, dvth_n_v,
-                                    dvth_p_v, initial, time_s, batch_shape)
     perf.bump("circuit.mna.batch_solves")
     perf.bump("circuit.mna.batch_lanes", lanes)
     fixed = plan.at(time_s)
@@ -511,7 +487,6 @@ def solve_transient_batch(circuit: Circuit, t_stop_s: float, dt_s: float,
                           dt_min_factor: float = 1e-6,
                           max_change_v: float | None = None,
                           tol_v: float = 1e-9, max_iter: int = 80,
-                          solver: str = "batch",
                           compiled: CompiledCircuit | None = None
                           ) -> BatchTransientResult:
     """Batched backward-Euler transient of ``circuit``.
@@ -524,24 +499,18 @@ def solve_transient_batch(circuit: Circuit, t_stop_s: float, dt_s: float,
     one time grid, and any lane can trigger the halving.  ``t_stop_s``
     and ``dt_s`` are the horizon and initial step [s]; ``dvth_n_v`` /
     ``dvth_p_v`` are per-lane V_th shifts [v]; ``tol_v`` [v] bounds
-    the Newton step; ``stimulus``, ``initial`` and ``solver`` behave
-    as in :func:`solve_dc_batch` (waveform stimuli may return per-lane
+    the Newton step; ``stimulus`` and ``initial`` behave as in
+    :func:`solve_dc_batch` (waveform stimuli may return per-lane
     arrays, which is how a binary search probes many pulse widths in
     one transient).  The result counts the rejected steps; with none,
     every lane's waveform is bitwise what that lane gives solved alone.
     """
-    validate_solver(solver)
     if t_stop_s <= 0.0 or dt_s <= 0.0:
         raise ParameterError("t_stop_s and dt_s must be positive")
     compiled = compiled or compile_circuit(circuit)
     batch_shape = _batch_shape(stimulus, dvth_n_v, dvth_p_v, initial, 0.0)
     lanes = int(np.prod(batch_shape)) if batch_shape else 1
     plan = _FixedPlan(compiled, stimulus, batch_shape)
-    if solver == "sequential":
-        return _solve_transient_sequential(
-            circuit, compiled, plan, dvth_n_v, dvth_p_v, initial,
-            use_initial_conditions, t_stop_s, dt_s, dt_min_factor,
-            max_change_v, batch_shape)
     perf.bump("circuit.mna.batch_solves")
     perf.bump("circuit.mna.batch_lanes", lanes)
     shift_n = _maybe_lanes(dvth_n_v, batch_shape)
@@ -632,139 +601,3 @@ def _pack_dc(compiled: CompiledCircuit, x: FloatArray, fixed: FloatArray,
             currents[key] = f[n + pos].reshape(batch_shape).copy()
     return BatchDCResult(batch_shape=batch_shape, voltages=voltages,
                          source_currents_a=currents, iterations=iterations)
-
-
-# ---------------------------------------------------------------------------
-# sequential oracle
-
-
-def _lane_circuit(circuit: Circuit, compiled: CompiledCircuit,
-                  plan: _FixedPlan, shift_n: float, shift_p: float,
-                  lane: int) -> Circuit:
-    """The lane's scalar circuit: overridden sources, shifted devices."""
-    lane_c = Circuit()
-    for s in circuit.sources:
-        pos = compiled.source_position[s.name]
-        waveform = plan.lane_waveform(pos, lane) or s.waveform
-        lane_c.add_vsource(s.name, s.node, waveform)
-    for r in circuit.resistors:
-        lane_c.add_resistor(r.name, r.node_a, r.node_b, r.ohms)
-    for c in circuit.capacitors:
-        lane_c.add_capacitor(c.name, c.node_a, c.node_b, c.farads)
-    for tr in circuit.transistors:
-        shift = (shift_n if tr.device.polarity is Polarity.NFET
-                 else shift_p)
-        dev = tr.device
-        if shift != 0:
-            dev = dev.with_vth_offset(dev.vth_offset_v + shift)
-        lane_c.add_mosfet(tr.name, tr.drain, tr.gate, tr.source, dev)
-    return lane_c
-
-
-def _lane_scalar(value: object, batch_shape: tuple[int, ...], lane: int
-                 ) -> float:
-    return float(_as_lanes(value, batch_shape)[lane])
-
-
-def _solve_dc_sequential(circuit: Circuit, compiled: CompiledCircuit,
-                         plan: _FixedPlan, dvth_n_v: object,
-                         dvth_p_v: object,
-                         initial: Mapping[str, object] | None,
-                         time_s: float, batch_shape: tuple[int, ...]
-                         ) -> BatchDCResult:
-    lanes = plan.lanes
-    names = compiled.node_names
-    volts = np.zeros((len(names), lanes))
-    currents = np.zeros((len(circuit.sources), lanes))
-    iterations = 0
-    for lane in range(lanes):
-        perf.bump("circuit.mna.sequential_solves")
-        lane_c = _lane_circuit(
-            circuit, compiled, plan,
-            _lane_scalar(dvth_n_v, batch_shape, lane),
-            _lane_scalar(dvth_p_v, batch_shape, lane), lane)
-        seed = {node: _lane_scalar(value, batch_shape, lane)
-                for node, value in (initial or {}).items()}
-        result = NodalSolver(lane_c).solve_dc(initial=seed or None,
-                                              time_s=time_s)
-        iterations += result.iterations
-        for i, name in enumerate(names):
-            volts[i, lane] = result.voltages[name]
-        for k, s in enumerate(circuit.sources):
-            currents[k, lane] = _scalar_source_current(lane_c, s.node,
-                                                       result.voltages)
-    voltages = {name: volts[i].reshape(batch_shape).copy()
-                for i, name in enumerate(names)}
-    currents_map = {s.name: currents[k].reshape(batch_shape).copy()
-                    for k, s in enumerate(circuit.sources)}
-    return BatchDCResult(batch_shape=batch_shape, voltages=voltages,
-                         source_currents_a=currents_map,
-                         iterations=iterations)
-
-
-def _scalar_source_current(circuit: Circuit, node: str,
-                           volts: Mapping[str, float]) -> float:
-    """Current [A] the source driving ``node`` injects, from element
-    currents at the solved operating point."""
-    total = 0.0
-    for r in circuit.resistors:
-        if node in (r.node_a, r.node_b):
-            i_ab = (volts[r.node_a] - volts[r.node_b]) / r.ohms
-            total += i_ab if node == r.node_a else -i_ab
-    for t in circuit.transistors:
-        if node in (t.drain, t.source):
-            i_d = t.current_into_drain(volts[t.drain], volts[t.gate],
-                                       volts[t.source])
-            if node == t.drain:
-                total += i_d
-            if node == t.source:
-                total -= i_d
-    return total
-
-
-def _solve_transient_sequential(circuit: Circuit,
-                                compiled: CompiledCircuit,
-                                plan: _FixedPlan, dvth_n_v: object,
-                                dvth_p_v: object,
-                                initial: Mapping[str, object] | None,
-                                use_initial_conditions: bool,
-                                t_stop_s: float, dt_s: float,
-                                dt_min_factor: float,
-                                max_change_v: float | None,
-                                batch_shape: tuple[int, ...]
-                                ) -> BatchTransientResult:
-    """Per-lane scalar transients, resampled onto one shared grid.
-
-    The scalar controller adapts its step per lane, so lane grids
-    differ; waveforms are linearly interpolated onto a uniform
-    ``dt_s`` grid for the batched result shape.  (The batch path keeps
-    its own native grid — comparisons interpolate, as the equivalence
-    tests do.)
-    """
-    lanes = plan.lanes
-    names = compiled.node_names
-    grid = np.arange(0.0, t_stop_s + 0.5 * dt_s, dt_s)
-    grid[-1] = min(grid[-1], t_stop_s)
-    waves = np.zeros((grid.size, len(names), lanes))
-    for lane in range(lanes):
-        perf.bump("circuit.mna.sequential_solves")
-        lane_c = _lane_circuit(
-            circuit, compiled, plan,
-            _lane_scalar(dvth_n_v, batch_shape, lane),
-            _lane_scalar(dvth_p_v, batch_shape, lane), lane)
-        seed = {node: _lane_scalar(value, batch_shape, lane)
-                for node, value in (initial or {}).items()}
-        result = NodalSolver(lane_c).solve_transient(
-            t_stop_s, dt_s, initial=seed or None,
-            use_initial_conditions=use_initial_conditions,
-            dt_min_factor=dt_min_factor, max_change_v=max_change_v)
-        for i, name in enumerate(names):
-            waves[:, i, lane] = np.interp(grid, result.time_s,
-                                          result.voltages[name])
-    shape = (grid.size,) + batch_shape
-    return BatchTransientResult(
-        time_s=grid,
-        voltages={name: waves[:, i].reshape(shape).copy()
-                  for i, name in enumerate(names)},
-        batch_shape=batch_shape,
-    )

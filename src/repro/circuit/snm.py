@@ -11,9 +11,9 @@ Two definitions are provided:
 * :func:`butterfly_snm` — the classic largest-embedded-square SNM of a
   cross-coupled pair (used for the SRAM extension, ref [16]).
 
-Both default to the vectorised kernels of :mod:`repro.circuit.batch`
-(``solver="batch"``); the original scalar implementations remain the
-correctness oracles behind ``solver="sequential"``.
+Both run on the vectorised kernels of :mod:`repro.circuit.batch`; the
+original scalar implementations are the correctness oracles in
+``tests/oracles/circuit.py``.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .. import perf
 from ..errors import ParameterError
@@ -30,7 +29,6 @@ from .batch import (
     BatchNoiseMargins,
     lost_regeneration_error,
     noise_margins_batch,
-    validate_solver,
 )
 from .inverter import Inverter
 
@@ -63,38 +61,7 @@ class NoiseMargins:
         return min(self.nm_low, self.nm_high)
 
 
-def _unity_gain_points(inverter: Inverter, n_scan: int = 101,
-                       xtol: float = XTOL_DEFAULT) -> tuple[float, float]:
-    """Locate the two gain = -1 inputs by scan + brentq refinement.
-
-    The scan and the refinement evaluate the *same* gain
-    (:meth:`Inverter.gain`, from the devices' partials at the solved
-    output), so brentq brackets are guaranteed consistent.
-    """
-    vdd = inverter.vdd
-    margin = vdd * 1e-3
-    vins = np.linspace(margin, vdd - margin, n_scan)
-
-    def gain_plus_one(vin: float) -> float:
-        return inverter.gain(float(vin), xtol=xtol) + 1.0
-
-    values = np.array([gain_plus_one(v) for v in vins])
-    below = values < 0.0
-    if not below.any():
-        raise lost_regeneration_error(1)
-    first = int(np.argmax(below))
-    last = int(len(below) - 1 - np.argmax(below[::-1]))
-    if first == 0 or last == len(vins) - 1:
-        raise lost_regeneration_error(2)
-    v_il = float(brentq(gain_plus_one, vins[first - 1], vins[first],
-                        xtol=xtol))
-    v_ih = float(brentq(gain_plus_one, vins[last], vins[last + 1],
-                        xtol=xtol))
-    return v_il, v_ih
-
-
-def noise_margins(inverter: Inverter, solver: str = "batch",
-                  n_scan: int = 101,
+def noise_margins(inverter: Inverter, n_scan: int = 101,
                   xtol: float = XTOL_DEFAULT) -> NoiseMargins:
     """Gain = -1 noise margins of a CMOS inverter (paper Fig. 4/10).
 
@@ -104,21 +71,10 @@ def noise_margins(inverter: Inverter, solver: str = "batch",
     result for callers to handle structurally via the error's ``code``
     (aligned with the batch kernel's ``lost_code``).
 
-    ``solver="batch"`` (default) extracts the margins through the
-    vectorised VTC kernel; ``solver="sequential"`` runs the original
-    per-point scan, kept as the correctness oracle.
+    The margins are extracted through the vectorised VTC kernel.
     """
-    validate_solver(solver)
-    if solver == "batch":
-        return lane_noise_margins(noise_margins_batch(
-            inverter, 0.0, 0.0, n_scan=n_scan, xtol=xtol), 0)
-    v_il, v_ih = _unity_gain_points(inverter, n_scan=n_scan, xtol=xtol)
-    v_oh = inverter.vtc_point(v_il, xtol=xtol)
-    v_ol = inverter.vtc_point(v_ih, xtol=xtol)
-    return NoiseMargins(
-        v_il=v_il, v_ih=v_ih, v_ol=v_ol, v_oh=v_oh,
-        nm_low=v_il - v_ol, nm_high=v_oh - v_ih,
-    )
+    return lane_noise_margins(noise_margins_batch(
+        inverter, 0.0, 0.0, n_scan=n_scan, xtol=xtol), 0)
 
 
 def lane_noise_margins(batch: BatchNoiseMargins, lane: int) -> NoiseMargins:
@@ -165,33 +121,30 @@ def _decreasing_interpolator(x: np.ndarray, y: np.ndarray, side: str):
     return evaluate
 
 
-def _lobe_square_sequential(f, g, x_lo: float, x_hi: float) -> float:
-    """Scalar oracle: per-x fixed-point loop with running-best pruning."""
-    best = 0.0
-    for x in np.linspace(x_lo, x_hi, 256):
-        x = float(x)
-        gap0 = f(x) - g(x)
-        if gap0 <= best:
-            continue
-        lo, hi = 0.0, min(gap0, x_hi - x)
-        for _ in range(40):
-            mid = 0.5 * (lo + hi)
-            if mid <= f(x + mid) - g(x):
-                lo = mid
-            else:
-                hi = mid
-        best = max(best, lo)
-    return best
+def _lobe_square(f_curve: tuple[np.ndarray, np.ndarray],
+                 g_curve: tuple[np.ndarray, np.ndarray]) -> float:
+    """Largest square between decreasing curve ``f`` (above) and ``g`` (below).
 
+    For an axis-aligned square of side ``s`` with lower-left corner
+    ``(x, y)`` lying in the region ``g <= y <= f``, feasibility reduces
+    to ``s <= f(x + s) - g(x)`` (both curves are decreasing, so the
+    binding corners are upper-right against ``f`` and lower-left against
+    ``g``).  For each ``x`` the right-hand side is decreasing in ``s``,
+    so the maximal side solves a 1-D fixed point; we take the max over
+    a grid of ``x``.
 
-def _lobe_square_batch(f, g, x_lo: float, x_hi: float) -> float:
-    """All 256 corner abscissae iterate their fixed point as one array.
-
-    The pruning of the scalar path only skips abscissae that cannot
+    All 256 corner abscissae iterate their fixed point as one array.
+    The pruning of the scalar oracle only skips abscissae that cannot
     beat the running best, so the unpruned vectorised maximum is
     identical; each surviving point runs the same 40 bisection
     iterations on the same interpolants.
     """
+    f = _decreasing_interpolator(*f_curve, side="upper")
+    g = _decreasing_interpolator(*g_curve, side="lower")
+    x_lo = float(min(f_curve[0].min(), g_curve[0].min()))
+    x_hi = float(max(f_curve[0].max(), g_curve[0].max()))
+    if x_hi - x_lo <= 0.0:
+        return 0.0
     xs = np.linspace(x_lo, x_hi, 256)
     g0 = g(xs)
     gap0 = f(xs) - g0
@@ -210,33 +163,9 @@ def _lobe_square_batch(f, g, x_lo: float, x_hi: float) -> float:
     return float(lo.max())
 
 
-def _lobe_square(f_curve: tuple[np.ndarray, np.ndarray],
-                 g_curve: tuple[np.ndarray, np.ndarray],
-                 solver: str = "batch") -> float:
-    """Largest square between decreasing curve ``f`` (above) and ``g`` (below).
-
-    For an axis-aligned square of side ``s`` with lower-left corner
-    ``(x, y)`` lying in the region ``g <= y <= f``, feasibility reduces
-    to ``s <= f(x + s) - g(x)`` (both curves are decreasing, so the
-    binding corners are upper-right against ``f`` and lower-left against
-    ``g``).  For each ``x`` the right-hand side is decreasing in ``s``,
-    so the maximal side solves a 1-D fixed point; we take the max over
-    a grid of ``x``.
-    """
-    f = _decreasing_interpolator(*f_curve, side="upper")
-    g = _decreasing_interpolator(*g_curve, side="lower")
-    x_lo = float(min(f_curve[0].min(), g_curve[0].min()))
-    x_hi = float(max(f_curve[0].max(), g_curve[0].max()))
-    if x_hi - x_lo <= 0.0:
-        return 0.0
-    if solver == "batch":
-        return _lobe_square_batch(f, g, x_lo, x_hi)
-    return _lobe_square_sequential(f, g, x_lo, x_hi)
-
-
 def butterfly_snm(forward: tuple[np.ndarray, np.ndarray],
-                  backward: tuple[np.ndarray, np.ndarray] | None = None,
-                  solver: str = "batch") -> float:
+                  backward: tuple[np.ndarray, np.ndarray] | None = None
+                  ) -> float:
     """Largest-square (Seevinck) SNM of a cross-coupled pair [V].
 
     Parameters
@@ -248,15 +177,12 @@ def butterfly_snm(forward: tuple[np.ndarray, np.ndarray],
         VTC of the second inverter; defaults to the first (symmetric
         cell).  The second characteristic is mirrored across the
         ``V_out = V_in`` diagonal to form the butterfly.
-    solver:
-        ``"batch"`` (default) iterates all candidate squares as one
-        array; ``"sequential"`` keeps the scalar per-abscissa loop.
 
     The butterfly's two lobes are bounded above by one VTC and below by
     the mirror of the other; the SNM is the side of the largest square
-    that fits in the smaller lobe.
+    that fits in the smaller lobe.  All candidate squares iterate as
+    one array.
     """
-    validate_solver(solver)
     vin_f, vout_f = (np.asarray(a, dtype=float) for a in forward)
     if backward is None:
         vin_b, vout_b = vin_f.copy(), vout_f.copy()
@@ -267,7 +193,7 @@ def butterfly_snm(forward: tuple[np.ndarray, np.ndarray],
 
     # Upper-left lobe: below curve A (y = f(x)), above mirrored curve B
     # (y = f_b^{-1}(x), i.e. the swapped-axis samples).
-    upper = _lobe_square((vin_f, vout_f), (vout_b, vin_b), solver)
+    upper = _lobe_square((vin_f, vout_f), (vout_b, vin_b))
     # Lower-right lobe: mirror the construction.
-    lower = _lobe_square((vin_b, vout_b), (vout_f, vin_f), solver)
+    lower = _lobe_square((vin_b, vout_b), (vout_f, vin_f))
     return max(min(upper, lower), 0.0)

@@ -18,7 +18,7 @@ from scipy.optimize import brentq
 
 from ..device.mosfet import MOSFET, Polarity
 from ..errors import ParameterError
-from .batch import solve_balance_batch, validate_solver
+from .batch import solve_balance_batch
 from .inverter import Inverter
 from .snm import butterfly_snm
 
@@ -89,21 +89,14 @@ class SramCell:
             return hi
         return float(brentq(balance, lo, hi, xtol=xtol))
 
-    def read_vtc(self, n_points: int = 121, solver: str = "batch",
+    def read_vtc(self, n_points: int = 121,
                  xtol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
         """Read-disturbed VTC samples ``(vin, vout)``.
 
-        ``solver="batch"`` (default) solves the three-device current
-        balance for the whole input grid in one masked vectorised
-        bisection; ``solver="sequential"`` keeps the per-point Brent
-        solve as the correctness oracle.
+        The three-device current balance is solved for the whole input
+        grid in one masked vectorised bisection.
         """
-        validate_solver(solver)
         vins = np.linspace(0.0, self.vdd, n_points)
-        if solver == "sequential":
-            vouts = np.array([self.read_vtc_point(float(v), xtol=xtol)
-                              for v in vins])
-            return vins, vouts
         vdd = self.vdd
 
         all_points = np.arange(n_points)
@@ -127,18 +120,16 @@ class SramCell:
         return vins, vouts
 
 
-def hold_snm(cell: SramCell, n_points: int = 161,
-             solver: str = "batch") -> float:
+def hold_snm(cell: SramCell, n_points: int = 161) -> float:
     """Hold (standby) butterfly SNM of the cell [V]."""
-    vtc = cell.inverter().vtc(n_points, solver=solver)
-    return butterfly_snm(vtc, solver=solver)
+    vtc = cell.inverter().vtc(n_points)
+    return butterfly_snm(vtc)
 
 
-def read_snm(cell: SramCell, n_points: int = 161,
-             solver: str = "batch") -> float:
+def read_snm(cell: SramCell, n_points: int = 161) -> float:
     """Read butterfly SNM of the cell [V] (always <= hold SNM)."""
-    vtc = cell.read_vtc(n_points, solver=solver)
-    return butterfly_snm(vtc, solver=solver)
+    vtc = cell.read_vtc(n_points)
+    return butterfly_snm(vtc)
 
 
 @dataclass(frozen=True)

@@ -328,8 +328,7 @@ def _cmd_yield(strategy: str, node: str, vdds: list[float], mode: str,
 
 
 def _cmd_array(strategy: str, node: str, study: str, rows: list[int],
-               vdd: float, corners_mv: list[float], solver: str,
-               profile: bool) -> int:
+               vdd: float, corners_mv: list[float], profile: bool) -> int:
     """Array-scale column/gate characterisation on the batched engine."""
     import numpy as np
 
@@ -353,28 +352,25 @@ def _cmd_array(strategy: str, node: str, study: str, rows: list[int],
                     pullup=design.pfet.with_width_um(1.0),
                     access=design.nfet.with_width_um(1.0), vdd=vdd)
     shifts = 1e-3 * np.array(corners_mv)
-    print(f"{strategy} {node} column @ {vdd:.2f} V, solver={solver}")
+    print(f"{strategy} {node} column @ {vdd:.2f} V")
     try:
         if study in ("leakage", "all"):
-            leak = bitline_leakage_vs_height(cell, rows, solver=solver)
+            leak = bitline_leakage_vs_height(cell, rows)
             print("bitline leakage under loading (all cells storing 0):")
             for n, i_bl, per in zip(leak.heights, leak.i_bl_a,
                                     leak.per_cell_a):
                 print(f"  {n:4d} rows: I_bl = {i_bl:.3e} A "
                       f"({per:.3e} A/cell)")
         if study in ("read-snm", "all"):
-            heights, snm, pinned = read_snm_vs_height(cell, rows,
-                                                      solver=solver)
+            heights, snm, pinned = read_snm_vs_height(cell, rows)
             print("loaded read SNM ('1'-storing unaccessed rows):")
             for n, s in zip(heights, snm):
                 print(f"  {n:4d} rows: SNM = {s * 1e3:.2f} mV")
             print(f"  pinned-bitline limit: {pinned * 1e3:.2f} mV")
         if study in ("write", "all"):
             n_rows = rows[0]
-            trip = write_trip_voltage(cell, n_rows, dvth_n_v=shifts,
-                                      solver=solver)
-            pulse = min_write_pulse(cell, n_rows, dvth_n_v=shifts,
-                                    solver=solver)
+            trip = write_trip_voltage(cell, n_rows, dvth_n_v=shifts)
+            pulse = min_write_pulse(cell, n_rows, dvth_n_v=shifts)
             print(f"write margins on a {n_rows}-row column, per "
                   "access-NFET corner:")
             for mv, t, w in zip(corners_mv, trip, pulse):
@@ -386,8 +382,7 @@ def _cmd_array(strategy: str, node: str, study: str, rows: list[int],
                 gate = build(design.nfet, design.pfet, vdd)
                 a = np.array([0.0, 0.0, vdd, vdd])
                 b = np.array([0.0, vdd, 0.0, vdd])
-                leak_g = gate_leakage(gate, {"a": a, "b": b},
-                                      solver=solver)
+                leak_g = gate_leakage(gate, {"a": a, "b": b})
                 states = ", ".join(
                     f"{int(x / vdd)}{int(y / vdd)}: {i:.2e} A"
                     for x, y, i in zip(a, b, leak_g))
@@ -646,10 +641,6 @@ def main(argv: list[str] | None = None) -> int:
                               default=[-20.0, 0.0, 20.0], metavar="MV",
                               help="access-NFET dVth corners [mV] for "
                                    "the write study (default -20 0 20)")
-    array_parser.add_argument("--solver", choices=("batch", "sequential"),
-                              default="batch",
-                              help="batched engine (default) or the "
-                                   "scalar sequential oracle")
     array_parser.add_argument("--profile", action="store_true",
                               help="print perf counters after the run")
     cards_parser = sub.add_parser(
@@ -694,7 +685,7 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_array(strategy=args.strategy, node=args.node,
                           study=args.study, rows=args.rows,
                           vdd=args.vdd, corners_mv=args.corners_mv,
-                          solver=args.solver, profile=args.profile)
+                          profile=args.profile)
     if args.command == "cards":
         return _cmd_cards(args.strategy)
     if args.command == "save-family":

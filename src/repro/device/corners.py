@@ -180,26 +180,15 @@ def corner_report(device: MOSFET, vdd: float,
 
 
 def ff_ss_delay_spread(device: MOSFET, vdd: float,
-                       spec: CornerSpec | None = None,
-                       solver: str = "batch") -> float:
+                       spec: CornerSpec | None = None) -> float:
     """FF-to-SS drive-current ratio at ``vdd`` — the corner delay spread.
 
     In subthreshold this is exponential in the corner V_th shift; at
     nominal supply it is a far tamer linear-ish factor.  The contrast
     is the classic sub-V_th sign-off headache.
 
-    ``solver="batch"`` (default) evaluates both corners in one
-    two-lane :func:`corner_grid` pass; ``solver="sequential"`` keeps
-    the per-corner scalar devices as the correctness oracle.
+    Both corners are evaluated in one two-lane :func:`corner_grid` pass.
     """
-    # Imported lazily: the device package re-exports this module, so a
-    # module-level import of the circuit layer would be circular.
-    from ..circuit.batch import validate_solver
-    validate_solver(solver)
-    if solver == "sequential":
-        ff = at_corner(device, Corner.FF, spec)
-        ss = at_corner(device, Corner.SS, spec)
-        return ff.i_on_per_um(vdd) / ss.i_on_per_um(vdd)
     ion = corner_grid((device,), (Corner.FF, Corner.SS),
                       spec).i_on_per_um(vdd)
     return float(ion[0] / ion[1])

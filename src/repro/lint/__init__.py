@@ -2,9 +2,9 @@
 
 PRs 1-4 built fast batched engines whose correctness rests on
 repo-wide conventions that used to live only in review comments:
-scalar/batch ``solver=`` parity, byte-deterministic reporting, no
-float-equality selection, narrow exception handling, SI-unit suffix
-naming.  This package machine-checks them on every commit.
+byte-deterministic reporting, no float-equality selection, narrow
+exception handling, SI-unit suffix naming.  This package
+machine-checks them on every commit.
 
 Rule catalogue
 --------------
@@ -12,7 +12,6 @@ Rule catalogue
 RPR001    float-literal ``==`` / ``!=`` comparisons
 RPR002    bare/broad ``except`` without re-raise
 RPR003    nondeterminism hazards (wall clock, global RNG)
-RPR004    ``solver=`` switch outside the batch/sequential contract
 RPR005    float parameters/fields without SI-unit suffixes
 RPR006    perf-counter names outside ``repro.perf.KNOWN_COUNTERS``
 RPR007    experiments without benchmark coverage

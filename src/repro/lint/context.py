@@ -1,10 +1,9 @@
 """Repository-level context shared by all lint rules.
 
-Per-file AST visitors can enforce purely local invariants, but half of
-this repo's conventions are *cross-file*: a ``solver=`` parameter is
-only compliant if an equivalence test exercises it, a perf-counter
-name is only valid if :data:`repro.perf.KNOWN_COUNTERS` documents it,
-an experiment id is only covered if a benchmark references it.
+Per-file AST visitors can enforce purely local invariants, but some of
+this repo's conventions are *cross-file*: a perf-counter name is only
+valid if :data:`repro.perf.KNOWN_COUNTERS` documents it, an experiment
+id is only covered if a benchmark references it.
 :class:`ProjectContext` computes those repo-level facts once (lazily)
 and hands them to every rule.
 
@@ -154,19 +153,6 @@ class ProjectContext:
                       if "egg-info" not in p.parts)
 
     # -- cross-file facts ----------------------------------------------
-
-    @functools.cached_property
-    def equivalence_test_text(self) -> str:
-        """Concatenated text of the scalar/batch equivalence suites."""
-        tests = self.root / "tests"
-        chunks = [p.read_text()
-                  for p in sorted(tests.glob("test_*equivalence*.py"))]
-        return "\n".join(chunks)
-
-    def covered_by_equivalence_tests(self, name: str) -> bool:
-        """Whether ``name`` appears (word-bounded) in those suites."""
-        return re.search(rf"\b{re.escape(name)}\b",
-                         self.equivalence_test_text) is not None
 
     @functools.cached_property
     def benchmark_string_literals(self) -> frozenset[str]:

@@ -8,7 +8,7 @@ module            rules                                       motivated by
 ``numerics``      RPR001 float-literal equality               PR 4
 ``exceptions``    RPR002 broad except without re-raise        PR 3
 ``determinism``   RPR003 wall clock / global RNG hazards      PR 4
-``parity``        RPR004 solver= contract, RPR007 bench gaps  PRs 1-4
+``parity``        RPR007 bench gaps                           PRs 1-4
 ``naming``        RPR005 SI-unit suffixes                     PR 0
 ``perf_counters`` RPR006 counter registry                     PRs 1-4
 ``state``         RPR008 mutable defaults / module state      PR 4

@@ -1,14 +1,6 @@
-"""RPR004 / RPR007 — parity and coverage contracts.
+"""RPR007 — benchmark coverage contract.
 
-RPR004 (solver parity): every public callable exposing a ``solver=``
-switch is part of the repo-wide contract introduced in PRs 1-4: the
-default must be one of the two canonical backends (``"batch"`` /
-``"sequential"``) and the callable must be exercised by one of the
-scalar/batch equivalence suites (``tests/test_*equivalence*.py``), so
-the fast path always has a correctness oracle.
-
-RPR007 (benchmark coverage): every id registered with
-``@experiment(...)`` must be referenced by a
+Every id registered with ``@experiment(...)`` must be referenced by a
 ``benchmarks/test_bench_*.py`` module (the bench suites double as the
 perf-regression gate), or carry an explicit waiver in
 :data:`BENCH_WAIVERS` naming the reason.
@@ -23,9 +15,6 @@ from ..context import ModuleUnit, ProjectContext
 from ..engine import Rule, register
 from ..findings import Finding
 
-#: Canonical backend names every ``solver=`` switch must accept.
-SOLVER_BACKENDS = ("batch", "sequential")
-
 #: Experiment ids exempt from benchmark coverage, with the reason.
 #: Additions need the same review a baseline entry gets.
 BENCH_WAIVERS: dict[str, str] = {}
@@ -35,58 +24,6 @@ def _iter_functions(tree: ast.Module):
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             yield node
-
-
-def _solver_default(func: ast.FunctionDef | ast.AsyncFunctionDef):
-    """``(arg, default_node_or_None)`` for a ``solver`` parameter."""
-    args = func.args
-    positional = args.posonlyargs + args.args
-    defaults = [None] * (len(positional) - len(args.defaults))
-    defaults += list(args.defaults)
-    for arg, default in zip(positional, defaults):
-        if arg.arg == "solver":
-            return arg, default
-    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
-        if arg.arg == "solver":
-            return arg, default
-    return None, None
-
-
-@register
-class SolverParityRule(Rule):
-    rule_id = "RPR004"
-    title = "solver= switch without batch/sequential parity contract"
-    rationale = ("PRs 1-4: every batched fast path keeps its scalar "
-                 "oracle behind solver='sequential' and is pinned by an "
-                 "equivalence test; a solver= parameter outside that "
-                 "contract is an unverified fork")
-
-    def check_module(self, module: ModuleUnit,
-                     context: ProjectContext) -> Iterator[Finding]:
-        if not module.package_rel:
-            return
-        for func in _iter_functions(module.tree):
-            if func.name.startswith("_"):
-                continue
-            arg, default = _solver_default(func)
-            if arg is None:
-                continue
-            if not (isinstance(default, ast.Constant)
-                    and default.value in SOLVER_BACKENDS):
-                yield self.finding(
-                    module, func.lineno, func.col_offset,
-                    f"public callable {func.name}() has a solver= "
-                    f"parameter whose default is not one of "
-                    f"{SOLVER_BACKENDS}; the switch must expose both "
-                    f"canonical backends")
-                continue
-            if not context.covered_by_equivalence_tests(func.name):
-                yield self.finding(
-                    module, func.lineno, func.col_offset,
-                    f"public callable {func.name}() takes solver= but "
-                    f"is not referenced by any tests/test_*equivalence*"
-                    f".py suite; add it to the scalar/batch equivalence "
-                    f"coverage")
 
 
 @register

@@ -16,7 +16,9 @@ Counter names in use
 ``poisson.newton_iterations``
     Total damped-Newton iterations across all solves.
 ``optimizer.brentq_residual_evals``
-    Leakage-residual evaluations inside the scaling root-solves.
+    Leakage-residual evaluations inside the scalar brentq substrate
+    solve (``subvth._solve_substrate_for_ioff``, which ablation_halo
+    runs).
 ``cache.device.hits`` / ``cache.device.misses``
     In-process device-construction memo.
 ``circuit.vtc_batch_solves`` / ``circuit.vtc_batch_points``
@@ -28,7 +30,8 @@ Counter names in use
     Whole-array bisection sweeps inside the batched balance solver
     (``solve_balance_batch``, which the SRAM read VTC uses).
 ``circuit.vtc_scalar_solves``
-    Per-point (sequential-oracle) VTC solves.
+    Per-point Brent VTC solves (``Inverter.vtc_point``): in production,
+    the points eq3 and ``analytic_vtc`` solve one at a time.
 ``circuit.snm_batch_extractions``
     Noise-margin extractions performed through the batched kernel.
 ``circuit.delay_batch_points``
@@ -100,8 +103,6 @@ Counter names in use
     Steps the batched transient's shared controller rejected and
     halved (a lane's Newton failed, or ``max_change_v`` tripped) —
     how often one lane cut the grid for every lane.
-``circuit.mna.sequential_solves``
-    Per-lane scalar NodalSolver solves run by the sequential oracle.
 
 The registry below mirrors this list; ``repro lint`` (rule RPR006)
 statically checks every ``perf.bump``/``perf.get`` call site against
@@ -161,7 +162,6 @@ KNOWN_COUNTERS: frozenset[str] = frozenset({
     "circuit.mna.device_evals",
     "circuit.mna.transient_steps",
     "circuit.mna.rejected_steps",
-    "circuit.mna.sequential_solves",
 })
 
 #: Name families that may be built dynamically (f-string/concat call

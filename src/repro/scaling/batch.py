@@ -1,7 +1,7 @@
 """Batched design-space engine: vectorised doping root-solves.
 
-The scalar scaling flows (:mod:`repro.scaling.supervth`,
-:mod:`repro.scaling.subvth`) call ``brentq`` once per (length,
+The scalar scaling flows (kept as oracles in
+``tests/oracles/scaling.py``) call ``brentq`` once per (length,
 halo-ratio, polarity) candidate, constructing a full
 :class:`repro.device.mosfet.MOSFET` per residual evaluation.  This
 module replaces those loops with a gathered bracketing solve in
@@ -11,7 +11,7 @@ which evaluates the residual only on the still-active lanes — on top of
 the parameter-axis device evaluation in :mod:`repro.device.batch`.
 Scalar MOSFETs are constructed only at the converged roots (the designs
 the caller keeps anyway), so the selection rules and returned objects
-are shared with the sequential paths.
+are shared with the scalar oracles.
 
 Lock-step stacks: the lanes of a masked solve are independent, so
 the flows stack *independent problems* on the lane axis — every node of
@@ -56,7 +56,6 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .. import perf
-from ..circuit.batch import SOLVER_MODES, validate_solver
 from ..numerics import bisect_illinois
 from ..device import geometry as geometry_mod
 from ..device import subthreshold as subthreshold_mod
@@ -73,8 +72,6 @@ from .roadmap import NodeSpec
 from .supervth import LONG_CHANNEL_MULTIPLE, N_HALO_BOUNDS, N_SUB_BOUNDS
 
 __all__ = [
-    "SOLVER_MODES",
-    "validate_solver",
     "Calibration",
     "DopingSolveRequest",
     "DopingSolveResult",
@@ -88,7 +85,7 @@ __all__ = [
 ]
 
 #: Bisection tolerance in log10(doping) — tight enough that batched and
-#: sequential (brentq, xtol=1e-12) roots agree to ~1e-12 relative,
+#: scalar-oracle (brentq, xtol=1e-12) roots agree to ~1e-12 relative,
 #: comfortably inside the 1e-9 equivalence budget.
 XTOL_LOG10: float = 1e-12
 
@@ -268,8 +265,8 @@ def optimize_doping_groups(groups: Sequence[DopingSolveRequest],
     selection rule (minimum S_S, near ties broken toward lower N_sub)
     picks each group's winner — only the winners are materialised as
     scalar devices.  Raises :class:`~repro.errors.OptimizationError`
-    for the first group with no feasible candidate, in the sequential
-    flow's iteration order.
+    for the first group with no feasible candidate, in a per-group
+    loop's iteration order.
     """
     reqs = [replace(group, halo_ratio=float(ratio))
             for group in groups for ratio in ratios]
@@ -381,8 +378,8 @@ def optimize_super_vth_stack(jobs: Sequence[DopingSolveRequest]
     Each job is a :func:`super_vth_request` (node, polarity, width and
     the calibration it was made under), so one stack may span nodes,
     settings and calibrations.  Both root-solve steps are batched
-    across all jobs.  Errors are raised for the job the sequential
-    flow would fail first: job ``i`` runs substrate-then-halo entirely
+    across all jobs.  Errors are raised for the job a per-job loop
+    would fail first: job ``i`` runs substrate-then-halo entirely
     before job ``i+1``, so an earlier job's halo failure outranks a
     later job's substrate failure.
     """

@@ -19,12 +19,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..circuit.batch import validate_solver
-from ..device.mosfet import MOSFET, Polarity
+from ..device.mosfet import Polarity
 from ..errors import ParameterError
+from .batch import DopingSolveRequest, optimize_doping_groups
 from .roadmap import NodeSpec
 from .strategy import DeviceDesign
-from .subvth import SUB_VTH_EVAL_VDD, optimize_doping_for_length
+from .subvth import HALO_RATIO_GRID, SS_TIE_TOLERANCE, SUB_VTH_EVAL_VDD
 from .supervth import PFET_WIDTH_RATIO
 
 #: Leakage multipliers defining the standard flavour menu.
@@ -66,8 +66,8 @@ def derive_flavours(node: NodeSpec, l_poly_nm: float,
                     base_ioff_a_per_um: float = 100e-12,
                     vdd_leak: float = SUB_VTH_EVAL_VDD,
                     pfet_width_um: float = PFET_WIDTH_RATIO,
-                    flavours: dict[str, float] | None = None,
-                    solver: str = "batch") -> dict[str, VthFlavour]:
+                    flavours: dict[str, float] | None = None
+                    ) -> dict[str, VthFlavour]:
     """Solve the LVT/RVT/HVT menu at one node and gate length.
 
     Parameters
@@ -81,57 +81,36 @@ def derive_flavours(node: NodeSpec, l_poly_nm: float,
         RVT leakage target; LVT/HVT scale it by :data:`FLAVOURS`.
     vdd_leak:
         Bias at which the leakage targets are enforced.
-    solver:
-        ``"batch"`` (default) routes each doping solve through the
-        vectorised engine; ``"sequential"`` is the scalar oracle.
 
     >>> from repro.scaling.roadmap import node_by_name
     >>> menu = derive_flavours(node_by_name("45nm"), 47.0)
     >>> menu["lvt"].vth_mv() < menu["rvt"].vth_mv() < menu["hvt"].vth_mv()
     True
     """
-    validate_solver(solver)
     if base_ioff_a_per_um <= 0.0:
         raise ParameterError("base leakage target must be positive")
     menu = flavours or FLAVOURS
     for name, multiplier in menu.items():
         if multiplier <= 0.0:
             raise ParameterError(f"flavour {name!r} multiplier must be > 0")
-    pairs: dict[str, tuple[MOSFET, MOSFET]] = {}
-    if solver == "batch":
-        # One root-solve covers the whole flavour menu: the batched
-        # engine supports per-candidate leakage targets, so all
-        # flavour x polarity x halo-ratio points stack together.
-        from .batch import DopingSolveRequest, optimize_doping_groups
-        from .subvth import HALO_RATIO_GRID, SS_TIE_TOLERANCE
-        groups = [
-            DopingSolveRequest(node=node, l_poly_nm=l_poly_nm,
-                               polarity=polarity, width_um=width,
-                               ioff_target=base_ioff_a_per_um * multiplier,
-                               vdd_leak=vdd_leak)
-            for multiplier in menu.values()
-            for polarity, width in ((Polarity.NFET, 1.0),
-                                    (Polarity.PFET, pfet_width_um))
-        ]
-        winners = optimize_doping_groups(groups, HALO_RATIO_GRID,
-                                         SS_TIE_TOLERANCE)
-        for i, name in enumerate(menu):
-            pairs[name] = (winners[2 * i], winners[2 * i + 1])
-    else:
-        for name, multiplier in menu.items():
-            target = base_ioff_a_per_um * multiplier
-            n_dev = optimize_doping_for_length(
-                node, l_poly_nm, ioff_target=target, polarity=Polarity.NFET,
-                width_um=1.0, vdd_leak=vdd_leak, solver=solver,
-            )
-            p_dev = optimize_doping_for_length(
-                node, l_poly_nm, ioff_target=target, polarity=Polarity.PFET,
-                width_um=pfet_width_um, vdd_leak=vdd_leak, solver=solver,
-            )
-            pairs[name] = (n_dev, p_dev)
+    # One root-solve covers the whole flavour menu: the batched
+    # engine supports per-candidate leakage targets, so all
+    # flavour x polarity x halo-ratio points stack together.
+    groups = [
+        DopingSolveRequest(node=node, l_poly_nm=l_poly_nm,
+                           polarity=polarity, width_um=width,
+                           ioff_target=base_ioff_a_per_um * multiplier,
+                           vdd_leak=vdd_leak)
+        for multiplier in menu.values()
+        for polarity, width in ((Polarity.NFET, 1.0),
+                                (Polarity.PFET, pfet_width_um))
+    ]
+    winners = optimize_doping_groups(groups, HALO_RATIO_GRID,
+                                     SS_TIE_TOLERANCE)
     result: dict[str, VthFlavour] = {}
-    for name, (n_dev, p_dev) in pairs.items():
-        design = DeviceDesign(node=node, nfet=n_dev, pfet=p_dev,
+    for i, name in enumerate(menu):
+        design = DeviceDesign(node=node, nfet=winners[2 * i],
+                              pfet=winners[2 * i + 1],
                               strategy=f"multi-vth/{name}",
                               vdd=vdd_leak)
         result[name] = VthFlavour(

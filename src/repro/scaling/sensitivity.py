@@ -40,12 +40,8 @@ from ..errors import OptimizationError, ParameterError
 from .batch import Calibration, optimize_super_vth_stack
 from .roadmap import roadmap_nodes
 from .strategy import DeviceDesign
-from .subvth import (
-    SubVthOptimizer,
-    build_sub_vth_family,
-    optimize_sub_vth_stack,
-)
-from .supervth import build_super_vth_family, pair_designs, pair_requests
+from .subvth import SubVthOptimizer, optimize_sub_vth_stack
+from .supervth import pair_designs, pair_requests
 
 
 @contextlib.contextmanager
@@ -103,27 +99,20 @@ class HeadlineResult:
 
 def headline_under_calibration(overlap_fraction: float | None = None,
                                lt_calibration: float | None = None,
-                               sce_prefactor: float | None = None,
-                               solver: str = "batch") -> HeadlineResult:
+                               sce_prefactor: float | None = None
+                               ) -> HeadlineResult:
     """Re-run the headline comparisons under perturbed constants.
 
     Rebuilds both families from scratch inside the calibration scope
     (the cached families in :mod:`repro.experiments.families` are NOT
-    used — they carry the default calibration).  ``solver`` selects the
-    batched or sequential doping engine for the rebuilds; the batched
-    engine is :func:`headlines_under_calibrations` with one grid point,
-    whose doping requests carry the calibration.
+    used — they carry the default calibration).  This is
+    :func:`headlines_under_calibrations` with one grid point, whose
+    doping requests carry the calibration.
     """
     overrides = {"overlap_fraction": overlap_fraction,
                  "lt_calibration": lt_calibration,
                  "sce_prefactor": sce_prefactor}
-    if solver == "batch":
-        return headlines_under_calibrations([overrides])[0]
-    with calibration(**overrides):
-        sup = build_super_vth_family(solver=solver)
-        sub32 = build_sub_vth_family(solver=solver).design("32nm")
-        return _headline(sup.designs, sub32,
-                         _snm_extraction([(sup.designs, sub32)]), 0)
+    return headlines_under_calibrations([overrides])[0]
 
 
 def headlines_under_calibrations(grid: Sequence[Mapping[str, float | None]]

@@ -34,7 +34,6 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .. import perf
-from ..circuit.batch import validate_solver
 from ..circuit.inverter import Inverter
 from ..device.mosfet import MOSFET, Polarity, nfet as build_nfet, pfet as build_pfet
 from ..errors import OptimizationError
@@ -107,13 +106,13 @@ def optimize_doping_for_length(node: NodeSpec, l_poly_nm: float,
                                ioff_target: float | None = None,
                                polarity: Polarity = Polarity.NFET,
                                width_um: float = 1.0,
-                               vdd_leak: float | None = None,
-                               solver: str = "batch") -> MOSFET:
+                               vdd_leak: float | None = None) -> MOSFET:
     """Minimum-S_S doping meeting the I_off target at a given gate length.
 
     This is the per-length doping co-optimisation behind the paper's
     Fig. 7 "optimized doping" curve and the inner loop of the sub-V_th
-    strategy.
+    strategy.  The halo-ratio grid runs as one masked vectorised
+    root-solve.
 
     Parameters
     ----------
@@ -127,35 +126,9 @@ def optimize_doping_for_length(node: NodeSpec, l_poly_nm: float,
         Drain bias for the leakage measurement; defaults to the node's
         nominal V_dd (leakage budgets are specified at full rail even
         for devices destined for sub-V_th use).
-    solver:
-        ``"batch"`` (default) runs the halo-ratio grid as one masked
-        vectorised root-solve; ``"sequential"`` is the scalar oracle.
     """
-    validate_solver(solver)
-    if solver == "batch":
-        return optimize_doping_for_lengths(
-            node, [l_poly_nm], ioff_target, polarity, width_um, vdd_leak)[0]
-    target = sub_vth_ioff_target(node) if ioff_target is None else ioff_target
-    bias = node.vdd_nominal if vdd_leak is None else vdd_leak
-    candidates: list[MOSFET] = []
-    for ratio in HALO_RATIO_GRID:
-        candidate = _solve_substrate_for_ioff(
-            node, l_poly_nm, ratio, target, polarity, width_um, bias
-        )
-        if candidate is not None:
-            candidates.append(candidate)
-    best: MOSFET | None = None
-    if candidates:
-        ss_best = min(c.ss_v_per_dec for c in candidates)
-        near = [c for c in candidates
-                if c.ss_v_per_dec <= ss_best * (1.0 + SS_TIE_TOLERANCE)]
-        best = min(near, key=lambda c: c.profile.n_sub_cm3)
-    if best is None:
-        raise OptimizationError(
-            f"{node.name}: no doping meets I_off = {target:.3g} A/um at "
-            f"L_poly = {l_poly_nm:.1f} nm"
-        )
-    return best
+    return optimize_doping_for_lengths(
+        node, [l_poly_nm], ioff_target, polarity, width_um, vdd_leak)[0]
 
 
 def optimize_doping_for_lengths(node: NodeSpec, lengths_nm,
@@ -211,8 +184,7 @@ class SubVthOptimizer:
     calibration: Calibration = field(default_factory=Calibration.current,
                                      init=False)
 
-    def design_for_length(self, l_poly_nm: float,
-                          solver: str = "batch") -> DeviceDesign:
+    def design_for_length(self, l_poly_nm: float) -> DeviceDesign:
         """Doping-optimised device pair at one candidate length.
 
         The leakage target is enforced at the sub-V_th operating bias
@@ -221,10 +193,7 @@ class SubVthOptimizer:
         This pins the 250 mV drive current across generations, which is
         what gives the strategy its graceful delay scaling (Fig. 11).
         """
-        validate_solver(solver)
-        if solver == "batch":
-            return self.designs_for_lengths([l_poly_nm])[0]
-        return self._sequential_rows([l_poly_nm])[0][1]
+        return self.designs_for_lengths([l_poly_nm])[0]
 
     def designs_for_lengths(self, lengths_nm) -> list[DeviceDesign]:
         """:meth:`design_for_length` over a length grid, in lock-step.
@@ -266,37 +235,16 @@ class SubVthOptimizer:
                               strategy="sub-vth", vdd=SUB_VTH_EVAL_VDD)
         return (l_poly_nm, design, self.energy_factor(design))
 
-    def _sequential_rows(self, lengths_nm) -> list[Row]:
-        """Rows for a length grid through the per-candidate scalar oracle
-        (under the optimiser's calibration, as the batched path)."""
-        with self.calibration.scope():
-            return [self._sequential_row(float(l)) for l in lengths_nm]
-
-    def _sequential_row(self, l_poly: float) -> Row:
-        n_dev = optimize_doping_for_length(
-            self.node, l_poly, self.ioff_target, Polarity.NFET, 1.0,
-            vdd_leak=SUB_VTH_EVAL_VDD, solver="sequential",
-        )
-        p_dev = optimize_doping_for_length(
-            self.node, l_poly, self.ioff_target, Polarity.PFET,
-            self.pfet_width_um, vdd_leak=SUB_VTH_EVAL_VDD,
-            solver="sequential",
-        )
-        return self._row(l_poly, n_dev, p_dev)
-
     def _sweep_lengths(self) -> np.ndarray:
         return np.linspace(self.node.l_poly_nm * LENGTH_RANGE[0],
                            self.node.l_poly_nm * LENGTH_RANGE[1],
                            self.n_length_points)
 
-    def sweep(self, solver: str = "batch") -> list[Row]:
+    def sweep(self) -> list[Row]:
         """Evaluate the length grid: ``(l_poly_nm, design, energy_factor)``."""
-        validate_solver(solver)
-        if solver == "sequential":
-            return self._sequential_rows(self._sweep_lengths())
         return _unwrap(_rows_stack([(self, self._sweep_lengths())])[0])
 
-    def optimize(self, solver: str = "batch") -> DeviceDesign:
+    def optimize(self) -> DeviceDesign:
         """Grid search with a flatness-aware selection rule.
 
         The energy-factor landscape is extremely shallow around its
@@ -307,18 +255,7 @@ class SubVthOptimizer:
         pick the energy-optimal length over the delay-optimal one.
         A second, local grid refines the choice.
         """
-        validate_solver(solver)
-        if solver == "batch":
-            return optimize_sub_vth_stack([self])[0]
-        rows = self.sweep(solver=solver)
-        chosen = self._select(rows)
-        error = self._edge_error(rows, chosen)
-        if error is not None:
-            raise error
-        local = self._refine_lengths(rows, chosen)
-        if local is not None:
-            chosen = self._select(self._sequential_rows(local), rows)
-        return chosen[1]
+        return optimize_sub_vth_stack([self])[0]
 
     def _edge_error(self, rows: list[Row],
                     chosen: Row) -> OptimizationError | None:
@@ -442,8 +379,7 @@ def optimize_sub_vth_stack(optimizers: Sequence[SubVthOptimizer]
 
 
 def build_sub_vth_family(include_130nm: bool = False,
-                         ioff_target: float | None = None,
-                         solver: str = "batch") -> DeviceFamily:
+                         ioff_target: float | None = None) -> DeviceFamily:
     """The paper's Table 3 device family.
 
     Each node's design uses the energy-optimal gate length and the
@@ -453,9 +389,5 @@ def build_sub_vth_family(include_130nm: bool = False,
     """
     optimizers = [SubVthOptimizer(node, ioff_target=ioff_target)
                   for node in roadmap_nodes(include_130nm)]
-    validate_solver(solver)
-    if solver == "batch":
-        designs = optimize_sub_vth_stack(optimizers)
-    else:
-        designs = [opt.optimize(solver=solver) for opt in optimizers]
+    designs = optimize_sub_vth_stack(optimizers)
     return DeviceFamily(strategy="sub-vth", designs=tuple(designs))

@@ -1,11 +1,12 @@
 """Scalar-oracle vs batched circuit-kernel equivalence.
 
 The vectorised kernels of :mod:`repro.circuit.batch` must reproduce
-the sequential implementations to <= 1e-9 relative when both run at a
-tight tolerance, across the Table 2 devices and supplies from deep
-sub-V_th to moderate inversion — including the near-loss-of-
-regeneration corner, where the batch path must flag exactly the trials
-the scalar path raises on, with the same message.
+the scalar implementations in ``tests/oracles/circuit.py`` to <= 1e-9
+relative when both run at a tight tolerance, across the Table 2
+devices and supplies from deep sub-V_th to moderate inversion —
+including the near-loss-of-regeneration corner, where the batch path
+must flag exactly the trials the scalar path raises on, with the same
+message.
 """
 
 import numpy as np
@@ -29,6 +30,7 @@ from repro.circuit.energy import chain_energy_per_cycle, chain_energy_sweep
 from repro.circuit.sram import SramCell
 from repro.errors import LostRegenerationError, ParameterError
 from repro.variability.rdf import rdf_sigma_vth
+from tests.oracles import circuit as oracle
 
 #: Tight solve tolerance for the <= 1e-9 relative equivalence checks.
 TIGHT = 1e-13
@@ -105,14 +107,14 @@ class TestNoiseMarginEquivalence:
         for design in super_family.designs:
             inv = design.inverter(vdd)
             try:
-                seq = noise_margins(inv, solver="sequential", xtol=TIGHT)
+                seq = oracle.noise_margins(inv, xtol=TIGHT)
             except LostRegenerationError as err:
                 assert str(err) == LOST_REGENERATION_MESSAGES[err.code - 1]
                 with pytest.raises(LostRegenerationError) as batch_err:
-                    noise_margins(inv, solver="batch", xtol=TIGHT)
+                    noise_margins(inv, xtol=TIGHT)
                 assert batch_err.value.code == err.code
                 continue
-            batch = noise_margins(inv, solver="batch", xtol=TIGHT)
+            batch = noise_margins(inv, xtol=TIGHT)
             # All fields live on the supply scale, so 1e-9 relative
             # carries an absolute floor of 1e-9 vdd.
             for field in self.FIELDS:
@@ -127,7 +129,7 @@ class TestNoiseMarginEquivalence:
         to the scalar oracle run at TIGHT."""
         inv = sub_family.design("32nm").inverter(0.25)
         batch = noise_margins(inv)
-        seq = noise_margins(inv, solver="sequential", xtol=TIGHT)
+        seq = oracle.noise_margins(inv, xtol=TIGHT)
         for field in self.FIELDS:
             assert abs(getattr(batch, field) - getattr(seq, field)) \
                 <= 1e-9 * inv.vdd, field
@@ -160,11 +162,11 @@ class TestNoiseMarginEquivalence:
             if batch.lost[i]:
                 code = int(batch.lost_code[i])
                 with pytest.raises(LostRegenerationError) as err:
-                    noise_margins(pert, solver="sequential", xtol=TIGHT)
+                    oracle.noise_margins(pert, xtol=TIGHT)
                 assert err.value.code == code
                 assert str(err.value) == LOST_REGENERATION_MESSAGES[code - 1]
             else:
-                seq = noise_margins(pert, solver="sequential", xtol=TIGHT)
+                seq = oracle.noise_margins(pert, xtol=TIGHT)
                 assert np.allclose(float(batch.snm[i]), seq.snm,
                                    rtol=1e-9, atol=1e-9 * inverter_sub.vdd)
 
@@ -189,8 +191,8 @@ class TestMonteCarloEquivalence:
         seq = np.empty(dn.size)
         for i, (a, b) in enumerate(zip(dn, dp)):
             try:
-                seq[i] = noise_margins(_perturbed(inverter_sub, a, b),
-                                       solver="sequential").snm
+                seq[i] = oracle.noise_margins(
+                    _perturbed(inverter_sub, a, b)).snm
             except LostRegenerationError:
                 seq[i] = 0.0
         # Default (loose) tolerances: the paths agree to solver noise.
@@ -210,7 +212,7 @@ class TestEnergyEquivalence:
     def test_find_vmin_solvers_agree(self, nfet90, pfet90):
         inv = Inverter(nfet=nfet90, pfet=pfet90, vdd=0.3)
         batch = find_vmin(inv)
-        seq = find_vmin(inv, solver="sequential")
+        seq = oracle.find_vmin(inv)
         assert batch.vmin == pytest.approx(seq.vmin, rel=1e-9)
         assert _rel(batch.energy_grid_j, seq.energy_grid_j) <= 1e-9
 
@@ -222,7 +224,7 @@ class TestSramEquivalence:
                         access=nfet90.with_width_um(1.0),
                         vdd=0.30)
         vins_b, vouts_b = cell.read_vtc(61, xtol=TIGHT)
-        vins_s, vouts_s = cell.read_vtc(61, solver="sequential", xtol=TIGHT)
+        vins_s, vouts_s = oracle.read_vtc(cell, 61, xtol=TIGHT)
         assert np.array_equal(vins_b, vins_s)
         assert np.max(np.abs(vouts_b - vouts_s)) <= 1e-9 * cell.vdd
 
@@ -230,8 +232,8 @@ class TestSramEquivalence:
 class TestButterflyEquivalence:
     def test_lobe_square_solvers_identical(self, inverter_sub):
         vtc = inverter_sub.vtc(161)
-        batch = butterfly_snm(vtc, solver="batch")
-        seq = butterfly_snm(vtc, solver="sequential")
+        batch = butterfly_snm(vtc)
+        seq = oracle.butterfly_snm(vtc)
         assert batch == pytest.approx(seq, rel=1e-12, abs=1e-15)
 
 

@@ -19,6 +19,7 @@ from repro.circuit.gate_netlists import nand2_netlist
 from repro.circuit.mna_batch import solve_transient_batch
 from repro.circuit.sram import SramCell
 from repro.circuit.sram_array import build_column, flip_time_scale_s
+from tests.oracles import mna as oracle
 
 VDD = 0.25
 
@@ -104,14 +105,14 @@ def test_lanes_are_bitwise_their_own(request, build):
 
 
 class TestRejectedSteps:
-    def _switch(self, nand2, **kwargs):
+    def _switch(self, nand2, engine=solve_transient_batch, **kwargs):
         t_stop = 40.0 * nand2.time_scale_s()
 
         def step(t):
             return VDD if t >= 0.1 * t_stop else 0.0
 
         before = perf.get("circuit.mna.rejected_steps")
-        result = solve_transient_batch(
+        result = engine(
             nand2.circuit, t_stop, kwargs.pop("dt_s"),
             stimulus={"a": step, "b": VDD}, **kwargs)
         return result, perf.get("circuit.mna.rejected_steps") - before
@@ -144,6 +145,6 @@ class TestRejectedSteps:
         t_stop = 40.0 * nand2.time_scale_s()
         result, counted = self._switch(nand2, dt_s=t_stop / 10,
                                        max_change_v=0.05,
-                                       solver="sequential")
+                                       engine=oracle.solve_transient)
         assert result.rejected_steps == 0
         assert counted == 0

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from repro.circuit import sram_array
-from repro.circuit.batch import validate_solver
 from repro.circuit.compile import compile_circuit
 from repro.circuit.mna_batch import solve_transient_batch
 from repro.circuit.sram import SramCell, read_snm
@@ -172,9 +171,7 @@ class TestWrite:
 
 
 def _oracle_write_trip_voltage(cell, n_rows, *, ramp_taus=80.0,
-                               n_steps=240, dvth_n_v=0.0, dvth_p_v=0.0,
-                               solver="batch"):
-    validate_solver(solver)
+                               n_steps=240, dvth_n_v=0.0, dvth_p_v=0.0):
     vdd = cell.vdd
     column = build_column(cell, n_rows, stored=1, drive_bitlines=True)
     t_ramp = ramp_taus * flip_time_scale_s(cell)
@@ -186,15 +183,13 @@ def _oracle_write_trip_voltage(cell, n_rows, *, ramp_taus=80.0,
         column.circuit, t_ramp, t_ramp / n_steps,
         stimulus={"vbl": vbl_ramp, "wl0": vdd},
         dvth_n_v=dvth_n_v, dvth_p_v=dvth_p_v,
-        initial=column.seed(), solver=solver)
+        initial=column.seed())
     t_flip = result.crossing_times("qb0", 0.5 * vdd, rising=True)
     return np.asarray(vdd * (1.0 - t_flip / t_ramp))
 
 
 def _oracle_min_write_pulse(cell, n_rows, *, t_max_s=None, n_probes=10,
-                            n_steps=96, dvth_n_v=0.0, dvth_p_v=0.0,
-                            solver="batch"):
-    validate_solver(solver)
+                            n_steps=96, dvth_n_v=0.0, dvth_p_v=0.0):
     if t_max_s is None:
         t_max_s = 40.0 * flip_time_scale_s(cell)
     if t_max_s <= 0.0:
@@ -216,8 +211,7 @@ def _oracle_min_write_pulse(cell, n_rows, *, t_max_s=None, n_probes=10,
             column.circuit, t_stop, dt,
             stimulus={"wl0": wordline, "vbl": 0.0},
             dvth_n_v=dvth_n_v, dvth_p_v=dvth_p_v,
-            initial=column.seed(bl_v=0.0), solver=solver,
-            compiled=compiled)
+            initial=column.seed(bl_v=0.0), compiled=compiled)
         return result.voltages["q0"][-1] < 0.5 * vdd
 
     lo = np.zeros(shape)

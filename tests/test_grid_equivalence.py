@@ -1,13 +1,12 @@
 """Scalar/batch parity for the corner-grid and DVS flow re-routes.
 
-PR 6 moves the Table 2/3 reporting (``table_rows``), the corner
-experiments (``corner_grid`` / ``ff_ss_delay_spread``) and the DVS
-energy curve (``dvs_curve`` / ``vdd_for_throughput_batch``) onto
+The Table 2/3 reporting (``table_rows``), the corner experiments
+(``corner_grid`` / ``ff_ss_delay_spread``) and the DVS energy curve
+(``dvs_curve`` / ``vdd_for_throughput_batch``) run on
 ``ParameterStack`` grids solved through the shared root-solve core in
-:mod:`repro.numerics`.  Each re-route keeps its per-design scalar path
-as a ``solver="sequential"`` oracle; this suite pins the agreement
-(lint rule RPR004 statically requires every ``solver=`` switch to be
-exercised here or in a sibling ``test_*equivalence*`` suite).
+:mod:`repro.numerics`.  This suite pins each against its per-design
+scalar path: the short ones inline, the DVS curve through
+``tests/oracles/circuit.py``.
 """
 
 import numpy as np
@@ -34,6 +33,7 @@ from repro.device.mosfet import nfet, pfet
 from repro.errors import ParameterError
 from repro.scaling.roadmap import node_by_name
 from repro.scaling.strategy import DeviceDesign, DeviceFamily
+from tests.oracles import circuit as oracle
 
 RTOL = 1e-9
 
@@ -64,8 +64,9 @@ def _toy_family() -> DeviceFamily:
 class TestTableRowsParity:
     def test_batch_matches_sequential(self):
         family = _toy_family()
-        batch = family.table_rows(solver="batch")
-        seq = family.table_rows(solver="sequential")
+        batch = family.table_rows()
+        # The per-design scalar rows: brentq V_th,sat per device.
+        seq = [d.summary() for d in family.designs]
         assert len(batch) == len(seq) == 2
         for row_b, row_s in zip(batch, seq):
             assert row_b.keys() == row_s.keys()
@@ -79,10 +80,6 @@ class TestTableRowsParity:
                 else:
                     assert row_b[key] == pytest.approx(
                         row_s[key], rel=RTOL)
-
-    def test_rejects_unknown_solver(self):
-        with pytest.raises(ParameterError):
-            _toy_family().table_rows(solver="magic")
 
 
 class TestCornerGridParity:
@@ -130,11 +127,12 @@ class TestCornerGridParity:
             corner_grid((nfet90,), ())
 
     def test_ff_ss_delay_spread_solver_parity(self, nfet90):
-        batch = ff_ss_delay_spread(nfet90, 0.25, solver="batch")
-        seq = ff_ss_delay_spread(nfet90, 0.25, solver="sequential")
+        batch = ff_ss_delay_spread(nfet90, 0.25)
+        # The per-corner scalar devices.
+        ff = at_corner(nfet90, Corner.FF)
+        ss = at_corner(nfet90, Corner.SS)
+        seq = ff.i_on_per_um(0.25) / ss.i_on_per_um(0.25)
         assert batch == pytest.approx(seq, rel=RTOL)
-        with pytest.raises(ParameterError):
-            ff_ss_delay_spread(nfet90, 0.25, solver="magic")
 
 
 @pytest.fixture(scope="module")
@@ -179,8 +177,8 @@ class TestDvsParity:
         targets = f_vmin * np.array([0.05, 0.5, 1.0, 4.0, 16.0])
         for gated in (False, True):
             batch = dvs_curve(dvs_chain, targets, mep, power_gated=gated)
-            seq = dvs_curve(dvs_chain, targets, mep, power_gated=gated,
-                            solver="sequential")
+            seq = oracle.dvs_curve(dvs_chain, targets, mep,
+                                   power_gated=gated)
             assert batch == pytest.approx(seq, rel=RTOL)
 
     def test_dvs_curve_matches_operating_points(self, dvs_chain):
@@ -191,5 +189,3 @@ class TestDvsParity:
         for f, e in zip(targets, curve):
             point = energy_per_cycle_at_throughput(dvs_chain, float(f), mep)
             assert e == pytest.approx(point.energy_j, rel=RTOL)
-        with pytest.raises(ParameterError):
-            dvs_curve(dvs_chain, targets, mep, solver="magic")

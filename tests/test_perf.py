@@ -47,20 +47,26 @@ class TestInstrumentation:
         assert perf.get("poisson.newton_iterations") >= 7
 
     def test_sequential_solves_counted(self):
+        # The scalar solve_mos_poisson, bias by bias, warm-started.
         dev = nfet(l_poly_nm=65, t_ox_nm=2.1, n_sub_cm3=1.2e18,
                    n_p_halo_cm3=1.5e18)
-        sim = DeviceSimulator(dev, solver="sequential")
+        sim = DeviceSimulator(dev)
         perf.reset()
-        sim.surface_potential_sweep(np.linspace(0.0, 1.0, 7))
+        warm = None
+        for vg in np.linspace(0.0, 1.0, 7):
+            warm = sim.solve(float(vg), initial_psi=warm).psi_v
         assert perf.get("poisson.solves") == 7
         assert perf.get("poisson.batch_solves") == 0
 
     def test_brentq_residuals_counted(self):
+        # The scalar brentq substrate solve that ablation_halo runs.
+        from repro.device.mosfet import Polarity
         from repro.scaling.roadmap import roadmap_nodes
-        from repro.scaling.supervth import SuperVthOptimizer
+        from repro.scaling.subvth import _solve_substrate_for_ioff
+        node = roadmap_nodes()[0]
         perf.reset()
-        SuperVthOptimizer(roadmap_nodes()[0]).solve_substrate(
-            solver="sequential")
+        _solve_substrate_for_ioff(node, 1.5 * node.l_poly_nm, 0.5, 1e-10,
+                                  Polarity.NFET, 1.0, 0.30)
         assert perf.get("optimizer.brentq_residual_evals") > 2
         assert perf.get("scaling.doping_batch_solves") == 0
 

@@ -1,10 +1,10 @@
-"""Batch vs sequential equivalence for the scaling-flow optimizers.
+"""Batched vs scalar-oracle equivalence for the scaling-flow optimizers.
 
 The batched design-space engine (:mod:`repro.scaling.batch`) must
-reproduce the scalar flows to <= 1e-9 relative on every design knob and
-reported metric, across all roadmap nodes, for both strategies.  The
-scalar paths are the correctness oracles; these tests are what allows
-``solver="batch"`` to be the default.
+reproduce the scalar flows of ``tests/oracles/scaling.py`` to <= 1e-9
+relative on every design knob and reported metric, across all roadmap
+nodes, for both strategies.  These tests are what allow the batched
+engine to be the only production path.
 """
 
 import numpy as np
@@ -21,6 +21,7 @@ from repro.scaling.subvth import (
     optimize_doping_for_length,
 )
 from repro.scaling.supervth import SuperVthOptimizer, build_super_vth_family
+from tests.oracles import scaling as oracle
 
 RTOL = 1e-9
 
@@ -91,14 +92,13 @@ class TestSuperVthEquivalence:
         opt = SuperVthOptimizer(node, polarity,
                                 width_um=2.0 if polarity is Polarity.PFET
                                 else 1.0)
-        _assert_devices_match(opt.optimize(solver="batch"),
-                              opt.optimize(solver="sequential"),
+        _assert_devices_match(opt.optimize(),
+                              oracle.optimize_super_vth(opt),
                               node.vdd_nominal)
 
     def test_family(self):
         fam_b = build_super_vth_family(include_130nm=True)
-        fam_s = build_super_vth_family(include_130nm=True,
-                                       solver="sequential")
+        fam_s = oracle.build_super_vth_family(include_130nm=True)
         for des_b, des_s in zip(fam_b.designs, fam_s.designs):
             vdd = des_b.node.vdd_nominal
             _assert_devices_match(des_b.nfet, des_s.nfet, vdd)
@@ -113,15 +113,15 @@ class TestSubVthEquivalence:
         for polarity in (Polarity.NFET, Polarity.PFET):
             batch_dev = optimize_doping_for_length(
                 node, l_poly, polarity=polarity,
-                vdd_leak=SUB_VTH_EVAL_VDD, solver="batch")
-            seq_dev = optimize_doping_for_length(
+                vdd_leak=SUB_VTH_EVAL_VDD)
+            seq_dev = oracle.optimize_doping_for_length(
                 node, l_poly, polarity=polarity,
-                vdd_leak=SUB_VTH_EVAL_VDD, solver="sequential")
+                vdd_leak=SUB_VTH_EVAL_VDD)
             _assert_devices_match(batch_dev, seq_dev, SUB_VTH_EVAL_VDD)
 
     def test_optimizer_and_family(self):
         fam_b = build_sub_vth_family()
-        fam_s = build_sub_vth_family(solver="sequential")
+        fam_s = oracle.build_sub_vth_family()
         for des_b, des_s in zip(fam_b.designs, fam_s.designs):
             _assert_devices_match(des_b.nfet, des_s.nfet, SUB_VTH_EVAL_VDD)
             _assert_devices_match(des_b.pfet, des_s.pfet, SUB_VTH_EVAL_VDD)
@@ -129,8 +129,8 @@ class TestSubVthEquivalence:
     def test_sweep_rows_match(self):
         node = roadmap_nodes()[1]
         opt = SubVthOptimizer(node, n_length_points=5)
-        rows_b = opt.sweep(solver="batch")
-        rows_s = opt.sweep(solver="sequential")
+        rows_b = opt.sweep()
+        rows_s = oracle.sub_vth_rows(opt, opt._sweep_lengths())
         for (l_b, des_b, e_b), (l_s, des_s, e_s) in zip(rows_b, rows_s):
             assert l_b == l_s
             assert e_b == pytest.approx(e_s, rel=RTOL)

@@ -1,9 +1,12 @@
-"""Failure-path coverage for both scaling flows, on both solvers.
+"""Failure-path coverage for both scaling flows, batched and scalar.
 
 Every ``OptimizationError`` branch the optimizers can take — leakage
 budget unreachable from above or below, halo-cannot-rescue, and the
-energy factor still falling at the end of ``LENGTH_RANGE`` — plus the
-root-device reuse guarantee (no rebuild after the root solve).
+energy factor still falling at the end of ``LENGTH_RANGE`` — on the
+production flow (``batch``) and on its scalar oracle in
+``tests/oracles/scaling.py`` (``sequential``), plus the root-device
+reuse guarantee of the scalar substrate solve (no rebuild after the
+root solve).
 """
 
 import pytest
@@ -12,12 +15,23 @@ from repro import perf
 from repro.device.mosfet import Polarity
 from repro.errors import OptimizationError
 from repro.scaling import subvth as subvth_mod
-from repro.scaling import supervth as supervth_mod
 from repro.scaling.roadmap import NodeSpec, roadmap_nodes
 from repro.scaling.subvth import SubVthOptimizer, optimize_doping_for_length
 from repro.scaling.supervth import SuperVthOptimizer
+from tests.oracles import scaling as oracle
 
+#: Parameter ids of the two implementations: production, then oracle.
 SOLVERS = ("batch", "sequential")
+
+
+def _flows(production, scalar):
+    """Parametrize a test over ``production`` and its scalar oracle."""
+    return pytest.mark.parametrize("flow", [production, scalar],
+                                   ids=SOLVERS)
+
+
+SOLVE_SUBSTRATE = _flows(SuperVthOptimizer.solve_substrate,
+                         oracle.solve_substrate)
 
 #: A 90nm-like node whose leakage budget is absurdly loose: even the
 #: minimum doping leaks less than the target, so the budget binds from
@@ -31,45 +45,47 @@ HALO_HOPELESS_NODE = NodeSpec("hopeless", 32.0, 8.0, 2.5, 0.9, 1e-12, 3)
 
 
 class TestSuperVthFailures:
-    @pytest.mark.parametrize("solver", SOLVERS)
-    def test_budget_unreachable_from_above(self, solver):
+    @SOLVE_SUBSTRATE
+    def test_budget_unreachable_from_above(self, flow):
         with pytest.raises(OptimizationError,
                            match="budget unreachable from above"):
-            SuperVthOptimizer(LOOSE_NODE).solve_substrate(solver=solver)
+            flow(SuperVthOptimizer(LOOSE_NODE))
 
-    @pytest.mark.parametrize("solver", SOLVERS)
-    def test_budget_unreachable_from_below(self, solver):
+    @SOLVE_SUBSTRATE
+    def test_budget_unreachable_from_below(self, flow):
         with pytest.raises(OptimizationError,
                            match="cannot meet leakage budget"):
-            SuperVthOptimizer(TIGHT_NODE).solve_substrate(solver=solver)
+            flow(SuperVthOptimizer(TIGHT_NODE))
 
-    @pytest.mark.parametrize("solver", SOLVERS)
-    def test_halo_cannot_rescue(self, solver):
+    @pytest.mark.parametrize("flows", [
+        (SuperVthOptimizer.solve_substrate, SuperVthOptimizer.solve_halo),
+        (oracle.solve_substrate, oracle.solve_halo)], ids=SOLVERS)
+    def test_halo_cannot_rescue(self, flows):
+        solve_substrate, solve_halo = flows
         opt = SuperVthOptimizer(HALO_HOPELESS_NODE)
-        n_sub = opt.solve_substrate(solver=solver)
+        n_sub = solve_substrate(opt)
         with pytest.raises(OptimizationError,
                            match="halo cannot rescue"):
-            opt.solve_halo(n_sub, solver=solver)
+            solve_halo(opt, n_sub)
 
-    @pytest.mark.parametrize("solver", SOLVERS)
-    def test_optimize_propagates_halo_failure(self, solver):
+    @_flows(SuperVthOptimizer.optimize, oracle.optimize_super_vth)
+    def test_optimize_propagates_halo_failure(self, flow):
         with pytest.raises(OptimizationError,
                            match="halo cannot rescue"):
-            SuperVthOptimizer(HALO_HOPELESS_NODE).optimize(solver=solver)
+            flow(SuperVthOptimizer(HALO_HOPELESS_NODE))
 
 
 class TestSubVthFailures:
-    @pytest.mark.parametrize("solver", SOLVERS)
+    @_flows(optimize_doping_for_length, oracle.optimize_doping_for_length)
     @pytest.mark.parametrize("target", [1.0, 1e-30],
                              ids=["too-loose", "too-tight"])
-    def test_no_doping_meets_target(self, solver, target):
+    def test_no_doping_meets_target(self, flow, target):
         node = roadmap_nodes()[0]
         with pytest.raises(OptimizationError, match="no doping meets"):
-            optimize_doping_for_length(node, node.l_poly_nm,
-                                       ioff_target=target, solver=solver)
+            flow(node, node.l_poly_nm, ioff_target=target)
 
-    @pytest.mark.parametrize("solver", SOLVERS)
-    def test_energy_factor_still_falling_at_range_end(self, solver,
+    @_flows(SubVthOptimizer.optimize, oracle.optimize_sub_vth)
+    def test_energy_factor_still_falling_at_range_end(self, flow,
                                                       monkeypatch):
         # Truncate the length search so the energy factor is still
         # decreasing at the top of the grid: the optimiser must refuse
@@ -78,7 +94,7 @@ class TestSubVthFailures:
         opt = SubVthOptimizer(roadmap_nodes()[2], n_length_points=4)
         with pytest.raises(OptimizationError,
                            match="still flat/falling"):
-            opt.optimize(solver=solver)
+            flow(opt)
 
 
 class TestRootDeviceReuse:
@@ -108,16 +124,5 @@ class TestRootDeviceReuse:
         assert evals > 2
         # One construction per residual evaluation and none beyond: the
         # returned device is the root evaluation itself.
-        assert len(built) == evals
-        assert any(dev is b for b in built)
-
-    def test_supervth_optimize(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DEVICE_CACHE", "0")
-        built = self._count_builds(supervth_mod, monkeypatch)
-        node = roadmap_nodes()[0]
-        perf.reset()
-        dev = SuperVthOptimizer(node).optimize(solver="sequential")
-        evals = perf.get("optimizer.brentq_residual_evals")
-        assert evals > 4
         assert len(built) == evals
         assert any(dev is b for b in built)

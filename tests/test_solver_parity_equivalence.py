@@ -1,13 +1,11 @@
-"""``solver=`` parity for the flow-level entry points (lint rule RPR004).
+"""Flow-level entry points against their scalar oracles.
 
-PRs 1-4 proved the batched *kernels* against their scalar oracles;
-this suite closes the contract for the remaining public callables that
-expose a ``solver=`` switch: the SRAM butterfly SNMs, the chain
-minimum-energy point, the per-length and per-flavour doping solves,
-the two super-V_th root solves, and the calibration-perturbed headline
-rebuild.  ``repro lint`` statically
-requires every such callable to appear here (or in a sibling
-``test_*equivalence*`` suite).
+The kernel suites hold the batched *kernels* against their scalar
+oracles; this suite does the same for the flows built on them: the
+SRAM butterfly SNMs, the chain minimum-energy point, the per-length
+and per-flavour doping solves, the two super-V_th root solves, and the
+calibration-perturbed headline rebuild.  The oracles live in
+``tests/oracles/``.
 """
 
 import pytest
@@ -21,6 +19,8 @@ from repro.scaling.roadmap import node_by_name
 from repro.scaling.sensitivity import headline_under_calibration
 from repro.scaling.subvth import SubVthOptimizer
 from repro.scaling.supervth import SuperVthOptimizer, build_super_vth_design
+from tests.oracles import circuit as circuit_oracle
+from tests.oracles import scaling as scaling_oracle
 
 RTOL = 1e-9
 
@@ -42,8 +42,9 @@ class TestCircuitFlowParity:
                         pullup=pfet90.with_width_um(1.0),
                         access=nfet90.with_width_um(1.0),
                         vdd=0.30)
-        batch = hold_snm(cell, n_points=121, solver="batch")
-        seq = hold_snm(cell, n_points=121, solver="sequential")
+        batch = hold_snm(cell, n_points=121)
+        seq = circuit_oracle.butterfly_snm(
+            circuit_oracle.vtc(cell.inverter(), 121))
         assert batch == pytest.approx(seq, rel=1e-6, abs=1e-9)
 
     def test_read_snm(self, nfet90, pfet90):
@@ -51,14 +52,16 @@ class TestCircuitFlowParity:
                         pullup=pfet90.with_width_um(1.0),
                         access=nfet90.with_width_um(1.0),
                         vdd=0.30)
-        batch = read_snm(cell, n_points=121, solver="batch")
-        seq = read_snm(cell, n_points=121, solver="sequential")
+        batch = read_snm(cell, n_points=121)
+        seq = circuit_oracle.butterfly_snm(
+            circuit_oracle.read_vtc(cell, 121))
         assert batch == pytest.approx(seq, rel=1e-6, abs=1e-9)
 
     def test_minimum_energy_point(self, nfet90, pfet90):
         chain = InverterChain(Inverter(nfet=nfet90, pfet=pfet90, vdd=0.3))
-        batch = chain.minimum_energy_point(solver="batch")
-        seq = chain.minimum_energy_point(solver="sequential")
+        batch = chain.minimum_energy_point()
+        seq = circuit_oracle.find_vmin(chain.stage, chain.n_stages,
+                                       chain.activity)
         assert batch.vmin == pytest.approx(seq.vmin, rel=RTOL)
         assert batch.energy.total_j == pytest.approx(
             seq.energy.total_j, rel=RTOL)
@@ -68,17 +71,17 @@ class TestScalingFlowParity:
     def test_solve_substrate_and_halo(self):
         node = node_by_name("45nm")
         opt = SuperVthOptimizer(node, Polarity.NFET, width_um=1.0)
-        n_sub_b = opt.solve_substrate(solver="batch")
-        n_sub_s = opt.solve_substrate(solver="sequential")
+        n_sub_b = opt.solve_substrate()
+        n_sub_s = scaling_oracle.solve_substrate(opt)
         assert n_sub_b == pytest.approx(n_sub_s, rel=RTOL)
-        halo_b = opt.solve_halo(n_sub_b, solver="batch")
-        halo_s = opt.solve_halo(n_sub_b, solver="sequential")
+        halo_b = opt.solve_halo(n_sub_b)
+        halo_s = scaling_oracle.solve_halo(opt, n_sub_b)
         assert halo_b == pytest.approx(halo_s, rel=RTOL)
 
     def test_build_super_vth_design(self):
         node = node_by_name("65nm")
-        des_b = build_super_vth_design(node, solver="batch")
-        des_s = build_super_vth_design(node, solver="sequential")
+        des_b = build_super_vth_design(node)
+        des_s = scaling_oracle.build_super_vth_design(node)
         _assert_devices_match(des_b.nfet, des_s.nfet)
         _assert_devices_match(des_b.pfet, des_s.pfet)
 
@@ -86,15 +89,15 @@ class TestScalingFlowParity:
         node = node_by_name("45nm")
         opt = SubVthOptimizer(node)
         l_poly = 1.6 * node.l_poly_nm
-        des_b = opt.design_for_length(l_poly, solver="batch")
-        des_s = opt.design_for_length(l_poly, solver="sequential")
+        des_b = opt.design_for_length(l_poly)
+        des_s = scaling_oracle.sub_vth_rows(opt, [l_poly])[0][1]
         _assert_devices_match(des_b.nfet, des_s.nfet)
         _assert_devices_match(des_b.pfet, des_s.pfet)
 
     def test_derive_flavours(self):
         node = node_by_name("45nm")
-        menu_b = derive_flavours(node, 47.0, solver="batch")
-        menu_s = derive_flavours(node, 47.0, solver="sequential")
+        menu_b = derive_flavours(node, 47.0)
+        menu_s = scaling_oracle.derive_flavours(node, 47.0)
         assert menu_b.keys() == menu_s.keys()
         for name in menu_b:
             _assert_devices_match(menu_b[name].design.nfet,
@@ -105,10 +108,9 @@ class TestScalingFlowParity:
                 menu_s[name].vth_mv(), rel=1e-6)
 
     def test_headline_under_calibration(self):
-        batch = headline_under_calibration(overlap_fraction=0.32,
-                                           solver="batch")
-        seq = headline_under_calibration(overlap_fraction=0.32,
-                                         solver="sequential")
+        batch = headline_under_calibration(overlap_fraction=0.32)
+        seq = scaling_oracle.headline_under_calibration(
+            overlap_fraction=0.32)
         assert batch.snm_advantage == pytest.approx(
             seq.snm_advantage, rel=1e-6, abs=1e-9)
         assert batch.energy_advantage == pytest.approx(

@@ -78,10 +78,6 @@ class TestConfiguration:
         with pytest.raises(ParameterError):
             DeviceSimulator(dev, n_nodes=5)
 
-    def test_rejects_unknown_solver(self, dev):
-        with pytest.raises(ParameterError):
-            DeviceSimulator(dev, solver="quantum")
-
     def test_finer_mesh_consistent(self, dev):
         coarse = DeviceSimulator(dev, n_nodes=81).numeric_ss()
         fine = DeviceSimulator(dev, n_nodes=241).numeric_ss()

@@ -10,11 +10,13 @@ The suites:
 * ``circuits`` — the vectorised circuit-evaluation layer
   (``benchmarks/test_bench_circuits.py``: batched VTC/SNM, the stacked
   SNM extraction, the DVS supply solve and the corner device stack, and
-  their sequential oracles) -> ``BENCH_circuits.json``;
+  their sequential counterparts, timed through the scalar oracles of
+  ``tests/oracles/circuit.py``) -> ``BENCH_circuits.json``;
 * ``flows`` — the batched design-space engine
   (``benchmarks/test_bench_flows.py``: cold-cache super/sub-V_th family
   builds, the multi-V_th menu, the calibration-sensitivity rebuild, and
-  their sequential oracles) -> ``BENCH_flows.json``;
+  their sequential counterparts, timed through the scalar oracles of
+  ``tests/oracles/scaling.py``) -> ``BENCH_flows.json``;
 * ``service`` — the design-space query server tiers
   (``benchmarks/test_bench_service.py``) -> ``BENCH_service.json``;
 * ``variability`` — the rare-event yield engine
@@ -24,8 +26,9 @@ The suites:
 * ``arrays`` — the compiled batched MNA engine
   (``benchmarks/test_bench_arrays.py``: the 512-lane SRAM-column DC
   workload, its >= 10x per-lane speedup gate vs the looped
-  NodalSolver oracle, the binary-searched write pulse, and the
-  ``ext_array`` experiment) -> ``BENCH_arrays.json``.
+  NodalSolver oracle of ``tests/oracles/mna.py``, the binary-searched
+  write pulse, and the ``ext_array`` experiment) ->
+  ``BENCH_arrays.json``.
 
 Committing the summary after perf-relevant PRs builds up the
 performance trajectory of the project; CI runs the same script with

@@ -37,9 +37,8 @@ The numerical hot paths are batched and cached at three layers:
   per-bias tridiagonal Jacobians are stacked into one block-diagonal
   banded system and factorised by a single LAPACK call per iteration,
   with a convergence mask retiring finished biases.
-  `DeviceSimulator` uses it by default (``solver="batch"``); pass
-  ``solver="sequential"`` for the warm-started scalar path, which is
-  kept as the correctness oracle (see
+  `DeviceSimulator` sweeps through it; the warm-started scalar path
+  is the correctness oracle in `tests/oracles/tcad.py` (see
   `tests/test_tcad_batch_equivalence.py`).
 - **Batched circuit kernels.** `repro.circuit.solve_vtc_batch` solves
   the inverter current-balance equation for whole arrays of input
@@ -52,9 +51,9 @@ The numerical hot paths are batched and cached at three layers:
   `repro.circuit.analytic_delay_batch` /
   `repro.circuit.chain_energy_sweep` vectorise the Eq. 4/7 paths.
   Every consumer (`noise_margins`, `butterfly_snm`, `Inverter.vtc`,
-  `SramCell.read_vtc`, `find_vmin`) takes the same
-  ``solver="batch"`` / ``"sequential"`` switch as `DeviceSimulator`,
-  with the scalar implementations kept as correctness oracles (see
+  `SramCell.read_vtc`, `find_vmin`) runs on these kernels; the scalar
+  implementations are the correctness oracles in
+  `tests/oracles/circuit.py` (see
   `tests/test_circuit_batch_equivalence.py`).
 - **Batched design-space engine.** `repro.scaling.batch` replaces the
   per-(length, halo-ratio, polarity) scalar `brentq` loops of the
@@ -71,9 +70,9 @@ The numerical hot paths are batched and cached at three layers:
   `repro.scaling.batch.DopingSolveRequest` carries the calibration it
   was made under, per lane.  `SuperVthOptimizer`,
   `SubVthOptimizer`, `optimize_doping_for_length`,
-  `derive_flavours`, and the family builders take the same
-  ``solver="batch"`` / ``"sequential"`` switch, with the scalar path
-  kept as the correctness oracle
+  `derive_flavours`, and the family builders run on it; the scalar
+  `brentq` flows are the correctness oracles in
+  `tests/oracles/scaling.py`
   (see `tests/test_scaling_batch_equivalence.py`).
 - **Device construction memo.** `repro.device.nfet` / `pfet` memoise
   construction on the full parameter tuple (including the calibration
@@ -110,7 +109,6 @@ catalogue (`repro.lint.rule_catalogue`):
 | RPR001 | no float-literal `==`/`!=` — int sentinel `0` or `isclose` |
 | RPR002 | no bare/broad `except` without re-raise in library code |
 | RPR003 | no wall-clock/global-RNG nondeterminism hazards; only seeded `np.random.Generator`/`SeedSequence` flows |
-| RPR004 | every public `solver=` switch defaults to `"batch"`/`"sequential"` and is pinned by a `tests/test_*equivalence*.py` suite |
 | RPR005 | float params/fields in `device`/`tcad`/`circuit` carry SI-unit suffixes cross-checked against `repro.units` |
 | RPR006 | perf-counter names come from `repro.perf.KNOWN_COUNTERS` (or a registered dynamic prefix) |
 | RPR007 | every registered experiment is referenced by a `benchmarks/test_bench_*.py` module |

@@ -57,10 +57,11 @@ PACKAGE = REPO_ROOT / "src" / "repro"
 #: Modules allowed to run no function, each with its reason (paths
 #: relative to ``src/repro``).
 ALLOWED: dict[str, str] = {
-    "circuit/mna.py": "the scalar NodalSolver, the oracle behind "
-                      "'repro array --solver sequential'; "
-                      "benchmarks/e2e/tracing.py wraps it by name until "
-                      "it moves to tests/oracles/",
+    "circuit/mna.py": "the scalar NodalSolver, reached only by "
+                      "tests/oracles/mna.py, "
+                      "examples/netlist_simulation.py and the e2e "
+                      "tracer's by-name wrap in "
+                      "benchmarks/e2e/tracing.py",
     "errors.py": "its exception methods run only when an error is "
                  "raised",
     "units.py": "SI_PREFIXES is read by 'repro lint'; the parse/format "
